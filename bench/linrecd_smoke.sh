@@ -324,4 +324,59 @@ print("ivm_apply fault: aborted INSERT rolled back byte-identical, "
 PY
 shutdown_daemon "$FPORT" "$FAULT_PID" || { cat "$FAULT_LOG" >&2; exit 1; }
 
+# --- pass 4: finished connection threads are reaped ----------------------
+# linrecd serves each connection on its own thread. A finished thread's
+# stack stays mapped until the thread is joined, so 300 sequential
+# sessions must leave the daemon's threads (/proc/<pid>/task) and memory
+# mappings (/proc/<pid>/maps) where they were after session 10. An exited
+# thread leaves /proc/<pid>/task at once, so the mappings are what show
+# an unjoined stack (two per thread).
+echo "--- reaping pass: 300 sequential sessions ---"
+REAP_LOG="$WORKDIR/reap.log"
+start_daemon "$REAP_LOG"
+python3 - "$FPORT" "$FAULT_PID" <<'PY'
+import os, socket, sys, time
+port, pid = int(sys.argv[1]), int(sys.argv[2])
+
+def session():
+    s = socket.create_connection(("127.0.0.1", port), timeout=10)
+    s.sendall(b"PING\nQUIT\n")
+    data = b""
+    while b"OK bye\n" not in data:
+        chunk = s.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    s.close()
+    if b"OK pong" not in data:
+        sys.exit(f"FAIL: session got {data!r}")
+
+def settled_counts():
+    # Let the last session's thread finish, then connect once more: the
+    # accept joins every finished thread, leaving only this probe's.
+    time.sleep(0.2)
+    session()
+    time.sleep(0.2)
+    tasks = len(os.listdir(f"/proc/{pid}/task"))
+    with open(f"/proc/{pid}/maps") as f:
+        maps = sum(1 for _ in f)
+    return tasks, maps
+
+for i in range(1, 301):
+    session()
+    if i == 10:
+        tasks10, maps10 = settled_counts()
+tasks300, maps300 = settled_counts()
+print(f"after session 10: {tasks10} threads, {maps10} mappings; "
+      f"after session 300: {tasks300} threads, {maps300} mappings")
+if tasks300 > tasks10:
+    sys.exit("FAIL: the daemon's thread count grew with sessions served")
+# Slack of one thread's two mappings for a session whose thread had not
+# yet finished when the probe connected.
+if maps300 > maps10 + 2:
+    sys.exit("FAIL: finished connection threads are not joined "
+             f"({maps300 - maps10} new mappings over 290 sessions)")
+PY
+shutdown_daemon "$FPORT" "$FAULT_PID" || { cat "$REAP_LOG" >&2; exit 1; }
+
 echo "PASS: linrecd fault-injection smoke"

@@ -37,9 +37,10 @@ enum class FaultSite : int {
   /// A reply about to be written to a client socket (tools/linrecd.cc).
   kSocketWrite,
   /// An incremental maintenance pass about to commit its in-place delta
-  /// (src/ivm/maintain.cc) — checked after the view mutation begins and
-  /// again after the resume, so arming it proves the rollback path
-  /// restores the pre-Apply bytes.
+  /// (src/ivm/maintain.cc) — in Apply, checked after the view mutation
+  /// begins and again after the resume; in Retract, checked just before
+  /// the commit. Arming it proves the rollback paths restore the pre-call
+  /// bytes.
   kIvmApply,
   kSiteCount,
 };

@@ -167,12 +167,13 @@ class Engine {
                              QueryBudget* budget = nullptr);
 
   /// Removes input tuples from `view` by delete-and-rederive (DRed):
-  /// over-approximates the suspect set (the closure of the directly
-  /// deleted derivations), deletes it, then re-derives the suspects
-  /// still reachable from the surviving tuples and updated parameters.
-  /// The rebuilt relations are swapped in only at commit; a failure
-  /// restores the displaced parameter relations and leaves the view
-  /// untouched.
+  /// over-approximates the suspect set D (the closure of the directly
+  /// deleted derivations), then re-derives goal-directed: each rule runs
+  /// once with its head pinned to D, keeping heads whose recursive tuple
+  /// lies outside D, and that frontier is closed inside D. Work follows
+  /// the suspects, not the view. The commit erases the removed rows in
+  /// place (the rest keep their order); a failure before it restores the
+  /// erased parameter relations and leaves the view and seed untouched.
   Result<RetractOutcome> Retract(MaterializedView& view,
                                  const DeltaDelete& delta,
                                  const CancellationToken* cancel = nullptr,

@@ -33,14 +33,21 @@ struct JoinStep {
   // Positions that must equal an earlier position of this same atom
   // (repeated new variable within the atom): (position, variable).
   std::vector<std::pair<int, VarId>> check_positions;
+  // Every position is bound: the candidate is found by one probe of the
+  // relation's own dedup table, so no HashIndex over all positions.
+  bool full_key = false;
+  // Candidate rows contained here are skipped (ApplyOptions::excludes).
+  const Relation* exclude = nullptr;
 };
 
 /// Per-depth cursor of the iterative join loop: the candidate row-id span
-/// (nullptr ⇒ scan of [next, limit) row ids) and the next candidate.
+/// (nullptr ⇒ scan of [next, limit) row ids) and the next candidate. A
+/// full-key step's span is its one dedup-table hit, held in `single`.
 struct JoinFrame {
   const RowId* rows = nullptr;
   std::size_t next = 0;
   std::size_t limit = 0;
+  RowId single = 0;
 };
 
 }  // namespace
@@ -113,6 +120,13 @@ Result<CompiledRule> CompileRule(const Rule& rule, const Database& db,
                  relations[i]->arity(), ", atom expects ", body[i].arity()));
     }
     if (relations[i] == nullptr) impl.no_input = true;
+  }
+  for (const auto& [atom, excluded] : options.excludes) {
+    if (atom < 0 || static_cast<std::size_t>(atom) >= body.size() ||
+        excluded->arity() != body[static_cast<std::size_t>(atom)].arity()) {
+      return Status::InvalidArgument(
+          StrCat("exclusion for body atom ", atom, " does not fit the rule"));
+    }
   }
 
   // Greedy join order: start with the forced atom (or the smallest
@@ -200,6 +214,10 @@ Result<CompiledRule> CompileRule(const Rule& rule, const Database& db,
       }
     }
     bound = bound_here;
+    step.full_key =
+        !atom.terms.empty() && step.key_positions.size() == atom.terms.size();
+    auto excluded = options.excludes.find(atom_index);
+    if (excluded != options.excludes.end()) step.exclude = excluded->second;
     max_key_len = std::max(max_key_len, step.key_positions.size());
     impl.steps.push_back(std::move(step));
   }
@@ -253,12 +271,14 @@ Status CompiledRule::Impl::Execute(const PartitionView* delta, Relation* out,
   // Re-resolve indexes through the cache: relations may have grown since
   // the last Run (the Δ-carrying relation does every round); the cache
   // rebuilds exactly the stale ones. The partitioned first step never uses
-  // an index — it range-scans its slice and checks constants per row.
+  // an index — it range-scans its slice and checks constants per row — and
+  // neither does a full-key step, which probes the dedup table.
   IndexCache local_cache;
   IndexCache* idx = cache != nullptr ? cache : &local_cache;
   for (std::size_t d = 0; d < steps.size(); ++d) {
     const bool partitioned_first = delta != nullptr && d == 0;
-    indexes[d] = (!partitioned_first && !steps[d].key_positions.empty())
+    indexes[d] = (!partitioned_first && !steps[d].full_key &&
+                  !steps[d].key_positions.empty())
                      ? &idx->Get(*steps[d].relation, steps[d].key_positions)
                      : nullptr;
   }
@@ -309,36 +329,46 @@ Status CompiledRule::Impl::Execute(const PartitionView* delta, Relation* out,
     constexpr std::size_t kProbePrefetch = 8;
 
     // Positions the candidate cursor at `depth`, resolving the step's
-    // index bucket from the current binding (no candidates ⇒ limit 0).
+    // index bucket (or, for a full-key step, its dedup-table hit) from the
+    // current binding (no candidates ⇒ limit 0).
     auto enter = [&](std::size_t depth) {
       const JoinStep& step = steps[depth];
       JoinFrame& f = frames[depth];
       f.next = 0;
-      if (indexes[depth] != nullptr) {
-        const auto& parts = step.key_parts;
-        for (std::size_t k = 0; k < parts.size(); ++k) {
-          key_buf[k] = parts[k].is_const
-                           ? parts[k].constant
-                           : binding[static_cast<std::size_t>(parts[k].var)];
-        }
-        ++probes_issued;
-        RowSpan span = indexes[depth]->Lookup(key_buf.data());
-        f.rows = span.ids;
-        f.limit = span.count;
-        // Fill the pipeline: the bucket's row ids are contiguous, but the
-        // rows they name are scattered across the pool.
-        const std::size_t fill =
-            span.count < kProbePrefetch ? span.count : kProbePrefetch;
-        for (std::size_t k = 0; k < fill; ++k) {
-          __builtin_prefetch(step.relation->RowData(span.ids[k]));
-        }
-      } else if (depth == 0 && delta != nullptr) {
+      if (depth == 0 && delta != nullptr) {
         f.rows = nullptr;  // partitioned: scan the Δ slice only
         f.next = delta->begin;
         f.limit = delta->end;
-      } else {
+        return;
+      }
+      if (step.key_positions.empty()) {
         f.rows = nullptr;  // no bound position: scan the whole relation
         f.limit = step.relation->size();
+        return;
+      }
+      const auto& parts = step.key_parts;
+      for (std::size_t k = 0; k < parts.size(); ++k) {
+        key_buf[k] = parts[k].is_const
+                         ? parts[k].constant
+                         : binding[static_cast<std::size_t>(parts[k].var)];
+      }
+      ++probes_issued;
+      if (step.full_key) {
+        // Key positions run 0..arity-1 in order, so key_buf is the row.
+        f.single = step.relation->FindRowId(key_buf.data());
+        f.rows = &f.single;
+        f.limit = f.single != Relation::kNoRow ? 1 : 0;
+        return;
+      }
+      RowSpan span = indexes[depth]->Lookup(key_buf.data());
+      f.rows = span.ids;
+      f.limit = span.count;
+      // Fill the pipeline: the bucket's row ids are contiguous, but the
+      // rows they name are scattered across the pool.
+      const std::size_t fill =
+          span.count < kProbePrefetch ? span.count : kProbePrefetch;
+      for (std::size_t k = 0; k < fill; ++k) {
+        __builtin_prefetch(step.relation->RowData(span.ids[k]));
       }
     };
 
@@ -437,6 +467,10 @@ Status CompiledRule::Impl::Execute(const PartitionView* delta, Relation* out,
           }
         }
         if (!ok) continue;
+        if (step.exclude != nullptr &&
+            step.exclude->ContainsRowHashed(t, step.relation->RowHash(row))) {
+          continue;
+        }
         if (depth == last) {
           emit_head();  // stay at this depth: keep scanning candidates
           continue;
@@ -488,6 +522,14 @@ Status ApplyRule(const Rule& rule, const Database& db,
   Result<CompiledRule> compiled = CompileRule(rule, db, options);
   if (!compiled.ok()) return compiled.status();
   return compiled->Run(out, stats, cache);
+}
+
+Rule PinHead(const Rule& rule) {
+  std::vector<Atom> body;
+  body.reserve(rule.body().size() + 1);
+  body.push_back(rule.head());
+  body.insert(body.end(), rule.body().begin(), rule.body().end());
+  return Rule(rule.head(), std::move(body), rule.var_names());
 }
 
 Result<Relation> ApplySum(const std::vector<LinearRule>& rules,

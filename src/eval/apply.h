@@ -30,6 +30,12 @@ struct ApplyOptions {
   /// Body-atom index → relation that atom reads instead of the database
   /// entry for its predicate (e.g. the recursive atom reads P or ΔP).
   std::unordered_map<int, const Relation*> overrides;
+  /// Body-atom index → relation of rows that atom must NOT match: a
+  /// candidate row found in it is skipped (an anti-join on the whole row,
+  /// probed through the relation's dedup table; arities must agree). The
+  /// IVM re-derive pass uses it to keep only derivations whose recursive
+  /// tuple lies outside the suspect set.
+  std::unordered_map<int, const Relation*> excludes;
   /// If ≥ 0, this body atom is placed first in the join order (semi-naive
   /// evaluation puts Δ first).
   int first_atom = -1;
@@ -91,6 +97,13 @@ Result<CompiledRule> CompileRule(const Rule& rule, const Database& db,
 Status ApplyRule(const Rule& rule, const Database& db,
                  const ApplyOptions& options, Relation* out,
                  ClosureStats* stats = nullptr, IndexCache* cache = nullptr);
+
+/// `rule` with its head prepended as body atom 0 (body atom i of `rule`
+/// becomes atom i + 1). Overriding atom 0 with a relation of candidate
+/// heads and forcing it first asks "which candidates does `rule` still
+/// derive?" with one bound probe per candidate — the goal-directed check
+/// behind the IVM delete path — instead of a pass over the whole body.
+Rule PinHead(const Rule& rule);
 
 /// Applies the operator sum Σ_i rules[i] once to `input`: every rule's
 /// recursive atom reads `input`, results accumulate in the returned relation.

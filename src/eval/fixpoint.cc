@@ -34,6 +34,14 @@ Result<std::vector<LinearRule>> PrepareRules(
   return out;
 }
 
+/// Derivations recorded in `stats` so far (0 without stats). Closures
+/// take it on entry and count their duplicates as the derivations made
+/// since then minus the rows they added, so a caller threading one
+/// ClosureStats through several calls gets the sum of per-call counts.
+std::size_t DerivationsSoFar(const ClosureStats* stats) {
+  return stats != nullptr ? stats->derivations : 0;
+}
+
 Status ValidateRules(const std::vector<LinearRule>& rules, const Relation& q) {
   if (rules.empty()) {
     return Status::InvalidArgument("closure requires at least one rule");
@@ -280,6 +288,7 @@ Result<Relation> SemiNaiveClosure(const std::vector<LinearRule>& rules,
   ClosureTimer timer(stats);
   IndexCache local_cache;
   if (cache == nullptr) cache = &local_cache;
+  const std::size_t derivations0 = DerivationsSoFar(stats);
 
   Relation result = q;
   LINREC_RETURN_IF_ERROR(
@@ -287,7 +296,8 @@ Result<Relation> SemiNaiveClosure(const std::vector<LinearRule>& rules,
                    cancel));
   if (stats != nullptr) {
     stats->result_size = result.size();
-    stats->duplicates = stats->derivations - (result.size() - q.size());
+    stats->duplicates += stats->derivations - derivations0 -
+                         (result.size() - q.size());
   }
   return result;
   });
@@ -310,6 +320,7 @@ Result<Relation> SemiNaiveResume(const std::vector<LinearRule>& rules,
   ClosureTimer timer(stats);
   IndexCache local_cache;
   if (cache == nullptr) cache = &local_cache;
+  const std::size_t derivations0 = DerivationsSoFar(stats);
 
   // Seed the Δ with the genuinely new tuples only. Because every rule is
   // linear — each derivation consumes exactly one recursive tuple — and
@@ -327,7 +338,8 @@ Result<Relation> SemiNaiveResume(const std::vector<LinearRule>& rules,
                                       stats, cache, workers, cancel));
   if (stats != nullptr) {
     stats->result_size = result.size();
-    stats->duplicates += stats->derivations - (result.size() - seeded);
+    stats->duplicates +=
+        stats->derivations - derivations0 - (result.size() - seeded);
   }
   return result;
   });
@@ -350,9 +362,15 @@ Status SemiNaiveExtend(const std::vector<LinearRule>& rules,
     ClosureTimer timer(stats);
     IndexCache local_cache;
     if (cache == nullptr) cache = &local_cache;
+    const std::size_t derivations0 = DerivationsSoFar(stats);
+    const std::size_t seeded = result->size();
     LINREC_RETURN_IF_ERROR(RunSemiNaive(*prepared, db, result, delta_begin,
                                         stats, cache, workers, cancel));
-    if (stats != nullptr) stats->result_size = result->size();
+    if (stats != nullptr) {
+      stats->result_size = result->size();
+      stats->duplicates +=
+          stats->derivations - derivations0 - (result->size() - seeded);
+    }
     return Status::OK();
   });
 }
@@ -368,13 +386,11 @@ Result<Relation> NaiveClosure(const std::vector<LinearRule>& rules,
   ClosureTimer timer(stats);
   IndexCache local_cache;
   if (cache == nullptr) cache = &local_cache;
+  const std::size_t derivations0 = DerivationsSoFar(stats);
 
   Relation result = q;
   if (prepared->empty()) {
-    if (stats != nullptr) {
-      stats->result_size = result.size();
-      stats->duplicates = stats->derivations;
-    }
+    if (stats != nullptr) stats->result_size = result.size();
     return result;
   }
   RoundEvaluator evaluator(*prepared, db, &result, workers);
@@ -390,7 +406,8 @@ Result<Relation> NaiveClosure(const std::vector<LinearRule>& rules,
   }
   if (stats != nullptr) {
     stats->result_size = result.size();
-    stats->duplicates = stats->derivations - (result.size() - q.size());
+    stats->duplicates += stats->derivations - derivations0 -
+                         (result.size() - q.size());
   }
   return result;
   });
@@ -411,6 +428,7 @@ Result<Relation> PowerSum(const std::vector<LinearRule>& rules,
   ClosureTimer timer(stats);
   IndexCache local_cache;
   if (cache == nullptr) cache = &local_cache;
+  const std::size_t derivations0 = DerivationsSoFar(stats);
 
   Relation result = q;  // the m = 0 term
   Relation current = q;
@@ -435,7 +453,8 @@ Result<Relation> PowerSum(const std::vector<LinearRule>& rules,
   }
   if (stats != nullptr) {
     stats->result_size = result.size();
-    stats->duplicates = stats->derivations - (result.size() - q.size());
+    stats->duplicates += stats->derivations - derivations0 -
+                         (result.size() - q.size());
   }
   return result;
   });

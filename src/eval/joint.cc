@@ -280,6 +280,7 @@ Result<std::vector<Relation>> CloseJoint(
   ClosureTimer timer(stats);
   IndexCache local_cache;
   if (cache == nullptr) cache = &local_cache;
+  const std::size_t derivations0 = stats != nullptr ? stats->derivations : 0;
 
   std::vector<Relation> rels = seeds;
   const std::size_t seeded = TotalSize(rels);
@@ -312,7 +313,8 @@ Result<std::vector<Relation>> CloseJoint(
   }
   if (stats != nullptr) {
     stats->result_size = TotalSize(rels);
-    stats->duplicates += stats->derivations - (TotalSize(rels) - seeded);
+    stats->duplicates +=
+        stats->derivations - derivations0 - (TotalSize(rels) - seeded);
   }
   return rels;
   });
@@ -475,6 +477,8 @@ Status JointSemiNaiveExtend(const std::vector<std::string>& members,
     IndexCache local_cache;
     if (cache == nullptr) cache = &local_cache;
     if (prepared->empty()) return Status::OK();
+    const std::size_t derivations0 = stats != nullptr ? stats->derivations : 0;
+    const std::size_t seeded = TotalSize(*rels);
 
     JointRoundEvaluator evaluator(*prepared, db, rels, workers);
     LINREC_RETURN_IF_ERROR(evaluator.Compile(cache));
@@ -493,7 +497,11 @@ Status JointSemiNaiveExtend(const std::vector<std::string>& members,
       LINREC_RETURN_IF_ERROR(evaluator.Round(begin, end, stats, cancel));
       begin = end;
     }
-    if (stats != nullptr) stats->result_size = TotalSize(*rels);
+    if (stats != nullptr) {
+      stats->result_size = TotalSize(*rels);
+      stats->duplicates +=
+          stats->derivations - derivations0 - (TotalSize(*rels) - seeded);
+    }
     return Status::OK();
   });
 }

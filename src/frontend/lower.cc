@@ -20,13 +20,11 @@ struct PredicateRules {
   std::vector<Rule> rules;
 };
 
-/// Rows of `rel` absent from `drop`, in `rel`'s insertion order.
-Relation Difference(const Relation& rel, const Relation& drop) {
-  Relation out(rel.arity());
-  for (TupleView t : rel) {
-    if (!drop.Contains(t)) out.Insert(t);
-  }
-  return out;
+/// `rule` with its equality atoms eliminated; nullopt when they are
+/// unsatisfiable (the rule derives nothing).
+Result<std::optional<Rule>> WithoutEqualities(const Rule& rule) {
+  if (!HasEqualities(rule)) return std::optional<Rule>(rule);
+  return EliminateEqualities(rule);
 }
 
 std::string JoinNames(const std::vector<std::string>& names) {
@@ -285,7 +283,8 @@ Status ProgramInstance::AddFact(const Atom& fact) {
 
 Result<std::vector<Relation>> ProgramInstance::SeedDeltas(
     const CompiledUnit& unit, const std::map<std::string, Relation>& delta,
-    const CancellationToken* cancel) {
+    const CancellationToken* cancel,
+    const std::map<std::string, Relation>* images) {
   std::vector<Relation> out;
   out.reserve(unit.members.size());
   for (std::size_t mi = 0; mi < unit.members.size(); ++mi) {
@@ -295,13 +294,10 @@ Result<std::vector<Relation>> ProgramInstance::SeedDeltas(
   for (std::size_t mi = 0; mi < unit.members.size(); ++mi) {
     for (const Rule& base : unit.base_rules[mi]) {
       LINREC_RETURN_IF_ERROR(CheckCancel(cancel));
-      Rule effective = base;
-      if (HasEqualities(base)) {
-        Result<std::optional<Rule>> eliminated = EliminateEqualities(base);
-        if (!eliminated.ok()) return eliminated.status();
-        if (!eliminated->has_value()) continue;
-        effective = std::move(**eliminated);
-      }
+      Result<std::optional<Rule>> eliminated = WithoutEqualities(base);
+      if (!eliminated.ok()) return eliminated.status();
+      if (!eliminated->has_value()) continue;
+      const Rule& effective = **eliminated;
       // One run per body atom reading an updated predicate: that atom is
       // pinned to the delta, the rest read the full post-update database
       // (covering derivations that combine several new tuples; duplicate
@@ -310,6 +306,14 @@ Result<std::vector<Relation>> ProgramInstance::SeedDeltas(
         auto it = delta.find(effective.body()[i].predicate);
         if (it == delta.end()) continue;
         ApplyOptions options;
+        if (images != nullptr) {
+          for (std::size_t j = 0; j < effective.body().size(); ++j) {
+            auto image = images->find(effective.body()[j].predicate);
+            if (j != i && image != images->end()) {
+              options.overrides[static_cast<int>(j)] = &image->second;
+            }
+          }
+        }
         options.overrides[static_cast<int>(i)] = &it->second;
         options.first_atom = static_cast<int>(i);
         LINREC_RETURN_IF_ERROR(ApplyRule(effective, engine_->db(), options,
@@ -320,6 +324,74 @@ Result<std::vector<Relation>> ProgramInstance::SeedDeltas(
   }
   totals_.Accumulate(stats);
   return out;
+}
+
+Result<std::vector<Relation>> ProgramInstance::SeedLosses(
+    const CompiledUnit& unit, const std::map<std::string, Relation>& deleted,
+    const std::vector<const Relation*>& seeds,
+    const CancellationToken* cancel) {
+  // A derivation consuming two deleted tuples is found with one atom
+  // pinned to the deletions and the other reading the pre-delete image
+  // (post-delete database ∪ deletions), built only for such rules.
+  std::map<std::string, Relation> images;
+  for (const std::vector<Rule>& rules : unit.base_rules) {
+    for (const Rule& rule : rules) {
+      int deleted_atoms = 0;
+      for (const Atom& atom : rule.body()) {
+        deleted_atoms += static_cast<int>(deleted.count(atom.predicate));
+      }
+      if (deleted_atoms < 2) continue;
+      for (const Atom& atom : rule.body()) {
+        auto d = deleted.find(atom.predicate);
+        if (d == deleted.end() || images.count(atom.predicate) > 0) continue;
+        const Relation* current = engine_->db().Find(atom.predicate);
+        Relation image = current != nullptr ? *current
+                                            : Relation(d->second.arity());
+        image.UnionWith(d->second);
+        images.emplace(atom.predicate, std::move(image));
+      }
+    }
+  }
+  Result<std::vector<Relation>> candidates =
+      SeedDeltas(unit, deleted, cancel, &images);
+  if (!candidates.ok()) return candidates.status();
+
+  std::vector<Relation> lost;
+  lost.reserve(unit.members.size());
+  ClosureStats stats;
+  for (std::size_t mi = 0; mi < unit.members.size(); ++mi) {
+    Relation suspects(unit.arities[mi]);
+    if (seeds[mi] != nullptr) {
+      for (TupleView t : (*candidates)[mi]) {
+        if (seeds[mi]->Contains(t)) suspects.Insert(t);
+      }
+    }
+    if (!suspects.empty()) {
+      Relation kept(unit.arities[mi]);
+      const Relation* facts = facts_.Find(unit.members[mi]);
+      if (facts != nullptr && facts->arity() == unit.arities[mi]) {
+        for (TupleView t : suspects) {
+          if (facts->Contains(t)) kept.Insert(t);
+        }
+      }
+      for (const Rule& base : unit.base_rules[mi]) {
+        LINREC_RETURN_IF_ERROR(CheckCancel(cancel));
+        Result<std::optional<Rule>> eliminated = WithoutEqualities(base);
+        if (!eliminated.ok()) return eliminated.status();
+        if (!eliminated->has_value()) continue;
+        ApplyOptions options;
+        options.overrides[0] = &suspects;
+        options.first_atom = 0;
+        LINREC_RETURN_IF_ERROR(ApplyRule(PinHead(**eliminated), engine_->db(),
+                                         options, &kept, &stats,
+                                         &engine_->index_cache()));
+      }
+      suspects.EraseRows(kept);
+    }
+    lost.push_back(std::move(suspects));
+  }
+  totals_.Accumulate(stats);
+  return lost;
 }
 
 Result<FactUpdateOutcome> ProgramInstance::InsertFact(
@@ -456,9 +528,9 @@ Result<FactUpdateOutcome> ProgramInstance::DeleteFact(
 
   ScopedQueryBudget budget_scope(budget);
   Status status = GuardAllocFailures([&]() -> Status {
-    *frel = Difference(*frel, drop);
+    frel->EraseRows(drop);
     if (Relation* dbrel = engine_->db().FindMutable(fact.predicate)) {
-      if (dbrel->ContainsRow(row.data())) *dbrel = Difference(*dbrel, drop);
+      dbrel->EraseRows(drop);
     }
     if (program_ == nullptr || materialized_ == 0) return Status::OK();
 
@@ -469,22 +541,23 @@ Result<FactUpdateOutcome> ProgramInstance::DeleteFact(
     for (std::size_t ui = 0; ui < materialized_; ++ui) {
       LINREC_RETURN_IF_ERROR(CheckCancel(cancel));
       const CompiledUnit& unit = program_->units[ui];
+      // A closure unit's seed is maintained by its view; a non-recursive
+      // unit's fixpoint is its seed, held in the database entry.
+      std::vector<const Relation*> seeds;
+      for (std::size_t mi = 0; mi < unit.members.size(); ++mi) {
+        seeds.push_back(unit.closure.has_value()
+                            ? &views_[ui]->seed(mi)
+                            : engine_->db().Find(unit.members[mi]));
+      }
+      Result<std::vector<Relation>> lost =
+          SeedLosses(unit, deleted, seeds, cancel);
+      if (!lost.ok()) return lost.status();
 
       if (!unit.closure.has_value()) {
-        // Fixpoint = seed: recompute the seed over the post-delete
-        // database (monotone, so it only shrinks) and filter the entry.
         for (std::size_t mi = 0; mi < unit.members.size(); ++mi) {
-          Relation* rel = engine_->db().FindMutable(unit.members[mi]);
-          if (rel == nullptr) continue;
-          Result<Relation> reseeded = SeedMember(unit, mi, cancel);
-          if (!reseeded.ok()) return reseeded.status();
-          Relation removed(rel->arity());
-          for (TupleView t : *rel) {
-            if (!reseeded->Contains(t)) removed.Insert(t);
-          }
-          if (removed.empty()) continue;
-          *rel = Difference(*rel, removed);
-          deleted.emplace(unit.members[mi], std::move(removed));
+          if ((*lost)[mi].empty()) continue;
+          engine_->db().FindMutable(unit.members[mi])->EraseRows((*lost)[mi]);
+          deleted.emplace(unit.members[mi], std::move((*lost)[mi]));
         }
         continue;
       }
@@ -492,18 +565,7 @@ Result<FactUpdateOutcome> ProgramInstance::DeleteFact(
       MaterializedView& view = *views_[ui];
       DeltaDelete dd;
       dd.param_deletes = deleted;
-      dd.seed_deletes.reserve(view.member_count());
-      for (std::size_t mi = 0; mi < view.member_count(); ++mi) {
-        // Seed tuples that no longer arise: maintained seed minus the seed
-        // recomputed over the post-delete database.
-        Result<Relation> reseeded = SeedMember(unit, mi, cancel);
-        if (!reseeded.ok()) return reseeded.status();
-        Relation gone(view.seed(mi).arity());
-        for (TupleView t : view.seed(mi)) {
-          if (!reseeded->Contains(t)) gone.Insert(t);
-        }
-        dd.seed_deletes.push_back(std::move(gone));
-      }
+      dd.seed_deletes = std::move(lost).value();
       Result<RetractOutcome> retracted =
           engine_->Retract(view, dd, cancel, budget);
       if (!retracted.ok()) return retracted.status();
@@ -521,7 +583,7 @@ Result<FactUpdateOutcome> ProgramInstance::DeleteFact(
   });
 
   if (!status.ok()) {
-    // Deletion mutates by whole-relation swap, not append, so the cheap
+    // Deletion erases rows in place, not by append, so the cheap
     // truncation rollback does not apply: restore the base fact and
     // rebuild the session engine from the restored facts (materialized
     // views recompute lazily on the next query). Correctness over
@@ -562,14 +624,10 @@ Result<Relation> ProgramInstance::SeedMember(const CompiledUnit& unit,
   ClosureStats stats;
   for (const Rule& base : unit.base_rules[member]) {
     LINREC_RETURN_IF_ERROR(CheckCancel(cancel));
-    Rule effective = base;
-    if (HasEqualities(base)) {
-      Result<std::optional<Rule>> eliminated = EliminateEqualities(base);
-      if (!eliminated.ok()) return eliminated.status();
-      if (!eliminated->has_value()) continue;
-      effective = std::move(**eliminated);
-    }
-    LINREC_RETURN_IF_ERROR(ApplyRule(effective, engine_->db(), {}, &seed,
+    Result<std::optional<Rule>> eliminated = WithoutEqualities(base);
+    if (!eliminated.ok()) return eliminated.status();
+    if (!eliminated->has_value()) continue;
+    LINREC_RETURN_IF_ERROR(ApplyRule(**eliminated, engine_->db(), {}, &seed,
                                      &stats, &engine_->index_cache()));
   }
   totals_.Accumulate(stats);

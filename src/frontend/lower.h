@@ -178,7 +178,9 @@ class ProgramInstance {
 
   /// Removes one ground fact, maintaining every materialized view by
   /// delete-and-rederive (Engine::Retract), cascading net removals into
-  /// downstream views. Absent facts are a no-op (removed = false).
+  /// downstream views; each unit re-seeds only the seed tuples the
+  /// removals could have derived (SeedLosses). Absent facts are a no-op
+  /// (removed = false).
   /// Atomic: a failure restores the base fact and rebuilds the session
   /// engine from the (restored) facts, dropping materializations.
   Result<FactUpdateOutcome> DeleteFact(const Atom& fact,
@@ -234,10 +236,22 @@ class ProgramInstance {
   Status ValidateFact(const Atom& fact) const;
   /// Per-member one-step heads of the unit's BASE rules restricted to the
   /// updated predicates in `delta` (each run pins one body atom to its
-  /// delta relation; the rest read the full session database) — the seed
+  /// delta relation; the rest read the full session database, or the
+  /// `images` entry for their predicate when there is one) — the seed
   /// delta the cascade feeds into Engine::Apply.
   Result<std::vector<Relation>> SeedDeltas(
       const CompiledUnit& unit, const std::map<std::string, Relation>& delta,
+      const CancellationToken* cancel,
+      const std::map<std::string, Relation>* images = nullptr);
+  /// Per-member seed tuples that the `deleted` tuples took away, out of
+  /// `seeds[m]` (member m's current seed; null = empty). Only heads of
+  /// base-rule derivations consuming a deleted tuple are candidates; a
+  /// candidate stays if it is still a fact of the member or a head-pinned
+  /// base rule re-derives it over the post-delete database. Work follows
+  /// the deleted tuples, not the size of the seed.
+  Result<std::vector<Relation>> SeedLosses(
+      const CompiledUnit& unit, const std::map<std::string, Relation>& deleted,
+      const std::vector<const Relation*>& seeds,
       const CancellationToken* cancel);
   /// True if `goal` qualifies for the σ-bind fast path; fills position
   /// and value.

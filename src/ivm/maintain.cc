@@ -19,18 +19,21 @@
 //      from a suspect" the same linear closure the view itself uses, so
 //      the suspect set D is computed by SemiNaiveClosure over the
 //      suspects.
-//   2. Re-derive: the survivors closed \ D are sound (none of their
-//      derivations touched a deleted tuple). Re-seed with the deleted-
-//      then-still-present seed tuples and every one-step head derivable
-//      from the survivors over the POST-delete database, intersected
-//      into D, and resume the fixpoint in place. The result equals the
-//      from-scratch closure of the new seed over the new database: any
-//      tuple of that closure has a minimal derivation chain, and
-//      induction along the chain lands it either in the survivors or in
-//      the re-derivation frontier.
-// The rebuilt relations replace the view only at commit; the only
-// in-place mutation before commit is the parameter filtering, which
-// keeps the displaced originals for restore-on-failure.
+//   2. Re-derive, goal-directed: every tuple outside D is sound. A tuple
+//      of D survives iff it is still a seed tuple or has a derivation
+//      chain whose first D-tuple is one step from a tuple outside D.
+//      Each rule therefore runs ONCE with its head pinned to D (a forced
+//      first atom over D; the recursive atom reads the uncommitted view,
+//      excluding D, as one fully bound dedup probe), and the resulting
+//      frontier is closed semi-naively — inside D, because D is closed
+//      forward. Linearity is what makes this cheap: each derivation
+//      consumes exactly one recursive tuple, so each suspect needs one
+//      head-bound probe for an alternative derivation, not a pass over
+//      the view.
+// The view and its seed change only at commit, by Relation::EraseRows:
+// the removed rows leave, the rest keep their order and bytes, and the
+// erase cannot fail. The only in-place mutation before commit is the
+// parameter erasure, which keeps copies for restore-on-failure.
 
 #include <cstddef>
 #include <map>
@@ -112,16 +115,6 @@ Result<std::vector<DeltaRule>> DeltaRulesOf(
       return Status::Internal(StrCat("joint rule lost its member atom"));
     }
     out.push_back({std::move(rule), jr.head_member, rec_atom, rec_member});
-  }
-  return out;
-}
-
-/// Rows of `rel` absent from `drop`, in `rel`'s insertion order.
-Relation Difference(const Relation& rel, const Relation& drop) {
-  if (drop.empty()) return rel;
-  Relation out(rel.arity());
-  for (TupleView t : rel) {
-    if (!drop.Contains(t)) out.Insert(t);
   }
   return out;
 }
@@ -410,9 +403,9 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
 
   const int workers = plan.parallel_workers > 0 ? plan.parallel_workers : 1;
 
-  // Parameter relations whose rows this call filtered out, with the
-  // displaced originals — the rollback state (everything else mutates only
-  // at commit, by whole-relation swap).
+  // Parameter relations this call erased rows from, with their pre-call
+  // copies — the rollback state (the view and its seed change only at
+  // commit).
   std::vector<std::pair<Relation*, Relation>> displaced;
 
   ScopedQueryBudget budget_scope(budget != nullptr ? budget
@@ -424,19 +417,25 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
           out.removed.emplace_back(closed[m]->arity());
         }
 
-        // Pre-delete image of each deleted parameter (current ∪ delta):
-        // the delta is taken as-given, so the over-deletion pass sees the
+        // Pre-delete image (current ∪ delta) of a deleted parameter, built
+        // on first use: only a rule reading two deleted atoms needs one.
+        // The delta is taken as-given, so the over-deletion pass sees the
         // same derivations whether or not a cascading caller already
-        // filtered the database.
+        // removed the tuples from the database.
         std::map<std::string, Relation> pre;
-        for (const auto& [pred, rel] : delta.param_deletes) {
-          const Relation* current = db_.Find(pred);
-          Relation p = current != nullptr ? *current : Relation(rel.arity());
-          p.UnionWith(rel);
-          pre.emplace(pred, std::move(p));
-        }
+        auto pre_image = [&](const std::string& pred) -> const Relation* {
+          auto it = pre.find(pred);
+          if (it == pre.end()) {
+            const Relation& rel = delta.param_deletes.at(pred);
+            const Relation* current = db_.Find(pred);
+            Relation p = current != nullptr ? *current : Relation(rel.arity());
+            p.UnionWith(rel);
+            it = pre.emplace(pred, std::move(p)).first;
+          }
+          return &it->second;
+        };
 
-        // 1a. Directly damaged tuples: deleted seed tuples still in the
+        // 1. Directly damaged tuples: deleted seed tuples still in the
         // seed, plus heads of derivations consuming a deleted parameter
         // tuple (delta rules with the deleted atom pinned to the delta,
         // every other deleted-parameter atom pinned to its pre-delete
@@ -464,12 +463,10 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
             options.overrides[dr.recursive_atom] =
                 closed[dr.recursive_member];
             for (std::size_t j = 0; j < dr.rule.body().size(); ++j) {
-              if (j == i || static_cast<int>(j) == dr.recursive_atom) {
-                continue;
-              }
-              auto pj = pre.find(dr.rule.body()[j].predicate);
-              if (pj != pre.end()) {
-                options.overrides[static_cast<int>(j)] = &pj->second;
+              const std::string& pj = dr.rule.body()[j].predicate;
+              if (j != i && static_cast<int>(j) != dr.recursive_atom &&
+                  delta.param_deletes.count(pj) > 0) {
+                options.overrides[static_cast<int>(j)] = pre_image(pj);
               }
             }
             options.overrides[static_cast<int>(i)] = &it->second;
@@ -485,9 +482,29 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
           }
         }
 
-        // 1b. Close the suspects: everything derivable FROM a suspect is
-        // suspect (linear rules — one recursive tuple per derivation — so
-        // this is the view's own closure seeded with the suspects).
+        // 2. Erase the deleted parameter tuples from the database in
+        // place, keeping a copy of each touched relation for restore-on-
+        // failure. From here on the database is post-delete.
+        for (const auto& [pred, rel] : delta.param_deletes) {
+          Relation* slot = db_.FindMutable(pred);
+          if (slot == nullptr) continue;
+          bool any = false;
+          for (TupleView t : rel) {
+            if (slot->Contains(t)) {
+              any = true;
+              break;
+            }
+          }
+          if (!any) continue;
+          displaced.emplace_back(slot, *slot);
+          slot->EraseRows(rel);
+        }
+
+        // 3. The suspect set D: everything derivable from a directly
+        // damaged tuple (linear rules — one recursive tuple per derivation
+        // — so this is the view's own closure seeded with them). Every
+        // tuple outside D keeps a derivation that avoids the deleted
+        // tuples. D is closed forward over the post-delete database.
         std::vector<Relation> suspects;
         if (!view.joint_) {
           Result<Relation> d =
@@ -502,114 +519,89 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
           if (!d.ok()) return d.status();
           suspects = *std::move(d);
         }
-
-        // 2. Filter the deleted parameter tuples out of the database,
-        // keeping the displaced originals for restore-on-failure. From
-        // here on the database is post-delete.
-        for (const auto& [pred, rel] : delta.param_deletes) {
-          Relation* slot = db_.FindMutable(pred);
-          if (slot == nullptr) continue;
-          bool any = false;
-          for (TupleView t : rel) {
-            if (slot->Contains(t)) {
-              any = true;
-              break;
-            }
-          }
-          if (!any) continue;
-          Relation filtered = Difference(*slot, rel);
-          displaced.emplace_back(slot, std::move(*slot));
-          *slot = std::move(filtered);
-        }
-
         bool have_suspects = false;
         for (const Relation& s : suspects) have_suspects |= !s.empty();
-        if (!have_suspects) {
-          // Nothing derived is affected; only the parameter filtering (if
-          // any) mattered. Commit as-is.
-          ++view.retracts_;
-          return out;
-        }
 
-        // 3. Survivors: the closure minus every suspect — sound, since no
-        // surviving tuple's derivation consumed a deleted tuple. The new
-        // seed drops the deleted seed tuples.
-        std::vector<Relation> survivors;
-        std::vector<Relation> new_seeds;
-        survivors.reserve(members);
-        new_seeds.reserve(members);
-        for (std::size_t m = 0; m < members; ++m) {
-          survivors.push_back(Difference(*closed[m], suspects[m]));
-          new_seeds.push_back(
-              delta.seed_deletes.empty()
-                  ? view.seeds_[m]
-                  : Difference(view.seeds_[m], delta.seed_deletes[m]));
-        }
+        if (have_suspects) {
+          // 4. Goal-directed re-derivation frontier: the suspects that are
+          // still seed tuples, plus every suspect with a one-step
+          // derivation from a tuple OUTSIDE D over the post-delete
+          // database. Each rule runs once, head-pinned to D: the head is a
+          // forced first atom over D, the recursive atom reads the
+          // uncommitted view (a fully bound probe of its dedup table) with
+          // D excluded — one probe per suspect, not a pass over the view.
+          std::vector<Relation> frontier;
+          frontier.reserve(members);
+          for (std::size_t m = 0; m < members; ++m) {
+            frontier.emplace_back(closed[m]->arity());
+            for (TupleView t : suspects[m]) {
+              if (view.seeds_[m].Contains(t) &&
+                  (delta.seed_deletes.empty() ||
+                   !delta.seed_deletes[m].Contains(t))) {
+                frontier[m].Insert(t);
+              }
+            }
+          }
+          for (const DeltaRule& dr : *delta_rules) {
+            const int rec = dr.recursive_atom + 1;
+            ApplyOptions options;
+            options.overrides[0] = &suspects[dr.head_member];
+            options.first_atom = 0;
+            options.overrides[rec] = closed[dr.recursive_member];
+            options.excludes[rec] = &suspects[dr.recursive_member];
+            LINREC_RETURN_IF_ERROR(ApplyRule(PinHead(dr.rule), db_, options,
+                                             &frontier[dr.head_member],
+                                             &out.stats, &cache_));
+          }
 
-        // 4. Re-derivation frontier: suspects that are still seed tuples,
-        // plus every one-step head derivable from the survivors over the
-        // post-delete database (all such heads lie inside the old closure,
-        // so appending them — deduplicated — only re-establishes
-        // suspects). Then resume the fixpoint in place: the Δ rounds run
-        // from the frontier only, which is complete precisely because the
-        // frontier already holds ALL one-step heads of the survivor
-        // prefix.
-        std::vector<RowId> begin(members);
-        for (std::size_t m = 0; m < members; ++m) {
-          begin[m] = static_cast<RowId>(survivors[m].size());
-          for (TupleView t : new_seeds[m]) {
-            if (suspects[m].Contains(t)) survivors[m].Insert(t);
+          // 5. Close the frontier over the post-delete database. The
+          // result R stays inside D (D is closed forward), and the new
+          // view is exactly closed \ (D \ R): any tuple of the new closure
+          // lying in D has a chain whose first D-tuple is in the frontier.
+          std::vector<Relation> rederived;
+          if (!view.joint_) {
+            Result<Relation> r =
+                SemiNaiveClosure(plan.rules, db_, frontier[0], &out.stats,
+                                 &cache_, workers, cancel);
+            if (!r.ok()) return r.status();
+            rederived.push_back(*std::move(r));
+          } else {
+            Result<std::vector<Relation>> r = JointSemiNaiveClosure(
+                plan.members, plan.joint_rules, db_, frontier, &out.stats,
+                &cache_, workers, cancel);
+            if (!r.ok()) return r.status();
+            rederived = *std::move(r);
+          }
+          for (std::size_t m = 0; m < members; ++m) {
+            out.rederived += rederived[m].size();
+            for (TupleView t : suspects[m]) {
+              if (!rederived[m].Contains(t)) out.removed[m].Insert(t);
+            }
+            out.removed_count += out.removed[m].size();
           }
         }
-        std::vector<Relation> pass;
-        pass.reserve(members);
-        for (std::size_t m = 0; m < members; ++m) {
-          pass.emplace_back(survivors[m].arity());
-        }
-        for (const DeltaRule& dr : *delta_rules) {
-          ApplyOptions options;
-          options.overrides[dr.recursive_atom] = &survivors[dr.recursive_member];
-          LINREC_RETURN_IF_ERROR(ApplyRule(dr.rule, db_, options,
-                                           &pass[dr.head_member], &out.stats,
-                                           &cache_));
-        }
-        for (std::size_t m = 0; m < members; ++m) {
-          for (TupleView t : pass[m]) {
-            if (suspects[m].Contains(t)) survivors[m].Insert(t);
-          }
-        }
-        if (!view.joint_) {
-          LINREC_RETURN_IF_ERROR(SemiNaiveExtend(plan.rules, db_,
-                                                 &survivors[0], begin[0],
-                                                 &out.stats, &cache_, workers,
-                                                 cancel));
-        } else {
-          LINREC_RETURN_IF_ERROR(JointSemiNaiveExtend(
-              plan.members, plan.joint_rules, db_, &survivors, begin,
-              &out.stats, &cache_, workers, cancel));
+
+        if (FaultFires(FaultSite::kIvmApply)) {
+          return Status::Internal(
+              "injected fault at ivm_apply (before the retract commit)");
         }
 
-        // 5. Outcome + commit (whole-relation swaps; nothing here can
-        // fail).
+        // 6. Commit: erase in place — the surviving rows keep their order
+        // and bytes. EraseRows cannot fail, so the commit is atomic.
         for (std::size_t m = 0; m < members; ++m) {
-          out.rederived += survivors[m].size() - begin[m];
-          for (TupleView t : suspects[m]) {
-            if (!survivors[m].Contains(t)) out.removed[m].Insert(t);
+          closed[m]->EraseRows(out.removed[m]);
+          if (!delta.seed_deletes.empty()) {
+            view.seeds_[m].EraseRows(delta.seed_deletes[m]);
           }
-          out.removed_count += out.removed[m].size();
         }
-        for (std::size_t m = 0; m < members; ++m) {
-          *closed[m] = std::move(survivors[m]);
-        }
-        view.seeds_ = std::move(new_seeds);
         ++view.retracts_;
         view.rederived_ += out.rederived;
         return out;
       });
 
   if (!result.ok()) {
-    // The only pre-commit in-place mutation was the parameter filtering:
-    // restore the displaced originals and the database is byte-identical.
+    // The only pre-commit in-place mutation was the parameter erasure:
+    // restore the copies and the database is byte-identical.
     for (auto& [slot, original] : displaced) *slot = std::move(original);
     EvictTemporaryIndexes();
     return result.status();

@@ -17,9 +17,11 @@
 //     Retract runs delete-and-rederive (DRed): over-approximate the
 //     affected tuples (everything derivable from a deleted tuple), then
 //     re-derive the survivors of that suspect set from the untouched
-//     remainder. Linearity makes the suspect closure exact-in-shape:
-//     each derivation consumes one recursive tuple, so "derivable from"
-//     is itself a linear closure over the same rules.
+//     remainder. Linearity makes both halves cheap: each derivation
+//     consumes one recursive tuple, so "derivable from" is itself a
+//     linear closure over the same rules, and a suspect's alternative
+//     derivation is one head-bound probe. The removed rows are erased in
+//     place; every other row keeps its position.
 //
 // The delta API reuses everything the from-scratch path uses: the
 // compiled ExecutionPlan (strategy analysis is not repeated), the

@@ -178,6 +178,98 @@ void Relation::TruncateRows(std::size_t rows) {
   version_stale_.store(true, std::memory_order_release);
 }
 
+void Relation::UnlinkSlot(RowId id) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t hole = hashes_[id] & mask;
+  while (slots_[hole] != id + 1) hole = (hole + 1) & mask;
+  // An entry later in the run may fill the hole unless its home slot lies
+  // cyclically in (hole, j] — moving it then would put it before its home.
+  for (std::size_t j = (hole + 1) & mask; slots_[j] != 0; j = (j + 1) & mask) {
+    const std::size_t home = hashes_[slots_[j] - 1] & mask;
+    const bool stays =
+        hole <= j ? (hole < home && home <= j) : (hole < home || home <= j);
+    if (stays) continue;
+    slots_[hole] = slots_[j];
+    hole = j;
+  }
+  slots_[hole] = 0;
+}
+
+std::size_t Relation::EraseRows(const Relation& drop) {
+  assert(drop.arity() == arity_ && "relation arities must match");
+  // The ids to erase, in a fixed inline buffer: an IVM commit removes a
+  // handful of rows. A larger erasure takes the fallback below.
+  constexpr std::size_t kInline = 512;
+  RowId erased[kInline];
+  std::size_t count = 0;
+  bool overflow = false;
+  for (RowId d = 0; d < drop.row_count_ && !overflow; ++d) {
+    const RowId id = FindRow(drop.RowData(d), drop.hashes_[d]);
+    if (id == kNoRow) continue;
+    if (count == kInline) {
+      overflow = true;
+    } else {
+      erased[count++] = id;
+    }
+  }
+  if (count == 0) return 0;
+
+  const std::size_t before = row_count_;
+  std::size_t kept = 0;
+  if (overflow) {
+    // Many rows: compact by probing `drop` per row, then rehash at the
+    // same slot count (which never charges — see TruncateRows).
+    for (std::size_t r = 0; r < before; ++r) {
+      const Value* row = pool_.data() + r * arity_;
+      if (drop.FindRow(row, hashes_[r]) != kNoRow) continue;
+      if (kept != r) {
+        std::copy(row, row + arity_, pool_.data() + kept * arity_);
+        hashes_[kept] = hashes_[r];
+      }
+      ++kept;
+    }
+    row_count_ = kept;
+    Rehash(slots_.size());
+  } else {
+    // Unlinking reads the cached hashes of the old ids, so it runs before
+    // compaction moves them.
+    for (std::size_t i = 0; i < count; ++i) UnlinkSlot(erased[i]);
+    std::sort(erased, erased + count);
+    // Slide each run of survivors down over the gaps, in order.
+    kept = erased[0];
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t begin = erased[i] + 1;
+      const std::size_t end = i + 1 < count ? erased[i + 1] : before;
+      std::copy(pool_.begin() + begin * arity_, pool_.begin() + end * arity_,
+                pool_.begin() + kept * arity_);
+      std::copy(hashes_.begin() + begin, hashes_.begin() + end,
+                hashes_.begin() + kept);
+      kept += end - begin;
+    }
+    row_count_ = kept;
+    // Renumber in one sequential pass: a survivor's new id is its old id
+    // minus the erased ids below it (ids below the first erased one keep
+    // theirs).
+    for (RowId& slot : slots_) {
+      if (slot <= erased[0]) continue;  // empty, or id < erased[0]
+      const RowId id = slot - 1;
+      slot = id + 1 - static_cast<RowId>(
+                          std::upper_bound(erased, erased + count, id) -
+                          erased);
+    }
+  }
+  // resize() never shrinks capacity: the padded-capacity invariant holds.
+  pool_.resize(row_count_ * arity_);
+  hashes_.resize(row_count_);
+  if (row_count_ == 0) {
+    version_.store(0, std::memory_order_relaxed);
+    version_stale_.store(false, std::memory_order_relaxed);
+  } else {
+    version_stale_.store(true, std::memory_order_release);
+  }
+  return before - row_count_;
+}
+
 // The σ scan, parameterized on the kernel. Both instantiations walk the
 // same rows in the same order (the copy pass drains each block's equality
 // mask low bit first), so SIMD and scalar results are bit-identical —

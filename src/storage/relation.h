@@ -51,8 +51,9 @@ struct PartitionView {
 /// the pool — no tuple is ever stored twice, and inserting from a raw value
 /// span allocates nothing beyond amortized pool growth.
 ///
-/// Mutation is insert-only (the algebra of the paper is monotone); each
-/// successful insert bumps a version counter that index caches key on.
+/// Mutation is insert-only (the algebra of the paper is monotone) apart
+/// from the IVM primitives TruncateRows and EraseRows; each successful
+/// mutation bumps a version counter that index caches key on.
 /// Iteration yields TupleViews in insertion order (deterministic).
 class Relation {
  public:
@@ -181,6 +182,16 @@ class Relation {
   /// no budget charge (and no injected fault) can fire mid-rollback.
   void TruncateRows(std::size_t rows);
 
+  /// Removes every row of `drop` (same arity) present in this relation, in
+  /// place, and returns how many were removed. The remaining rows keep
+  /// their relative order, pool bytes and cached hashes. The dedup table
+  /// keeps its size and is repaired, not rebuilt: each erased entry is
+  /// unlinked by backward-shift deletion, then one sequential pass
+  /// renumbers the surviving entries. Nothing is allocated and no capacity
+  /// grows, so — like TruncateRows — the call charges no budget and cannot
+  /// fail: the IVM delete commit.
+  std::size_t EraseRows(const Relation& drop);
+
   /// Rows [begin, end) as a borrowed view (no copy).
   PartitionView View(RowId begin, RowId end) const {
     assert(begin <= end && end <= row_count_);
@@ -219,6 +230,19 @@ class Relation {
   bool ContainsRow(const Value* row) const {
     return FindRow(row, Hash(row)) != kNoRow;
   }
+  /// ContainsRow with the row hash already computed (must equal
+  /// HashRow(row, arity); asserted) — e.g. another relation's cached
+  /// RowHash of the same row.
+  bool ContainsRowHashed(const Value* row, std::size_t hash) const {
+    assert(hash == Hash(row));
+    return FindRow(row, hash) != kNoRow;
+  }
+
+  /// Returned by FindRowId for an absent row.
+  static constexpr RowId kNoRow = static_cast<RowId>(-1);
+  /// Id of the row equal to `row[0..arity)`, or kNoRow: one probe of the
+  /// dedup table, so a fully bound lookup needs no HashIndex.
+  RowId FindRowId(const Value* row) const { return FindRow(row, Hash(row)); }
 
   /// The `id`-th inserted row. Views are invalidated by the next insert.
   TupleView Row(RowId id) const {
@@ -277,11 +301,13 @@ class Relation {
  private:
   friend class PoolMerger;
 
-  static constexpr RowId kNoRow = static_cast<RowId>(-1);
-
   std::size_t Hash(const Value* row) const { return HashRow(row, arity_); }
   bool InsertHashed(const Value* row, std::size_t hash);
   RowId FindRow(const Value* row, std::size_t hash) const;
+  /// Empties the dedup slot holding row `id` by backward-shift deletion
+  /// (later entries of its probe run move up), so every remaining row
+  /// stays reachable without tombstones.
+  void UnlinkSlot(RowId id);
   bool RowEquals(RowId id, const Value* row) const {
     const Value* mine = pool_.data() + static_cast<std::size_t>(id) * arity_;
     for (std::size_t i = 0; i < arity_; ++i) {

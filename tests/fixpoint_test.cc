@@ -98,6 +98,80 @@ TEST(SemiNaiveTest, DuplicateAccounting) {
             stats.derivations - (stats.result_size - q.size()));
 }
 
+/// A ClosureStats that already holds another call's work, as when a
+/// caller (Engine::Retract) threads one record through several kernels.
+ClosureStats Preloaded() {
+  ClosureStats stats;
+  stats.derivations = 1000;
+  stats.duplicates = 7;
+  return stats;
+}
+
+TEST(SemiNaiveTest, DuplicateAccountingWithPreloadedStats) {
+  // Every closure counts its own duplicates from a snapshot taken on
+  // entry, so a pre-loaded accumulator ends at preload + per-call counts.
+  Database db;
+  db.GetOrCreate("e", 2) = RandomGraph(20, 60, /*seed=*/3);  // cycles
+  Relation q(2);
+  for (int i = 0; i < 20; ++i) q.Insert({i, i});
+
+  ClosureStats fresh;
+  Result<Relation> closed = SemiNaiveClosure({TC()}, db, q, &fresh);
+  ASSERT_TRUE(closed.ok());
+  ASSERT_GT(fresh.duplicates, 0u);
+  ClosureStats loaded = Preloaded();
+  ASSERT_TRUE(SemiNaiveClosure({TC()}, db, q, &loaded).ok());
+  EXPECT_EQ(loaded.derivations, 1000 + fresh.derivations);
+  EXPECT_EQ(loaded.duplicates, 7 + fresh.duplicates);
+
+  for (auto* naive : {&NaiveClosure}) {
+    ClosureStats once;
+    ASSERT_TRUE((*naive)({TC()}, db, q, &once, nullptr, 1, nullptr).ok());
+    ClosureStats preloaded = Preloaded();
+    ASSERT_TRUE(
+        (*naive)({TC()}, db, q, &preloaded, nullptr, 1, nullptr).ok());
+    EXPECT_EQ(preloaded.duplicates, 7 + once.duplicates);
+  }
+  {
+    ClosureStats once;
+    ASSERT_TRUE(PowerSum({TC()}, db, q, 6, &once).ok());
+    ClosureStats preloaded = Preloaded();
+    ASSERT_TRUE(PowerSum({TC()}, db, q, 6, &preloaded).ok());
+    EXPECT_EQ(preloaded.duplicates, 7 + once.duplicates);
+  }
+
+  // Resume and Extend from a closed half: their duplicates are their own
+  // derivations minus the rows they add.
+  Relation half(2);
+  for (int i = 0; i < 10; ++i) half.Insert({i, i});
+  Result<Relation> closed_half = SemiNaiveClosure({TC()}, db, half);
+  ASSERT_TRUE(closed_half.ok());
+  ClosureStats resume = Preloaded();
+  Result<Relation> resumed =
+      SemiNaiveResume({TC()}, db, *closed_half, q, &resume);
+  ASSERT_TRUE(resumed.ok());
+  EXPECT_EQ(*resumed, *closed);
+  const std::size_t seeded = [&] {
+    Relation r = *closed_half;
+    r.UnionWith(q);
+    return r.size();
+  }();
+  EXPECT_EQ(resume.duplicates,
+            7 + (resume.derivations - 1000) - (closed->size() - seeded));
+
+  Relation extended = *closed_half;
+  extended.UnionWith(q);
+  ClosureStats extend = Preloaded();
+  ASSERT_TRUE(SemiNaiveExtend({TC()}, db, &extended,
+                              static_cast<RowId>(closed_half->size()),
+                              &extend)
+                  .ok());
+  EXPECT_EQ(extended, *closed);
+  EXPECT_EQ(extend.duplicates,
+            7 + (extend.derivations - 1000) - (closed->size() - seeded));
+  EXPECT_GT(extend.duplicates, 7u);
+}
+
 TEST(SemiNaiveTest, MismatchedArityRejected) {
   auto lr = ParseLinearRule("p(X,Y) :- p(X,Z), e(Z,Y).");
   ASSERT_TRUE(lr.ok());

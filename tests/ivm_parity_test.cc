@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/fault.h"
+#include "common/memory.h"
 #include "common/parallel.h"
 #include "datalog/parser.h"
 #include "engine/engine.h"
@@ -360,20 +362,19 @@ TEST(IvmJoint, ApplyAndRetractMatchRecompute) {
   EXPECT_EQ(*engine.db().Find("reach_red"), oracle_out->relations[0]);
   EXPECT_EQ(*engine.db().Find("reach_blue"), oracle_out->relations[1]);
 
-  // Retract the same delta: the pre-apply closure returns. (Set equality,
-  // not row order: the inserted edges gave some ORIGINAL tuples alternative
-  // derivations, so DRed legitimately re-derives them at the end.)
+  // Retract the same delta: the pre-apply closure returns byte for byte.
+  // The inserted edges gave some ORIGINAL tuples alternative derivations;
+  // those are re-derived in place, so the rows Apply appended are exactly
+  // the rows that leave.
   DeltaDelete del;
   del.seed_deletes.emplace_back(red_new);
   del.seed_deletes.emplace_back(2);
   del.param_deletes.emplace("red", red_new);
   auto retracted = engine.Retract(*view, del);
   ASSERT_TRUE(retracted.ok()) << retracted.status();
-  Relation red_expected(2), blue_expected(2);
-  for (const Tuple& t : red_closed_before) red_expected.Insert(t);
-  for (const Tuple& t : blue_closed_before) blue_expected.Insert(t);
-  EXPECT_EQ(*engine.db().Find("reach_red"), red_expected);
-  EXPECT_EQ(*engine.db().Find("reach_blue"), blue_expected);
+  EXPECT_GT(retracted->rederived, 0u);
+  EXPECT_EQ(Rows(*engine.db().Find("reach_red")), red_closed_before);
+  EXPECT_EQ(Rows(*engine.db().Find("reach_blue")), blue_closed_before);
   EXPECT_EQ(*engine.db().Find("red"), red_base);
   EXPECT_EQ(view->seed(0), red_base);
 }
@@ -420,6 +421,159 @@ TEST(IvmFault, MidApplyAbortRollsBackToExactBytes) {
   Relation all = ChainGraph(14);
   all.UnionWith(batch);
   EXPECT_EQ(*engine.db().Find("tc"), Recompute(rules, all, IdentitySeed(14)));
+}
+
+/// Materializes tc with seed = e (the linrecd program's shape) over
+/// `edges` and returns the engine; `view` receives the handle.
+std::unique_ptr<Engine> MaterializeTc(const Relation& edges,
+                                      MaterializedView* view) {
+  Database db;
+  db.GetOrCreate("e", 2) = edges;
+  auto engine = std::make_unique<Engine>(std::move(db));
+  auto prepared =
+      engine->Prepare(Query::Closure({LR("p(X,Y) :- p(X,Z), e(Z,Y).")}));
+  EXPECT_TRUE(prepared.ok()) << prepared.status();
+  auto materialized =
+      engine->Materialize(prepared->Bind().BindSeed(edges), {"tc"});
+  EXPECT_TRUE(materialized.ok()) << materialized.status();
+  *view = std::move(materialized).value();
+  return engine;
+}
+
+DeltaDelete EdgeDelete(const Relation& edges) {
+  DeltaDelete d;
+  d.seed_deletes.push_back(edges);
+  d.param_deletes.emplace("e", edges);
+  return d;
+}
+
+/// A diamond 0→1→2, 0→3→2 with a tail 2→4→5, plus `chains` disjoint
+/// 12-node chains that make the view large without touching the diamond.
+Relation DiamondWithFiller(int chains) {
+  Relation e(2);
+  for (auto [a, b] : {std::pair{0, 1}, {1, 2}, {0, 3}, {3, 2}, {2, 4},
+                      {4, 5}}) {
+    e.Insert({a, b});
+  }
+  for (int c = 0; c < chains; ++c) {
+    const int base = 100 + 20 * c;
+    for (int i = 0; i < 11; ++i) e.Insert({base + i, base + i + 1});
+  }
+  return e;
+}
+
+TEST(IvmRetractCost, LocalDeleteCostIsIndependentOfViewSize) {
+  // Deleting 1→2 takes (1,2), (1,4), (1,5) away and re-derives (0,2),
+  // (0,4), (0,5) through 3. The work must follow those tuples, not the
+  // view: identical counters on a view of N rows and one of ~8N.
+  ClosureStats stats[2];
+  std::size_t view_rows[2];
+  const int chains[2] = {40, 320};
+  for (int k = 0; k < 2; ++k) {
+    MaterializedView view;
+    auto engine = MaterializeTc(DiamondWithFiller(chains[k]), &view);
+    view_rows[k] = engine->db().Find("tc")->size();
+    Relation gone(2);
+    gone.Insert({1, 2});
+    auto out = engine->Retract(view, EdgeDelete(gone));
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_EQ(out->removed_count, 3u);
+    EXPECT_EQ(out->rederived, 3u);
+    stats[k] = out->stats;
+  }
+  EXPECT_GE(view_rows[1], 7 * view_rows[0]);
+  EXPECT_EQ(stats[0].derivations, stats[1].derivations);
+  EXPECT_EQ(stats[0].rows_scanned, stats[1].rows_scanned);
+  EXPECT_EQ(stats[0].probes_issued, stats[1].probes_issued);
+  EXPECT_LT(stats[0].derivations, 40u);
+}
+
+TEST(IvmRetractOrder, ViewKeepsItsOrderMinusTheRemovedRows) {
+  // Dense random graph with cycles: deleting every seventh edge removes
+  // many tuples and re-derives many others. The survivors, re-derived
+  // ones included, keep their places; the removed rows simply leave.
+  const Relation edges = RandomGraph(30, 90, /*seed=*/41);
+  MaterializedView view;
+  auto engine = MaterializeTc(edges, &view);
+  const std::vector<Tuple> before = Rows(*engine->db().Find("tc"));
+  const std::vector<Tuple> seed_before = Rows(view.seed());
+
+  Relation gone(2), remaining(2);
+  std::size_t i = 0;
+  for (TupleView t : edges) (i++ % 7 == 0 ? gone : remaining).Insert(t);
+  auto out = engine->Retract(view, EdgeDelete(gone));
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_GT(out->rederived, 0u);
+  EXPECT_GT(out->removed_count, 0u);
+
+  std::vector<Tuple> expected;
+  for (const Tuple& t : before) {
+    if (!out->removed[0].Contains(t)) expected.push_back(t);
+  }
+  EXPECT_EQ(Rows(*engine->db().Find("tc")), expected);
+  EXPECT_EQ(out->removed_count, before.size() - expected.size());
+  EXPECT_EQ(*engine->db().Find("tc"),
+            Recompute({LR("p(X,Y) :- p(X,Z), e(Z,Y).")}, remaining,
+                      remaining));
+  std::vector<Tuple> seed_expected;
+  for (const Tuple& t : seed_before) {
+    if (!gone.Contains(t)) seed_expected.push_back(t);
+  }
+  EXPECT_EQ(Rows(view.seed()), seed_expected);
+}
+
+TEST(IvmFault, FailedRetractLeavesViewSeedAndInputByteIdentical) {
+  const Relation edges = RandomGraph(24, 70, /*seed=*/17);
+  Relation gone(2), remaining(2);
+  std::size_t i = 0;
+  for (TupleView t : edges) (i++ % 5 == 0 ? gone : remaining).Insert(t);
+
+  MaterializedView view;
+  auto engine = MaterializeTc(edges, &view);
+  const std::vector<Tuple> closed_before = Rows(*engine->db().Find("tc"));
+  const std::vector<Tuple> edges_before = Rows(*engine->db().Find("e"));
+  const std::vector<Tuple> seed_before = Rows(view.seed());
+  auto unchanged = [&](const std::string& what) {
+    EXPECT_EQ(Rows(*engine->db().Find("tc")), closed_before) << what;
+    EXPECT_EQ(Rows(*engine->db().Find("e")), edges_before) << what;
+    EXPECT_EQ(Rows(view.seed()), seed_before) << what;
+    EXPECT_EQ(view.retracts(), 0u) << what;
+  };
+
+  {
+    // The injected fault right before the commit.
+    ScopedFault fault(FaultSite::kIvmApply, 1);
+    auto out = engine->Retract(view, EdgeDelete(gone));
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kInternal);
+    unchanged("ivm_apply fault");
+  }
+  {
+    // A budget that refuses the first growth.
+    QueryBudget tiny(1);
+    auto out = engine->Retract(view, EdgeDelete(gone), nullptr, &tiny);
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
+    unchanged("budget denial");
+  }
+  // An allocation fault at every growth point in turn, until the delete
+  // gets through.
+  bool succeeded = false;
+  for (std::uint64_t nth = 1; nth < 400 && !succeeded; ++nth) {
+    ScopedFault fault(FaultSite::kPoolGrowth, nth);
+    auto out = engine->Retract(view, EdgeDelete(gone));
+    if (out.ok()) {
+      succeeded = true;
+      break;
+    }
+    EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted) << nth;
+    unchanged("pool_growth fault at hit " + std::to_string(nth));
+  }
+  ASSERT_TRUE(succeeded);
+  EXPECT_EQ(*engine->db().Find("tc"),
+            Recompute({LR("p(X,Y) :- p(X,Z), e(Z,Y).")}, remaining,
+                      remaining));
+  EXPECT_EQ(*engine->db().Find("e"), remaining);
 }
 
 TEST(IvmValidation, RejectsMalformedDeltas) {

@@ -120,6 +120,53 @@ TEST(JoinAllocTest, ProbeLoopAllocatesNothingPerCandidate) {
   EXPECT_LE(small, 64u);
 }
 
+/// One warm Run of the head-pinned IVM check shape: candidates `d` drive
+/// a join whose second atom `v` is fully bound. Returns the allocations of
+/// the Run; `entries` receives the IndexCache size after it.
+std::size_t FullyBoundProbeAllocations(int n, std::size_t* entries) {
+  auto rule = ParseProgram("h(X,Y) :- d(X,Y), v(X,Y).");
+  EXPECT_TRUE(rule.ok());
+  Relation d(2);
+  Relation v(2);
+  for (int i = 0; i < n; ++i) {
+    d.Insert({i, i + 1});
+    v.Insert({i, i % 2 == 0 ? i + 1 : i});  // every other candidate hits
+  }
+  Database db;
+  ApplyOptions options;
+  options.overrides[0] = &d;
+  options.overrides[1] = &v;
+  options.first_atom = 0;
+  Result<CompiledRule> compiled =
+      CompileRule(rule->rules.front(), db, options);
+  EXPECT_TRUE(compiled.ok()) << compiled.status();
+
+  IndexCache cache;
+  Relation out(2);
+  out.Reserve(static_cast<std::size_t>(n));
+  ClosureStats stats;
+  std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  Status s = compiled->Run(&out, &stats, &cache);
+  std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_TRUE(s.ok()) << s;
+  EXPECT_EQ(out.size(), static_cast<std::size_t>((n + 1) / 2));
+  EXPECT_EQ(stats.probes_issued, static_cast<std::size_t>(n));
+  *entries = cache.entry_count();
+  return after - before;
+}
+
+TEST(JoinAllocTest, FullyBoundAtomProbesTheDedupTable) {
+  // An atom whose every position is bound is answered by the relation's
+  // own dedup table: no HashIndex is built over it (the IVM re-derive
+  // pass would otherwise index the whole view on every delete), and the
+  // probe allocates nothing.
+  std::size_t entries = 1;
+  EXPECT_EQ(FullyBoundProbeAllocations(64, &entries), 0u);
+  EXPECT_EQ(entries, 0u);
+  EXPECT_EQ(FullyBoundProbeAllocations(4096, &entries), 0u);
+  EXPECT_EQ(entries, 0u);
+}
+
 /// Allocations of one ApplySelection over a relation of `rows` rows in
 /// which exactly `matches` rows carry the selected value.
 std::size_t SelectionAllocations(int rows, int matches) {

@@ -191,6 +191,40 @@ TEST(JointFixpointTest, AlternatingReachabilityRejectsImpossibleEdgeCount) {
   EXPECT_EQ(w.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(JointFixpointTest, DuplicateAccountingWithPreloadedStats) {
+  // Closure and Extend both count duplicates per call, from a snapshot
+  // of the caller's record taken on entry.
+  auto w = MakeAlternatingReachability(30, 80, /*seed=*/5);
+  ASSERT_TRUE(w.ok()) << w.status();
+  ClosureStats fresh;
+  auto closed =
+      JointSemiNaiveClosure(w->members, w->rules, w->db, w->seeds, &fresh);
+  ASSERT_TRUE(closed.ok()) << closed.status();
+  ASSERT_GT(fresh.duplicates, 0u);
+  ClosureStats loaded;
+  loaded.derivations = 1000;
+  loaded.duplicates = 7;
+  ASSERT_TRUE(
+      JointSemiNaiveClosure(w->members, w->rules, w->db, w->seeds, &loaded)
+          .ok());
+  EXPECT_EQ(loaded.derivations, 1000 + fresh.derivations);
+  EXPECT_EQ(loaded.duplicates, 7 + fresh.duplicates);
+
+  // Extend from empty members with the seeds appended: the same work as
+  // the closure, so the same duplicates on top of the preload.
+  std::vector<Relation> rels = w->seeds;
+  ClosureStats extend;
+  extend.derivations = 1000;
+  extend.duplicates = 7;
+  ASSERT_TRUE(JointSemiNaiveExtend(w->members, w->rules, w->db, &rels,
+                                   std::vector<RowId>(rels.size(), 0),
+                                   &extend)
+                  .ok());
+  EXPECT_EQ(rels[0], (*closed)[0]);
+  EXPECT_EQ(rels[1], (*closed)[1]);
+  EXPECT_EQ(extend.duplicates, 7 + fresh.duplicates);
+}
+
 TEST(JointFixpointTest, StatsCountDerivationsAndRounds) {
   auto w = MakeEvenOddChain(12);
   ASSERT_TRUE(w.ok());

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
+#include "common/fault.h"
+#include "common/memory.h"
 #include "common/parallel.h"
 #include "storage/database.h"
 #include "storage/relation.h"
@@ -341,6 +346,118 @@ TEST(DatabaseTest, NamesSorted) {
   auto names = db.Names();
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "alpha");
+}
+
+/// Rows in insertion order (the byte-level observable of a relation).
+std::vector<Tuple> RowsOf(const Relation& rel) {
+  std::vector<Tuple> out;
+  for (TupleView t : rel) out.push_back(t.ToTuple());
+  return out;
+}
+
+/// EraseRows against a reference: the survivors in order, every survivor
+/// still found by the repaired dedup table, no erased row found, and the
+/// table still deduplicating and accepting inserts afterwards.
+void CheckErase(std::size_t rows, std::size_t erase, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  Relation rel(2);
+  for (std::size_t i = 0; i < rows; ++i) {
+    rel.Insert({static_cast<Value>(rng() % 100000),
+                static_cast<Value>(rng() % 7)});
+  }
+  const std::vector<Tuple> before = RowsOf(rel);
+  Relation drop(2);
+  while (drop.size() < erase && drop.size() < before.size()) {
+    drop.Insert(before[rng() % before.size()]);
+  }
+  drop.Insert({-1, -1});  // absent rows are ignored
+
+  std::vector<Tuple> expected;
+  for (const Tuple& t : before) {
+    if (!drop.Contains(t)) expected.push_back(t);
+  }
+  EXPECT_EQ(rel.EraseRows(drop), before.size() - expected.size());
+  ASSERT_EQ(RowsOf(rel), expected) << "rows=" << rows << " erase=" << erase;
+  for (const Tuple& t : expected) {
+    EXPECT_TRUE(rel.Contains(t));
+    EXPECT_FALSE(rel.Insert(t));  // still deduplicated
+  }
+  for (const Tuple& t : before) {
+    if (drop.Contains(t)) {
+      EXPECT_FALSE(rel.Contains(t));
+    }
+  }
+  // Erased rows insert again, at the end.
+  for (TupleView t : drop) {
+    if (t[0] >= 0) {
+      EXPECT_TRUE(rel.Insert(t));
+    }
+  }
+  EXPECT_EQ(rel.size(), before.size());
+}
+
+TEST(RelationEraseTest, KeepsSurvivorOrderAndRepairsTheTable) {
+  CheckErase(1, 1, 1);
+  CheckErase(40, 3, 2);
+  CheckErase(3000, 61, 3);
+  CheckErase(3000, 512, 4);   // the inline id buffer, exactly full
+  CheckErase(3000, 1500, 5);  // past it: the compacting fallback
+  CheckErase(3000, 3000, 6);  // everything
+}
+
+TEST(RelationEraseTest, EmptyingResetsTheVersion) {
+  Relation rel(2);
+  rel.Insert({1, 2});
+  rel.Insert({3, 4});
+  Relation drop = rel;
+  EXPECT_NE(rel.version(), 0u);
+  EXPECT_EQ(rel.EraseRows(drop), 2u);
+  EXPECT_TRUE(rel.empty());
+  EXPECT_EQ(rel.version(), 0u);
+  EXPECT_TRUE(rel.Insert({3, 4}));
+}
+
+TEST(RelationEraseTest, ChangesTheVersionOnlyWhenRowsLeave) {
+  Relation rel(2);
+  for (int i = 0; i < 10; ++i) rel.Insert({i, i});
+  const std::uint64_t v0 = rel.version();
+  Relation absent(2);
+  absent.Insert({5, 6});
+  EXPECT_EQ(rel.EraseRows(absent), 0u);
+  EXPECT_EQ(rel.version(), v0);
+  Relation present(2);
+  present.Insert({5, 5});
+  EXPECT_EQ(rel.EraseRows(present), 1u);
+  EXPECT_NE(rel.version(), v0);
+}
+
+TEST(RelationEraseTest, NeverChargesOrHitsAFaultSite) {
+  Relation rel(2);
+  for (int i = 0; i < 2000; ++i) rel.Insert({i, i % 13});
+  Relation small(2), large(2);
+  for (int i = 0; i < 2000; i += 50) small.Insert({i, i % 13});
+  for (int i = 1; i < 2000; i += 2) large.Insert({i, i % 13});
+  // A one-byte budget and armed growth faults: any charge or growth in
+  // the erase would throw.
+  QueryBudget budget(1);
+  ScopedQueryBudget scope(&budget);
+  ScopedFault fault(FaultSite::kPoolGrowth, 1);
+  EXPECT_EQ(rel.EraseRows(small), 40u);
+  EXPECT_EQ(rel.EraseRows(large), 1000u);
+  EXPECT_EQ(budget.charged(), 0u);
+  EXPECT_EQ(FaultInjector::Instance().hits(FaultSite::kPoolGrowth), 0u);
+  EXPECT_EQ(FaultInjector::Instance().hits(FaultSite::kRehash), 0u);
+  EXPECT_EQ(rel.size(), 960u);
+}
+
+TEST(RelationEraseTest, FindRowIdProbesTheDedupTable) {
+  Relation rel(2);
+  rel.Insert({7, 8});
+  rel.Insert({9, 10});
+  const Value present[] = {9, 10};
+  const Value absent[] = {10, 9};
+  EXPECT_EQ(rel.FindRowId(present), 1u);
+  EXPECT_EQ(rel.FindRowId(absent), Relation::kNoRow);
 }
 
 }  // namespace

@@ -32,6 +32,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <list>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -192,7 +193,27 @@ int RunSocket(Server& server, int port) {
   ::getsockname(state.listen_fd, reinterpret_cast<sockaddr*>(&addr), &len);
   std::cout << "LISTENING " << ntohs(addr.sin_port) << std::endl;
 
-  std::vector<std::thread> connections;
+  // One thread per connection. A finished thread keeps its stack mapped
+  // until joined, so after spawning each new connection's thread the
+  // accept loop joins every finished one: memory stays bounded by the
+  // open connections, not by the sessions served, and a thread still
+  // exiting never delays the new session. std::list keeps each `done`
+  // flag at a fixed address for its thread to set.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Connection> connections;
+  auto reap = [&connections] {
+    for (auto it = connections.begin(); it != connections.end();) {
+      if (it->done.load(std::memory_order_acquire)) {
+        it->thread.join();
+        it = connections.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  };
   while (!state.shutting_down.load()) {
     int fd = ::accept(state.listen_fd, nullptr, nullptr);
     if (fd < 0) break;
@@ -200,10 +221,14 @@ int RunSocket(Server& server, int port) {
       ::close(fd);
       break;
     }
-    connections.emplace_back(
-        [&server, &state, fd] { ServeConnection(server, state, fd); });
+    Connection& c = connections.emplace_back();
+    c.thread = std::thread([&server, &state, fd, &c] {
+      ServeConnection(server, state, fd);
+      c.done.store(true, std::memory_order_release);
+    });
+    reap();
   }
-  for (std::thread& t : connections) t.join();
+  for (Connection& c : connections) c.thread.join();
   ::close(state.listen_fd);
   std::cout << "SHUTDOWN complete" << std::endl;
   return 0;
