@@ -560,10 +560,10 @@ int Main(int argc, char** argv) {
   // --- scan_sigma: the σ columnar-scan kernel in isolation, SIMD vs the
   // scalar reference (Relation::WhereEquals vs WhereEqualsScalar — in a
   // -DLINREC_SIMD=OFF build both rows run the scalar kernel and the ratio
-  // is 1). Arity-2 pool, 1/64 selectivity so the strided count + mask
-  // passes dominate the matched-row copies. derivations := rows scanned by
-  // the count pass, so derivations/sec is scan throughput and the
-  // SIMD/scalar row ratio is the kernel speedup the acceptance bar gates.
+  // is 1). Arity-2 pool, 1/64 selectivity so the strided mask sweep
+  // dominates the matched-row copies. derivations := rows the sweep
+  // scanned, so derivations/sec is scan throughput and the SIMD/scalar
+  // row ratio is the kernel speedup.
   {
     const int n = 1 << 16;
     const int inner = 32;  // scans per timed repetition

@@ -1,5 +1,5 @@
 // SIMD scan-kernel support: pool-layout constants, the aligned pool
-// allocator, and the always-compiled scalar reference kernels.
+// allocator, and the always-compiled scalar reference kernel.
 //
 // The actual vector kernels live in common/simd_kernels.h, which is
 // included ONLY by the two hot translation units (storage/relation.cc and
@@ -14,11 +14,11 @@
 // so closures computed by the two builds are equal row for row. CI runs the
 // full test suite on both settings.
 //
-// The scalar kernels below are deliberately defined out of line in
+// The scalar kernel below is deliberately defined out of line in
 // common/simd_scalar.cc, which is never compiled with the widened ISA
-// flags: they are the honest baseline the scan_sigma microbench and the
+// flags: it is the honest baseline the scan_sigma microbench and the
 // property tests compare the vector kernels against, so the compiler must
-// not be allowed to auto-vectorize them into the thing they measure.
+// not be allowed to auto-vectorize it into the thing it measures.
 
 #pragma once
 
@@ -97,14 +97,9 @@ struct PoolAllocator {
   }
 };
 
-/// Scalar reference kernels (defined in common/simd_scalar.cc; see the
-/// header comment for why they live in their own TU).
+/// Scalar reference kernel (defined in common/simd_scalar.cc; see the
+/// header comment for why it lives in its own TU).
 ///
-/// Counts rows whose strided column equals `v`: the column of row i is
-/// col[i * stride].
-std::size_t CountEqStridedScalar(const std::int64_t* col, std::size_t stride,
-                                 std::size_t rows, std::int64_t v);
-
 /// Equality mask of one block of kLanes consecutive rows: bit i set iff
 /// col[i * stride] == v. Never reads past row kLanes - 1.
 unsigned BlockEqMaskScalar(const std::int64_t* col, std::size_t stride,

@@ -12,8 +12,8 @@
 //  * All loads are unaligned-capable (the aligned(8) typedef); the pool
 //    allocator's 32-byte alignment makes the common case aligned anyway.
 //  * Tail blocks are loaded FULL and masked in the result, never in the
-//    load: Relation pads every pool capacity to a kLanes-row multiple
-//    (simd::kPadRows), so the over-read stays inside the allocation.
+//    load: every Relation pool keeps a pad block free past its rows
+//    (Relation::PoolFits), so the over-read stays inside the allocation.
 //    Callers must only hand these kernels pointers into a Relation pool
 //    (or another buffer padded the same way).
 
@@ -61,44 +61,6 @@ inline unsigned BlockEqMask(const std::int64_t* col, std::size_t stride,
   VecI64 eq = GatherColumn(col, stride) == Broadcast(v);
   return static_cast<unsigned>((eq[0] & 1) | ((eq[1] & 1) << 1) |
                                ((eq[2] & 1) << 2) | ((eq[3] & 1) << 3));
-}
-
-/// Counts rows whose strided column equals v — the σ count pass. Equal
-/// lanes compare to -1, so subtracting the compare vector from a running
-/// accumulator counts all four lanes in one op; the horizontal fold
-/// happens once at the end, and the partial tail block is masked.
-inline std::size_t CountEqStrided(const std::int64_t* col, std::size_t stride,
-                                  std::size_t rows, std::int64_t v) {
-  const std::size_t blocks = rows / kLanes;
-  const VecI64 target = Broadcast(v);
-  VecI64 acc = {0, 0, 0, 0};
-  if (stride == 1) {
-    for (std::size_t b = 0; b < blocks; ++b) {
-      acc -= (LoadU(col + b * kLanes) == target);
-    }
-  } else if (stride == 2) {
-    for (std::size_t b = 0; b < blocks; ++b) {
-      VecI64 lo = LoadU(col + b * 8);
-      VecI64 hi = LoadU(col + b * 8 + 4);
-      acc -= (__builtin_shufflevector(lo, hi, 0, 2, 4, 6) == target);
-    }
-  } else {
-    for (std::size_t b = 0; b < blocks; ++b) {
-      const std::int64_t* p = col + b * kLanes * stride;
-      VecI64 lanes = {p[0], p[stride], p[2 * stride], p[3 * stride]};
-      acc -= (lanes == target);
-    }
-  }
-  std::size_t matches =
-      static_cast<std::size_t>(acc[0] + acc[1] + acc[2] + acc[3]);
-  const std::size_t tail = rows % kLanes;
-  if (tail != 0) {
-    const unsigned mask =
-        BlockEqMask(col + blocks * kLanes * stride, stride, v) &
-        ((1u << tail) - 1u);
-    matches += static_cast<std::size_t>(__builtin_popcount(mask));
-  }
-  return matches;
 }
 
 }  // namespace

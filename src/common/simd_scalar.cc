@@ -1,6 +1,6 @@
-// Scalar reference kernels for the SIMD scans. This TU is compiled WITHOUT
+// Scalar reference kernel for the SIMD scans. This TU is compiled WITHOUT
 // the widened ISA flags the kernel TUs may get (see LINREC_SIMD_AVX2), so
-// these loops stay the honest portable baseline: what a scalar-fallback
+// its loop stays the honest portable baseline: what a scalar-fallback
 // build runs, and what the scan_sigma microbench measures the vector
 // kernels against.
 
@@ -8,15 +8,6 @@
 
 namespace linrec {
 namespace simd {
-
-std::size_t CountEqStridedScalar(const std::int64_t* col, std::size_t stride,
-                                 std::size_t rows, std::int64_t v) {
-  std::size_t matches = 0;
-  for (std::size_t i = 0; i < rows; ++i) {
-    matches += static_cast<std::size_t>(col[i * stride] == v);
-  }
-  return matches;
-}
 
 unsigned BlockEqMaskScalar(const std::int64_t* col, std::size_t stride,
                            std::int64_t v) {

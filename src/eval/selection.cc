@@ -8,10 +8,11 @@ Relation ApplySelection(const Relation& input, const Selection& selection,
                         ClosureStats* stats) {
   assert(selection.position >= 0 &&
          static_cast<std::size_t>(selection.position) < input.arity());
-  // Columnar: one strided pass over the selected column counts the matches
-  // (SIMD blocks under LINREC_SIMD — no other column is touched), the
-  // output is reserved exactly, and the matching rows are bulk-copied with
-  // their cached hashes. O(matches) allocations however large the input.
+  // Columnar: one strided sweep over the selected column collects the
+  // matching row ids (SIMD blocks under LINREC_SIMD — no other column is
+  // touched), the output is reserved exactly, and the matching rows are
+  // copied with their cached hashes. O(matches) allocations however large
+  // the input.
   ScanCounters counters;
   Relation out = input.WhereEquals(selection.position, selection.value,
                                    stats != nullptr ? &counters : nullptr);

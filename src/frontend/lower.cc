@@ -162,6 +162,25 @@ Status CompileComponent(const std::vector<std::string>& members,
   return Status::OK();
 }
 
+/// True if `goal` is a σ selection — exactly one constant and no repeated
+/// variable — and fills its position and value. A repeated variable would
+/// need refiltering after σ.
+bool SelectionGoal(const Atom& goal, int* position, Value* value) {
+  int constants = 0;
+  std::set<VarId> seen;
+  for (std::size_t i = 0; i < goal.terms.size(); ++i) {
+    const Term& term = goal.terms[i];
+    if (term.is_const()) {
+      ++constants;
+      *position = static_cast<int>(i);
+      *value = term.constant();
+    } else if (!seen.insert(term.var()).second) {
+      return false;
+    }
+  }
+  return constants == 1;
+}
+
 }  // namespace
 
 std::string ProgramDigest(const std::vector<Rule>& rules) {
@@ -696,19 +715,7 @@ bool ProgramInstance::SigmaFastPath(const Atom& goal, const CompiledUnit& unit,
   if (unit.joint || !unit.closure.has_value() || unit.linear.empty()) {
     return false;
   }
-  int constants = 0;
-  std::set<VarId> seen;
-  for (std::size_t i = 0; i < goal.terms.size(); ++i) {
-    const Term& term = goal.terms[i];
-    if (term.is_const()) {
-      ++constants;
-      *position = static_cast<int>(i);
-      *value = term.constant();
-    } else if (!seen.insert(term.var()).second) {
-      return false;  // repeated variable: the σ result would need refiltering
-    }
-  }
-  return constants == 1;
+  return SelectionGoal(goal, position, value);
 }
 
 Result<QueryResult> ProgramInstance::EvalQuery(const Atom& goal,
@@ -897,6 +904,12 @@ std::vector<Result<QueryResult>> ProgramInstance::EvalQueries(
 
 Relation MatchGoal(const Relation& rows, const Atom& goal,
                    std::size_t row_limit) {
+  // A σ goal is one column sweep that stops at `row_limit` matches.
+  int position = 0;
+  Value value = 0;
+  if (SelectionGoal(goal, &position, &value)) {
+    return rows.WhereEquals(position, value, nullptr, row_limit);
+  }
   // Constant positions and repeated-variable position groups.
   std::vector<std::pair<std::size_t, Value>> constants;
   std::map<VarId, std::vector<std::size_t>> var_positions;

@@ -291,8 +291,10 @@ class ProgramInstance {
 /// Filters `rows` against `goal`: constants must match their column,
 /// repeated variables must agree across their columns. Distinct variables
 /// match anything. At most `row_limit` matching rows are copied into the
-/// result — the streaming cap: a reply over a huge closure materializes
-/// O(row_limit) rows, not a second full copy.
+/// result, in row order — the streaming cap: a reply over a huge closure
+/// materializes O(row_limit) rows, not a second full copy. A σ goal (one
+/// constant, no repeated variable) runs as Relation::WhereEquals, a single
+/// sweep of the constant's column.
 Relation MatchGoal(const Relation& rows, const Atom& goal,
                    std::size_t row_limit = SIZE_MAX);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 
 #include "common/strings.h"
 
@@ -128,6 +129,9 @@ Result<SetArgs> ParseSetArgs(const std::string& args) {
     if (set.value > 86400000) {
       return Status::InvalidArgument("timeout_ms above 86400000 (one day)");
     }
+    // Every negative value means "no deadline"; normalize to -1 so the
+    // session's int never receives a value it cannot hold.
+    if (set.value < 0) set.value = -1;
   } else if (set.key == "max_rows") {
     if (set.value < 0) {
       return Status::InvalidArgument("max_rows must be >= 0");
@@ -164,11 +168,28 @@ std::string FormatResultHeader(const std::string& predicate,
 }
 
 std::string FormatRow(TupleView row) {
+  // Values are written with std::to_chars straight into the string,
+  // starting in its inline buffer; the string doubles only when a value
+  // does not fit, so a short row never touches the heap.
   std::string out;
+  out.resize(out.capacity());
+  std::size_t used = 0;
   for (std::size_t i = 0; i < row.arity(); ++i) {
-    if (i > 0) out += ' ';
-    out += StrCat(row[i]);
+    if (i > 0) {
+      if (used == out.size()) out.resize(2 * out.size());
+      out[used++] = ' ';
+    }
+    while (true) {
+      const std::to_chars_result written =
+          std::to_chars(out.data() + used, out.data() + out.size(), row[i]);
+      if (written.ec == std::errc()) {
+        used = static_cast<std::size_t>(written.ptr - out.data());
+        break;
+      }
+      out.resize(2 * out.size());
+    }
   }
+  out.resize(used);
   return out;
 }
 

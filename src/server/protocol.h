@@ -86,8 +86,8 @@ struct SetArgs {
 /// protocol layer — before any session state is touched. Typed
 /// InvalidArgument on: missing value, non-integer value, unknown key,
 /// negative max_rows / memory_budget, timeout_ms above one day. A valid
-/// result is safe to apply directly (timeout_ms may be negative: no
-/// deadline; memory_budget 0 = unlimited).
+/// result is safe to apply directly (every negative timeout_ms, meaning
+/// no deadline, is normalized to -1; memory_budget 0 = unlimited).
 Result<SetArgs> ParseSetArgs(const std::string& args);
 
 /// "ERR <StatusCodeName> <sanitized message>".

@@ -15,6 +15,10 @@ namespace {
 /// those reads contend with it.
 alignas(64) std::atomic<std::uint64_t> g_version_counter{0};  // lint: hot-atomic
 
+/// Row ids a σ sweep reserves before its first match: one allocation
+/// covers most point selections; larger results grow geometrically.
+constexpr std::size_t kInitialSweepIds = 256;
+
 /// Smallest power of two ≥ n (and ≥ 8).
 std::size_t NextPow2(std::size_t n) {
   std::size_t p = 8;
@@ -61,7 +65,7 @@ bool Relation::InsertHashed(const Value* row, std::size_t hash) {
          "relation exceeds RowId capacity");
   // Growth happens before any mutation, so a denied charge (or injected
   // allocation fault) leaves the relation exactly as it was.
-  if (pool_.size() + arity_ > pool_.capacity()) GrowPool(pool_.size() + arity_);
+  if (!PoolFits(pool_.size() + arity_)) GrowPool(pool_.size() + arity_);
   if (hashes_.size() == hashes_.capacity()) GrowHashes(hashes_.size() + 1);
   RowId id = static_cast<RowId>(row_count_++);
   pool_.insert(pool_.end(), row, row + arity_);
@@ -94,9 +98,9 @@ RowId Relation::FindRow(const Value* row, std::size_t hash) const {
 void Relation::GrowPool(std::size_t needed_values) {
   std::size_t new_cap = std::max(needed_values, pool_.capacity() * 2);
   if (new_cap < 64) new_cap = 64;
-  // Round up to a whole number of kPadRows-row blocks: the scan kernels
-  // load the tail as one full block, and this keeps that load inside the
-  // allocation. The padding is charged like any other capacity.
+  // The scan kernels load the tail as one full block; the padding keeps
+  // that load inside the allocation and is charged like any other
+  // capacity.
   new_cap = PaddedPoolCapacity(new_cap, arity_);
   ChargeBytesOrThrow((new_cap - pool_.capacity()) * sizeof(Value),
                      FaultSite::kPoolGrowth);
@@ -140,7 +144,7 @@ void Relation::Reserve(std::size_t rows) {
   // Grow geometrically past the request: vector::reserve allocates exactly
   // what is asked, so a closure loop reserving `current + Δ` every round
   // would otherwise reallocate (and copy the whole pool) every round.
-  if (rows * arity_ > pool_.capacity()) GrowPool(rows * arity_);
+  if (!PoolFits(rows * arity_)) GrowPool(rows * arity_);
   if (rows > hashes_.capacity()) GrowHashes(rows);
   // Size the table so `rows` insertions stay under the 7/8 growth trigger.
   std::size_t needed = NextPow2(rows * 8 / 7 + 1);
@@ -271,49 +275,27 @@ std::size_t Relation::EraseRows(const Relation& drop) {
 }
 
 // The σ scan, parameterized on the kernel. Both instantiations walk the
-// same rows in the same order (the copy pass drains each block's equality
-// mask low bit first), so SIMD and scalar results are bit-identical —
-// arity, size, and row-by-row insertion order.
+// same kLanes-row blocks in the same order and drain each block's equality
+// mask low bit first, so SIMD and scalar results — rows, row order and
+// counters — are bit-identical.
 template <bool kSimd>
 Relation Relation::WhereEqualsKernel(int position, Value value,
-                                     ScanCounters* counters) const {
+                                     ScanCounters* counters,
+                                     std::size_t row_limit) const {
   assert(position >= 0 && static_cast<std::size_t>(position) < arity_);
   Relation out(arity_);
   const std::size_t rows = row_count_;
-  if (counters != nullptr) {
-    counters->rows += rows;
-    counters->blocks += (rows + simd::kLanes - 1) / simd::kLanes;
-  }
-  if (rows == 0) return out;
-  const Value* column = pool_.data() + position;
+  if (rows == 0 || row_limit == 0) return out;
   const std::size_t stride = arity_;
-  // Pass 1: count matches along one strided column.
-  std::size_t matches;
-#if LINREC_SIMD
-  if constexpr (kSimd) {
-    matches = simd::CountEqStrided(column, stride, rows, value);
-  } else
-#endif
-  {
-    matches = simd::CountEqStridedScalar(column, stride, rows, value);
-  }
-  if (counters != nullptr) counters->hits += matches;
-  if (matches == 0) return out;
-  out.Reserve(matches);
-  // Pass 2: bulk-copy the matching rows from blockwise equality masks,
-  // reusing their cached hashes (rows of a relation are unique, so every
-  // insert lands). The SIMD tail is a full-block load masked down — safe
-  // because pool capacities are padded to whole blocks (GrowPool).
-  const std::size_t full = rows / simd::kLanes * simd::kLanes;
-  auto drain = [&](std::size_t base, unsigned mask) {
-    while (mask != 0) {
-      const unsigned lane = static_cast<unsigned>(__builtin_ctz(mask));
-      mask &= mask - 1;
-      const std::size_t i = base + lane;
-      out.InsertHashed(pool_.data() + i * stride, hashes_[i]);
-    }
-  };
-  for (std::size_t base = 0; base < full; base += simd::kLanes) {
+  const Value* column = pool_.data() + position;
+  // Sweep: collect matching row ids block by block, stopping once
+  // `row_limit` rows match. The tail block is loaded full and masked down
+  // — safe because every pool keeps its pad block free (PoolFits).
+  std::vector<RowId> ids;
+  ids.reserve(std::min({rows, row_limit, kInitialSweepIds}));
+  std::size_t base = 0;
+  bool limit_reached = false;
+  for (; base < rows && !limit_reached; base += simd::kLanes) {
     unsigned mask;
 #if LINREC_SIMD
     if constexpr (kSimd) {
@@ -323,36 +305,39 @@ Relation Relation::WhereEqualsKernel(int position, Value value,
     {
       mask = simd::BlockEqMaskScalar(column + base * stride, stride, value);
     }
-    drain(base, mask);
-  }
-  if (const std::size_t tail = rows - full; tail != 0) {
-    unsigned mask;
-#if LINREC_SIMD
-    if constexpr (kSimd) {
-      mask = simd::BlockEqMask(column + full * stride, stride, value) &
-             ((1u << tail) - 1u);
-    } else
-#endif
-    {
-      mask = 0;
-      for (std::size_t i = 0; i < tail; ++i) {
-        mask |= static_cast<unsigned>(column[(full + i) * stride] == value)
-                << i;
+    if (rows - base < simd::kLanes) mask &= (1u << (rows - base)) - 1u;
+    for (; mask != 0; mask &= mask - 1) {
+      ids.push_back(static_cast<RowId>(base + __builtin_ctz(mask)));
+      if (ids.size() == row_limit) {
+        limit_reached = true;
+        break;
       }
     }
-    drain(full, mask);
   }
+  if (counters != nullptr) {
+    counters->rows += std::min(base, rows);
+    counters->blocks += base / simd::kLanes;
+    counters->hits += ids.size();
+  }
+  // Copy: reserve exactly, then insert the rows with their cached hashes
+  // (rows of a relation are distinct, so every insert lands).
+  if (ids.empty()) return out;
+  out.Reserve(ids.size());
+  for (RowId id : ids) out.InsertHashed(RowData(id), hashes_[id]);
   return out;
 }
 
 Relation Relation::WhereEquals(int position, Value value,
-                               ScanCounters* counters) const {
-  return WhereEqualsKernel<simd::kEnabled>(position, value, counters);
+                               ScanCounters* counters,
+                               std::size_t row_limit) const {
+  return WhereEqualsKernel<simd::kEnabled>(position, value, counters,
+                                           row_limit);
 }
 
 Relation Relation::WhereEqualsScalar(int position, Value value,
-                                     ScanCounters* counters) const {
-  return WhereEqualsKernel<false>(position, value, counters);
+                                     ScanCounters* counters,
+                                     std::size_t row_limit) const {
+  return WhereEqualsKernel<false>(position, value, counters, row_limit);
 }
 
 std::size_t Relation::UnionWith(const Relation& other) {

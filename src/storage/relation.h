@@ -62,10 +62,9 @@ class Relation {
 
   // Copy/move are member-wise; spelled out because the version stamp is
   // atomic (for concurrent version() reads) and atomics are not copyable,
-  // and because the pool copy must re-establish the padded-capacity
-  // invariant (a plain vector copy would give capacity == size, and the
-  // scan kernels' full-block tail loads rely on capacity being a
-  // kPadRows-row multiple; see GrowPool).
+  // and because the pool copy must re-establish the padding rule (a plain
+  // vector copy would give capacity == size, and the scan kernels'
+  // full-block tail loads rely on PoolFits; see PaddedPoolCapacity).
   Relation(const Relation& o)
       : arity_(o.arity_),
         version_(o.version_.load(std::memory_order_relaxed)),
@@ -198,22 +197,26 @@ class Relation {
     return PartitionView{this, begin, end};
   }
 
-  /// σ_{position = value} as a columnar scan: stride-walks the selected
-  /// column of the flat pool counting matches (SIMD blocks of simd::kLanes
-  /// rows when LINREC_SIMD is on, the scalar reference kernel otherwise),
-  /// reserves the output exactly, then bulk-copies the matching rows from
-  /// blockwise equality masks, reusing their cached hashes. Allocates
-  /// O(matches), not O(rows). The scalar and SIMD paths examine the same
-  /// rows in the same order, so results are bit-identical.
-  /// When `counters` is non-null the scan's row/block/hit counts are added
-  /// to it.
+  /// σ_{position = value} as a columnar scan: one sweep of the selected
+  /// column of the flat pool (SIMD blocks of simd::kLanes rows when
+  /// LINREC_SIMD is on, the scalar reference kernel otherwise) collects the
+  /// ids of matching rows from blockwise equality masks; the output is then
+  /// reserved exactly and the rows copied with their cached hashes.
+  /// Allocates O(matches), not O(rows). The sweep stops once `row_limit`
+  /// rows match, so the result is the first min(matches, row_limit)
+  /// matching rows in row order. The scalar and SIMD paths examine the
+  /// same blocks in the same order, so results are bit-identical.
+  /// When `counters` is non-null the scan's counts are added to it: rows
+  /// and blocks the sweep walked, and the rows returned as hits.
   Relation WhereEquals(int position, Value value,
-                       ScanCounters* counters = nullptr) const;
+                       ScanCounters* counters = nullptr,
+                       std::size_t row_limit = SIZE_MAX) const;
   /// WhereEquals forced onto the scalar reference kernel in every build —
   /// the baseline the scan_sigma microbench and the SIMD parity tests
   /// compare against.
   Relation WhereEqualsScalar(int position, Value value,
-                             ScanCounters* counters = nullptr) const;
+                             ScanCounters* counters = nullptr,
+                             std::size_t row_limit = SIZE_MAX) const;
 
   bool Contains(const Tuple& t) const {
     assert(t.arity() == arity_);
@@ -318,15 +321,22 @@ class Relation {
   void Rehash(std::size_t slot_count);
   /// Budget-charged capacity growth (see ChargeBytesOrThrow in
   /// common/memory.h); may throw ResourceExhaustedError before mutating.
-  /// GrowPool rounds the new capacity up to a simd::kPadRows-row multiple
-  /// (the scan kernels' tail-load invariant).
+  /// GrowPool sizes the new capacity with PaddedPoolCapacity.
   void GrowPool(std::size_t needed_values);
   void GrowHashes(std::size_t needed_rows);
-  /// `values` rounded up to a multiple of simd::kPadRows rows of `arity`,
-  /// plus one extra pad block: the stride-2 de-interleave load reads
-  /// 2·kLanes consecutive values starting at pool + column, so the last
-  /// full block's load ends up to `column` values past the rounded row
-  /// count — the extra block keeps every such read inside the allocation.
+  /// The pool's padding rule: a pool holding `values` values keeps one
+  /// free pad block (simd::kPadRows rows) past them. The scan kernels load
+  /// the tail block in full — up to kLanes - 1 rows past the last row, and
+  /// the stride-2 de-interleave one value further — so the free block
+  /// keeps every such read inside the allocation. InsertHashed and Reserve
+  /// grow the pool whenever an append would break the rule, so no append
+  /// ever fills the pad block.
+  bool PoolFits(std::size_t values) const {
+    return values + simd::kPadRows * arity_ <= pool_.capacity();
+  }
+  /// The capacity GrowPool and the copy constructor give a pool of
+  /// `values` values: rounded up to whole pad blocks, plus one free block,
+  /// so the result always satisfies PoolFits(values).
   static std::size_t PaddedPoolCapacity(std::size_t values,
                                         std::size_t arity) {
     if (arity == 0) return values;
@@ -334,8 +344,8 @@ class Relation {
     return (values + block - 1) / block * block + block;
   }
   template <bool kSimd>
-  Relation WhereEqualsKernel(int position, Value value,
-                             ScanCounters* counters) const;
+  Relation WhereEqualsKernel(int position, Value value, ScanCounters* counters,
+                             std::size_t row_limit) const;
 
   std::size_t arity_;
   /// Lazily drawn content stamp; see version(). Atomics make concurrent
@@ -345,9 +355,8 @@ class Relation {
   mutable std::atomic<bool> version_stale_{false};
   std::size_t row_count_ = 0;     // == pool_.size() / arity_ unless arity 0
   /// Arity-strided row storage. The aligned allocator starts every pool on
-  /// a vector-width boundary; every capacity is a kPadRows-row multiple
-  /// (GrowPool / copy ctor), so a full-block load at the scan tail stays
-  /// inside the allocation.
+  /// a vector-width boundary, and PoolFits(size) always holds, so a
+  /// full-block load at the scan tail stays inside the allocation.
   std::vector<Value, simd::PoolAllocator<Value>> pool_;
   std::vector<std::size_t> hashes_;  // per-row hash (dedup probes, rehash)
   std::vector<RowId> slots_;      // open addressing: row id + 1; 0 = empty

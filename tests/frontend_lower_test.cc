@@ -233,6 +233,56 @@ TEST(MatchGoalTest, FiltersConstantsAndRepeatedVariables) {
   EXPECT_EQ(MatchGoal(rows, Goal("?- p(2, 1).")).size(), 0u);
 }
 
+/// The general filter's answer to a one-constant goal: the rows carrying
+/// `value` at `position`, in row order, at most `row_limit` of them.
+Relation FilterInRowOrder(const Relation& rows, std::size_t position,
+                          Value value, std::size_t row_limit) {
+  Relation out(rows.arity());
+  for (TupleView row : rows) {
+    if (out.size() == row_limit) break;
+    if (row[position] == value) out.Insert(row);
+  }
+  return out;
+}
+
+TEST(MatchGoalTest, SelectionGoalsKeepTheGeneralFilterRowsAndOrder) {
+  for (std::size_t arity : {2u, 3u}) {
+    Relation rows(arity);
+    std::vector<Value> row(arity);
+    // Grown row by row, so the scan meets every size, including the ones
+    // whose last block is partial.
+    for (int n = 0; n < 43; ++n) {
+      row[0] = n % 3;
+      row[1] = n / 2;  // with n % 3, distinct for every n
+      if (arity == 3) row[2] = n % 4;
+      ASSERT_TRUE(rows.InsertRow(row.data()));
+      for (std::size_t position = 0; position < arity; ++position) {
+        const Value value = rows.RowData(static_cast<RowId>(n))[position];
+        Atom goal;
+        goal.predicate = "p";
+        for (std::size_t i = 0; i < arity; ++i) {
+          goal.terms.push_back(i == position
+                                   ? Term::MakeConst(value)
+                                   : Term::MakeVar(static_cast<VarId>(i)));
+        }
+        const std::size_t matches =
+            FilterInRowOrder(rows, position, value, SIZE_MAX).size();
+        for (std::size_t limit : {std::size_t{0}, matches / 2, matches,
+                                  matches + 1, std::size_t{SIZE_MAX}}) {
+          const Relation got = MatchGoal(rows, goal, limit);
+          const Relation want = FilterInRowOrder(rows, position, value, limit);
+          ASSERT_EQ(got.size(), want.size())
+              << "arity " << arity << " size " << rows.size() << " position "
+              << position << " limit " << limit;
+          for (RowId r = 0; r < got.size(); ++r) {
+            EXPECT_EQ(got.Row(r).ToTuple(), want.Row(r).ToTuple());
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(PlannerTest, SharedPlannerCountsOneMissPerStructure) {
   Planner planner;
   const std::size_t before = planner.plan_cache_misses();

@@ -309,6 +309,24 @@ TEST(ServerGovernanceTest, SetValidationRejectsBadArgsAtProtocolLayer) {
   EXPECT_EQ(out[6], "OK set timeout_ms=-1");
 }
 
+TEST(ServerGovernanceTest, NegativeTimeoutsOfAnyWidthMeanNoDeadline) {
+  // Every negative timeout_ms means "no deadline", however wide: the
+  // reply names the -1 the session applies. (Narrowed into the session's
+  // int, -4294967296 would become 0, already expired, and -4294967295 a
+  // 1 ms deadline.)
+  Server server;
+  auto session = server.NewSession();
+  Load(server, *session, ChainProgram(8));
+  for (const char* value : {"-4294967296", "-4294967295"}) {
+    std::vector<std::string> out = Drive(
+        server, *session, {StrCat("SET timeout_ms ", value), "?- tc(1, Y)."});
+    ASSERT_EQ(out.size(), 10u) << value;  // ack + header + 7 rows + "."
+    EXPECT_EQ(out[0], "OK set timeout_ms=-1") << value;
+    EXPECT_EQ(session->timeout_ms(), -1) << value;
+    EXPECT_EQ(out[1], "RESULT tc/2 rows=7 truncated=0") << value;
+  }
+}
+
 TEST(ServerGovernanceTest, RowLimitStreamsWithoutFullMaterialization) {
   // max_rows caps what the reply materializes (cap+1 rows at most — enough
   // to detect truncation) rather than copying the whole closure and

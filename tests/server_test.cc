@@ -7,6 +7,8 @@
 #include "server/server.h"
 
 #include <algorithm>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/strings.h"
+#include "server/protocol.h"
 
 namespace linrec {
 namespace {
@@ -149,6 +152,52 @@ TEST(ServerTest, ResultCapTruncationIsFlagged) {
   // Raising the cap restores the full result.
   out = Drive(server, *session, {"SET max_rows 100", "?- tc(X, Y)."});
   EXPECT_EQ(out[1], "RESULT tc/2 rows=6 truncated=0");
+}
+
+TEST(ServerTest, RowCapBoundsSelectionOnMaterializedView) {
+  Server server;
+  auto session = server.NewSession();
+  Load(server, *session, kTcProgram);
+  // The full goal materializes the view; its reply lists the view in
+  // order.
+  std::vector<std::string> out = Drive(server, *session, {"?- tc(X, Y)."});
+  std::vector<std::string> from_one;
+  for (const std::string& line : out) {
+    if (line.rfind("1 ", 0) == 0) from_one.push_back(line);
+  }
+  ASSERT_EQ(from_one.size(), 3u);
+
+  // A σ goal on the materialized view stops at the cap and keeps view
+  // order.
+  out = Drive(server, *session, {"SET max_rows 2", "?- tc(1, Y)."});
+  ASSERT_EQ(out.size(), 5u);
+  EXPECT_EQ(out[1], "RESULT tc/2 rows=2 truncated=1");
+  EXPECT_EQ(out[2], from_one[0]);
+  EXPECT_EQ(out[3], from_one[1]);
+  EXPECT_EQ(out[4], ".");
+}
+
+TEST(ServerTest, FormatRowMatchesStreamFormatting) {
+  const std::vector<Value> values = {std::numeric_limits<Value>::min(), -1, 0,
+                                     std::numeric_limits<Value>::max()};
+  for (std::size_t arity = 1; arity <= 3; ++arity) {
+    // Every arity-length sequence over `values`.
+    std::vector<std::size_t> pick(arity, 0);
+    while (true) {
+      std::vector<Value> row;
+      std::ostringstream expected;
+      for (std::size_t i = 0; i < arity; ++i) {
+        row.push_back(values[pick[i]]);
+        if (i > 0) expected << ' ';
+        expected << values[pick[i]];
+      }
+      const Tuple tuple(row);
+      EXPECT_EQ(FormatRow(TupleView(tuple.data(), arity)), expected.str());
+      std::size_t i = 0;
+      while (i < arity && ++pick[i] == values.size()) pick[i++] = 0;
+      if (i == arity) break;
+    }
+  }
 }
 
 TEST(ServerTest, PipelinedQueryLinesKeepReplyOrder) {

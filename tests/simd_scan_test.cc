@@ -1,13 +1,16 @@
 // WhereEquals SIMD/scalar parity: the vectorized columnar scan must be an
 // exact drop-in for the scalar reference kernel — same rows, same order,
 // same counters — on every edge shape the block loop can hit (empty input,
-// arity 1, tails shorter than a vector, all-match, no-match) and on random
-// workloads. Also covers the blockwise Δ constant filter in the join
-// kernel, which shares the same equality-mask primitive.
+// arity 1, tails shorter than a vector, all-match, no-match, row limits,
+// relations grown row by row) and on random workloads. Also covers the
+// blockwise Δ constant filter in the join kernel, which shares the same
+// equality-mask primitive.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -55,6 +58,41 @@ Relation CheckParity(const Relation& rel, int column, Value v,
   EXPECT_EQ(simd_c.hits, expected_matches);
   EXPECT_EQ(scalar_c.hits, expected_matches);
   return simd_out;
+}
+
+/// Runs both kernels with `row_limit` over `rel` and checks they return
+/// the first min(row_limit, matches) matching rows in row order, with
+/// identical counters: the sweep stops after the block holding the
+/// row_limit-th match (walking none for limit 0), and counts the rows it
+/// returns as hits.
+void CheckLimitParity(const Relation& rel, int column, Value v,
+                      std::size_t row_limit) {
+  std::vector<RowId> matches;
+  for (std::size_t r = 0; r < rel.size(); ++r) {
+    if (rel.RowData(static_cast<RowId>(r))[column] == v) {
+      matches.push_back(static_cast<RowId>(r));
+    }
+  }
+  const std::size_t kept = std::min(row_limit, matches.size());
+  Relation expected(rel.arity());
+  for (std::size_t i = 0; i < kept; ++i) expected.Insert(rel.Row(matches[i]));
+  std::size_t walked = (rel.size() + simd::kLanes - 1) / simd::kLanes;
+  if (row_limit <= matches.size()) {
+    walked = row_limit == 0 ? 0 : matches[row_limit - 1] / simd::kLanes + 1;
+  }
+
+  ScanCounters simd_c;
+  ScanCounters scalar_c;
+  Relation simd_out = rel.WhereEquals(column, v, &simd_c, row_limit);
+  Relation scalar_out = rel.WhereEqualsScalar(column, v, &scalar_c, row_limit);
+  ExpectIdentical(simd_out, expected);
+  ExpectIdentical(scalar_out, expected);
+  EXPECT_EQ(simd_c.blocks, walked) << "limit " << row_limit;
+  EXPECT_EQ(simd_c.rows, std::min(walked * simd::kLanes, rel.size()));
+  EXPECT_EQ(simd_c.hits, kept);
+  EXPECT_EQ(scalar_c.rows, simd_c.rows);
+  EXPECT_EQ(scalar_c.blocks, simd_c.blocks);
+  EXPECT_EQ(scalar_c.hits, simd_c.hits);
 }
 
 TEST(SimdScanTest, EmptyRelation) {
@@ -113,6 +151,62 @@ TEST(SimdScanTest, RandomWorkloadsAreByteIdentical) {
       expected += rel.RowData(static_cast<RowId>(r))[column] == needle;
     }
     CheckParity(rel, column, needle, expected);
+  }
+}
+
+TEST(SimdScanTest, RowLimitsAgreeAcrossKernels) {
+  std::mt19937 rng(20261017);
+  for (int iter = 0; iter < 60; ++iter) {
+    const std::size_t arity = 1 + rng() % 4;
+    const std::size_t rows = rng() % 150;
+    Relation rel(arity);
+    std::vector<Value> row(arity);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < arity; ++c) {
+        row[c] = static_cast<Value>(rng() % 6);
+      }
+      rel.InsertRow(row.data());
+    }
+    const int column = static_cast<int>(rng() % arity);
+    const Value needle = static_cast<Value>(rng() % 6);
+    std::size_t matches = 0;
+    for (std::size_t r = 0; r < rel.size(); ++r) {
+      matches += rel.RowData(static_cast<RowId>(r))[column] == needle;
+    }
+    for (std::size_t limit :
+         {std::size_t{0}, std::size_t{1}, matches == 0 ? 0 : matches - 1,
+          matches, matches + 1, std::size_t{SIZE_MAX}}) {
+      CheckLimitParity(rel, column, needle, limit);
+    }
+  }
+}
+
+// Every append keeps the pool's pad block free. The scan loads the tail
+// block in full (the stride-2 de-interleave reads one value past the last
+// row's column), so a pool whose appends had filled the pad block would
+// be read past its allocation — under ASan a heap-buffer-overflow. Growing
+// row by row crosses every capacity boundary.
+TEST(SimdScanTest, RowByRowGrowthKeepsScansInsideThePool) {
+  for (std::size_t arity = 1; arity <= 4; ++arity) {
+    Relation rel(arity);
+    std::vector<Value> row(arity);
+    for (std::size_t n = 0; n < 200; ++n) {
+      row[0] = static_cast<Value>(n);  // distinct rows
+      for (std::size_t c = 1; c < arity; ++c) {
+        row[c] = static_cast<Value>(n % (c + 2));
+      }
+      ASSERT_TRUE(rel.InsertRow(row.data()));
+      for (std::size_t c = 0; c < arity; ++c) {
+        const int column = static_cast<int>(c);
+        const Value needle = rel.RowData(0)[c];
+        std::size_t matches = 0;
+        for (std::size_t r = 0; r < rel.size(); ++r) {
+          matches += rel.RowData(static_cast<RowId>(r))[c] == needle;
+        }
+        CheckParity(rel, column, needle, matches);
+        CheckLimitParity(rel, column, needle, (matches + 1) / 2);
+      }
+    }
   }
 }
 
