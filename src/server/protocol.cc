@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <limits>
 
 #include "common/strings.h"
 
@@ -168,28 +169,15 @@ std::string FormatResultHeader(const std::string& predicate,
 }
 
 std::string FormatRow(TupleView row) {
-  // Values are written with std::to_chars straight into the string,
-  // starting in its inline buffer; the string doubles only when a value
-  // does not fit, so a short row never touches the heap.
   std::string out;
-  out.resize(out.capacity());
-  std::size_t used = 0;
+  // Sized for the longest int64, INT64_MIN: a sign and 19 digits.
+  char digits[std::numeric_limits<Value>::digits10 + 2];
   for (std::size_t i = 0; i < row.arity(); ++i) {
-    if (i > 0) {
-      if (used == out.size()) out.resize(2 * out.size());
-      out[used++] = ' ';
-    }
-    while (true) {
-      const std::to_chars_result written =
-          std::to_chars(out.data() + used, out.data() + out.size(), row[i]);
-      if (written.ec == std::errc()) {
-        used = static_cast<std::size_t>(written.ptr - out.data());
-        break;
-      }
-      out.resize(2 * out.size());
-    }
+    if (i > 0) out += ' ';
+    const std::to_chars_result written =
+        std::to_chars(digits, digits + sizeof(digits), row[i]);
+    out.append(digits, written.ptr);
   }
-  out.resize(used);
   return out;
 }
 

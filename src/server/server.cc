@@ -282,7 +282,6 @@ void Server::AppendOutcome(Session& session, const Atom& goal,
   const std::size_t cap = session.max_rows();
   const bool truncated = rows.size() > cap;
   const std::size_t emit = truncated ? cap : rows.size();
-  out->reserve(out->size() + emit + 2);  // header, rows, terminator
   out->push_back(
       FormatResultHeader(goal.predicate, goal.arity(), emit, truncated));
   std::size_t emitted = 0;

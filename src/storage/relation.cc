@@ -15,10 +15,6 @@ namespace {
 /// those reads contend with it.
 alignas(64) std::atomic<std::uint64_t> g_version_counter{0};  // lint: hot-atomic
 
-/// Row ids a σ sweep reserves before its first match: one allocation
-/// covers most point selections; larger results grow geometrically.
-constexpr std::size_t kInitialSweepIds = 256;
-
 /// Smallest power of two ≥ n (and ≥ 8).
 std::size_t NextPow2(std::size_t n) {
   std::size_t p = 8;
@@ -292,7 +288,6 @@ Relation Relation::WhereEqualsKernel(int position, Value value,
   // `row_limit` rows match. The tail block is loaded full and masked down
   // — safe because every pool keeps its pad block free (PoolFits).
   std::vector<RowId> ids;
-  ids.reserve(std::min({rows, row_limit, kInitialSweepIds}));
   std::size_t base = 0;
   bool limit_reached = false;
   for (; base < rows && !limit_reached; base += simd::kLanes) {
