@@ -215,9 +215,9 @@ int Main(int argc, char** argv) {
   std::vector<BenchResult> results;
 
   // --- Transitive closure over a chain: deep recursion, no duplicates. ---
-  // Parallel semi-naive sweep: the same query at 1, 4 and 8 workers — the
-  // single-rule (one-group) case that only intra-round Δ partitioning can
-  // parallelize.
+  // Worker sweep: the same query at 1, 4 and 8 workers. A single-rule
+  // (one-group) plan runs serial rounds at every count, so the workers>1
+  // rows must match the workers=1 row.
   {
     const int n = 512;
     for (int workers : {1, 4, 8}) {

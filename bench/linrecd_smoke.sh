@@ -379,4 +379,43 @@ if maps300 > maps10 + 2:
 PY
 shutdown_daemon "$FPORT" "$FAULT_PID" || { cat "$REAP_LOG" >&2; exit 1; }
 
+# --- flag pass: malformed values are rejected before binding -------------
+# Every numeric flag is parsed as a whole string against its field's range
+# (--timeout-ms, --max-rows and --query-memory-budget through the SET
+# validator). A bad value must exit 2 with the usage, never start serving
+# with a silently substituted 0 or a wrapped-around huge number.
+echo "--- flag pass: malformed values ---"
+FLAG_LOG="$WORKDIR/flags.log"
+for bad in "--timeout-ms abc" "--timeout-ms 99999999999" "--max-rows -1" \
+           "--max-rows 1e6" "--max-pending x" "--max-pending 0" \
+           "--workers abc" "--workers -2" "--port 99999999999999999999" \
+           "--memory-budget 12x" "--query-memory-budget -5" \
+           "--retry-after 1.5" "--watchdog-interval 0" \
+           "--fault pool_growth:abc" "--fault-seed x:10" "--fault bogus:1"; do
+  STATUS=0
+  # shellcheck disable=SC2086  # split "<flag> <value>" into two words
+  timeout 5 "$LINRECD" --port 0 $bad >"$FLAG_LOG" 2>&1 </dev/null || STATUS=$?
+  if [ "$STATUS" -ne 2 ]; then
+    echo "FAIL: linrecd $bad exited with $STATUS, expected 2" >&2
+    cat "$FLAG_LOG" >&2
+    exit 1
+  fi
+  if grep -q '^LISTENING' "$FLAG_LOG"; then
+    echo "FAIL: linrecd $bad bound a port before rejecting the value" >&2
+    exit 1
+  fi
+  if ! grep -q '^usage:' "$FLAG_LOG"; then
+    echo "FAIL: linrecd $bad printed no usage" >&2
+    cat "$FLAG_LOG" >&2
+    exit 1
+  fi
+done
+# The unknown-site diagnostic lists every fault site, ivm_apply included.
+if ! grep -q "ivm_apply" "$FLAG_LOG"; then
+  echo "FAIL: unknown-site diagnostic omits ivm_apply:" >&2
+  cat "$FLAG_LOG" >&2
+  exit 1
+fi
+echo "flag pass: every malformed value exited 2 before listening"
+
 echo "PASS: linrecd fault-injection smoke"

@@ -5,6 +5,12 @@
 // G_1* G_2* ... G_k* q — licensed when all pairs of operators across
 // different groups commute, in which case it equals the direct closure with
 // no more (and typically many fewer) duplicate derivations (Theorem 3.1).
+//
+// Commutativity is also what makes the group closures independent of one
+// another, so DecomposedClosure is the one closure that spends a worker
+// count: its group closures run concurrently. Every closure's rounds,
+// including each group's, run serially (eval/fixpoint.h), and the result is
+// the same relation, row for row, at every worker count.
 
 #pragma once
 
@@ -23,25 +29,24 @@ Result<Relation> DirectClosure(const std::vector<LinearRule>& rules,
                                const Database& db, const Relation& q,
                                ClosureStats* stats = nullptr,
                                IndexCache* cache = nullptr,
-                               int workers = 1,
                                const CancellationToken* cancel = nullptr);
 
 /// groups[0]* groups[1]* ... groups[k-1]* q — the rightmost group closure is
 /// applied first, matching operator-product order. Callers are responsible
 /// for the cross-group commutativity that makes this equal the direct
-/// closure (PlanDecomposition produces such groups). All group closures
-/// share `cache` (or a local one when null).
+/// closure (PlanDecomposition produces such groups). The calling thread
+/// indexes through `cache` (or a local one when null); other lanes use
+/// private caches.
 ///
-/// `workers` follows the common/parallel.h rule (0 = hardware concurrency,
-/// 1 = serial) and is spent at two levels. With multiple groups and
-/// workers >= 2, the per-group closures P_i = G_i* q — independent of one
-/// another; only the *merge* must respect the product order — run
-/// concurrently, each on its own thread with its own IndexCache, and are
-/// then folded right-to-left with SemiNaiveResume, whose rounds themselves
-/// run Δ-partition parallel; each merge step seeds its Δ with the other
-/// groups' tuples only, so no group's own work is re-derived. With a
-/// single group (or a sequential product), the full worker count goes to
-/// intra-round Δ partitioning instead (eval/fixpoint.h).
+/// The group closures P_i = G_i* q are independent of one another — only
+/// the *merge* must respect the product order — so they run first, each as
+/// one chunk of a WorkerPool with min(workers, groups) lanes (`workers`
+/// follows the common/parallel.h rule: 0 = hardware concurrency, 1 =
+/// serial). They are then folded right-to-left with SemiNaiveResume, each
+/// merge step seeding its Δ with the other groups' tuples only, so no
+/// group's own work is re-derived. The derivation count equals that of the
+/// sequential product G_1*(G_2*(… q)), and the result — rows and their
+/// order — is the same for every worker count.
 Result<Relation> DecomposedClosure(
     const std::vector<std::vector<LinearRule>>& groups, const Database& db,
     const Relation& q, ClosureStats* stats = nullptr,

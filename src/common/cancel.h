@@ -3,12 +3,12 @@
 // A token is owned by the caller (typically one per in-flight query) and
 // passed by const pointer down through the closure entry points. It is
 // checked at two granularities:
-//   - Check() at round and Δ-chunk boundaries: one relaxed flag load plus,
-//     when a deadline is armed, one steady_clock read.
+//   - Check() at round boundaries: one relaxed flag load plus, when a
+//     deadline is armed, one steady_clock read.
 //   - stop_requested() inside the join cursor every few thousand candidate
 //     rows: a single relaxed flag load, no clock. The flag is set either by
 //     Cancel() or by a watchdog that notices the deadline passed and calls
-//     ForceDeadline() — so a query stuck inside one enormous chunk still
+//     ForceDeadline() — so a query stuck inside one enormous round still
 //     stops within the watchdog interval instead of at the next boundary.
 //
 // Thread safety: Cancel()/ForceDeadline() may be called from any thread
@@ -83,7 +83,7 @@ class CancellationToken {
   bool has_deadline() const { return deadline_.has_value(); }
 
   /// OK while the execution may continue; kCancelled / kDeadlineExceeded
-  /// once it must stop. Called at round and chunk boundaries.
+  /// once it must stop. Called at round boundaries.
   Status Check() const {
     const std::uint8_t flags = flags_.load(std::memory_order_relaxed);
     if ((flags & kDeadlineBit) != 0) {

@@ -2,10 +2,11 @@
 // and the smoke harness can arm to fail on a precise, reproducible schedule.
 //
 // Each site calls FaultFires(site) at the moment the real failure would
-// happen (an allocation about to grow the pool, a worker about to pick up a
-// chunk, a socket about to be written). Disarmed — the default — a site
-// costs one relaxed atomic load; built with -DLINREC_FAULT_INJECTION=0 the
-// call compiles to a constant `false` and the sites vanish entirely.
+// happen (an allocation about to grow the pool, a worker lane about to
+// start a group closure, a socket about to be written). Disarmed — the
+// default — a site costs one relaxed atomic load; built with
+// -DLINREC_FAULT_INJECTION=0 the call compiles to a constant `false` and
+// the sites vanish entirely.
 //
 // Two arming modes, both deterministic:
 //   ArmAt(site, nth)        — fire exactly on the nth hit of `site` (1-based).
@@ -32,7 +33,8 @@ enum class FaultSite : int {
   kPoolGrowth = 0,
   /// Dedup-table rehash growth (storage/relation.cc).
   kRehash,
-  /// A parallel-round lane about to run a Δ chunk (eval/fixpoint.cc, joint.cc).
+  /// A worker lane about to run one group closure of a decomposed plan
+  /// (algebra/closure.cc).
   kWorkerDispatch,
   /// A reply about to be written to a client socket (tools/linrecd.cc).
   kSocketWrite,

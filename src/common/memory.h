@@ -14,14 +14,13 @@
 // Charging happens deep inside the storage hot path where signatures return
 // row ids, not Status — so a denied charge throws ResourceExhaustedError.
 // The exception is converted back to a typed Status::ResourceExhausted at
-// the evaluation boundaries: worker lanes catch it per chunk, and
-// GuardAllocFailures wraps the serial entry points (it also converts
-// std::bad_alloc, so a genuine allocation failure surfaces as the same typed
-// status instead of a crash).
+// the evaluation boundaries: GuardAllocFailures wraps the closure entry
+// points (it also converts std::bad_alloc, so a genuine allocation failure
+// surfaces as the same typed status instead of a crash).
 //
 // Propagation is via a thread_local current budget (ScopedQueryBudget):
-// storage code stays signature-stable, and the parallel round installs the
-// caller's budget inside each worker lane.
+// storage code stays signature-stable, and a decomposed closure installs
+// the caller's budget inside each of its group lanes.
 
 #pragma once
 
@@ -88,7 +87,7 @@ class MemoryBudget {
 
 /// Per-query high-water accounting; releases its total from the parent
 /// global budget (if any) on destruction. Charge() is thread-safe so the
-/// lanes of one query's parallel round can share it.
+/// group lanes of one decomposed query can share it.
 class QueryBudget {
  public:
   /// limit 0 = unlimited (still counts, still charges the parent).
@@ -116,8 +115,8 @@ class QueryBudget {
  private:
   std::size_t limit_;
   MemoryBudget* parent_;
-  /// Own cache line, like MemoryBudget::used_: all lanes of one query's
-  /// parallel round charge through this atomic.
+  /// Own cache line, like MemoryBudget::used_: all group lanes of one
+  /// decomposed query charge through this atomic.
   alignas(64) std::atomic<std::size_t> charged_{0};  // lint: hot-atomic
 };
 
@@ -125,8 +124,8 @@ class QueryBudget {
 QueryBudget* CurrentQueryBudget();
 
 /// Installs `budget` as the thread's current budget for its scope; restores
-/// the previous one (supports nesting). Each worker-lane lambda of a
-/// governed parallel round installs the round's budget this way.
+/// the previous one (supports nesting). Each group lane of a governed
+/// decomposed closure installs the query's budget this way.
 class ScopedQueryBudget {
  public:
   explicit ScopedQueryBudget(QueryBudget* budget);
@@ -145,8 +144,8 @@ void ChargeBytesOrThrow(std::size_t bytes, FaultSite site);
 
 /// Runs `fn` (returning Status or Result<T>), converting an escaped
 /// ResourceExhaustedError or std::bad_alloc into Status::ResourceExhausted.
-/// Wraps the serial evaluation entry points so budget denial on the caller
-/// thread surfaces as the same typed status the parallel lanes produce.
+/// Wraps the evaluation entry points so budget denial on any thread
+/// surfaces as a typed status.
 template <typename Fn>
 auto GuardAllocFailures(Fn&& fn) -> decltype(fn()) {
   try {

@@ -1,4 +1,8 @@
-// A minimal work-stealing worker pool for intra-round parallelism.
+// A minimal work-stealing worker pool for the two things linrec runs in
+// parallel: the commuting group closures of a decomposed plan
+// (algebra/closure.cc) and the slots of Engine::ExecuteBatch. Both hand it
+// whole, independent closures — never the inside of a round — so no result
+// depends on which thread ran which chunk.
 //
 // The pool model is deliberately simple: a Run() call publishes a batch of
 // `chunks` independent work items; every participating thread (the caller
@@ -6,9 +10,6 @@
 // through one shared atomic counter until the batch is drained. Dynamic
 // claiming is what balances skewed chunks — a thread that finishes early
 // immediately steals the next chunk instead of idling at a static split.
-//
-// Threads persist across Run() calls, so a semi-naive closure that executes
-// hundreds of rounds pays thread creation once, not once per round.
 //
 // Lock discipline (statically enforced, see common/thread_annotations.h):
 // all batch hand-off state — the published function, chunk count,
@@ -38,10 +39,10 @@ int ResolveWorkers(int workers);
 /// chunk batches via an atomic work-stealing counter.
 ///
 /// `lanes` is the logical parallelism callers size their per-lane state
-/// (output pools, index caches) for. The pool never runs more OS threads
-/// than the host has hardware threads — oversubscribing a small machine
-/// with sleeping helpers would add context-switch cost to every round
-/// barrier without adding parallelism — so on an H-way host at most
+/// (index caches) for. The pool never runs more OS threads than the host
+/// has hardware threads — oversubscribing a small machine with sleeping
+/// helpers would add context-switch cost to every batch without adding
+/// parallelism — so on an H-way host at most
 /// min(lanes, H) threads participate (helpers are lanes 1..k; the Run()
 /// caller is always lane 0 and always participates).
 class WorkerPool {
@@ -54,8 +55,6 @@ class WorkerPool {
 
   /// Logical lane count (the value passed to the constructor, >= 1).
   int lanes() const { return lanes_; }
-  /// Actual participating threads: helpers + the caller. <= lanes().
-  int participants() const { return static_cast<int>(threads_.size()) + 1; }
 
   /// Runs fn(lane, chunk) for every chunk in [0, chunks). Chunks are
   /// claimed dynamically; `lane` identifies the executing thread (0 = the

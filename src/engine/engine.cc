@@ -451,12 +451,11 @@ Result<QueryResult> Engine::Run(const ExecutionPlan& plan,
                                 IndexCache* cache,
                                 int workers_override) const {
   // Install this execution's budget: storage growth below charges the
-  // thread-local current budget, and the parallel rounds re-install it
-  // inside their worker lanes. Without a binding budget, any budget already
-  // in effect on this thread (e.g. installed by the serving layer around a
-  // whole goal) stays active. The guard converts a denial that escaped on
-  // the calling thread — the serial path — into the same typed
-  // ResourceExhausted the lanes report.
+  // thread-local current budget, and a decomposed plan's group lanes
+  // re-install it on their threads. Without a binding budget, any budget
+  // already in effect on this thread (e.g. installed by the serving layer
+  // around a whole goal) stays active. The guard converts a denial into a
+  // typed ResourceExhausted.
   ScopedQueryBudget budget_scope(
       binding.budget != nullptr ? binding.budget : CurrentQueryBudget());
   return GuardAllocFailures([&]() -> Result<QueryResult> {
@@ -468,8 +467,8 @@ Result<QueryResult> Engine::RunImpl(const ExecutionPlan& plan,
                                     const ExecutionBinding& binding,
                                     IndexCache* cache,
                                     int workers_override) const {
-  // Plans from older callers may predate the resolved field; fall back to
-  // the engine's own options.
+  // Lanes for a decomposed plan's group closures. Plans from older callers
+  // may predate the resolved field; fall back to the engine's own options.
   const int workers =
       workers_override > 0
           ? workers_override
@@ -493,7 +492,7 @@ Result<QueryResult> Engine::RunImpl(const ExecutionPlan& plan,
     result.joint = true;
     Result<std::vector<Relation>> out =
         JointSemiNaiveClosure(plan.members, plan.joint_rules, db_, *seeds,
-                              &result.stats, cache, workers, cancel);
+                              &result.stats, cache, cancel);
     if (!out.ok()) return out.status();
     result.relations = std::move(out).value();
     return result;
@@ -535,14 +534,13 @@ Result<QueryResult> Engine::RunImpl(const ExecutionPlan& plan,
   Result<Relation> out = Status::Internal("strategy not executed");
   switch (plan.strategy) {
     case Strategy::kNaive:
-      out = NaiveClosure(plan.rules, db_, seed, &s, cache, workers, cancel);
+      out = NaiveClosure(plan.rules, db_, seed, &s, cache, cancel);
       break;
     case Strategy::kSemiNaive:
       out = plan.factorization.has_value()
                 ? RedundantClosure(*plan.factorization, db_, seed, &s,
-                                   cache, workers, cancel)
-                : SemiNaiveClosure(plan.rules, db_, seed, &s, cache,
-                                   workers, cancel);
+                                   cache, cancel)
+                : SemiNaiveClosure(plan.rules, db_, seed, &s, cache, cancel);
       break;
     case Strategy::kDecomposed: {
       if (plan.groups.empty()) {
@@ -569,12 +567,12 @@ Result<QueryResult> Engine::RunImpl(const ExecutionPlan& plan,
       out = SeparableClosureUnchecked(plan.RulesOf(plan.outer),
                                       plan.RulesOf(plan.inner),
                                       *selection, db_, seed, &s, cache,
-                                      workers, cancel);
+                                      cancel);
       break;
     }
     case Strategy::kPowerSum:
       out = PowerSum(plan.rules, db_, seed, plan.power_bound, &s, cache,
-                     workers, cancel);
+                     cancel);
       break;
     case Strategy::kJointSemiNaive:
       return Status::Internal("joint strategy handled above");
@@ -649,9 +647,9 @@ std::vector<Result<QueryResult>> Engine::ExecuteBatchEach(
   auto run_one = [&](std::size_t i) {
     if (!runnable[i]) return;  // failed validation above
     TieredIndexCache cache(&cache_, &shared_relations);
-    // Each query runs its rounds serially: batch-level parallelism
-    // replaces intra-round parallelism, so results cannot depend on the
-    // lane schedule. The per-query temporary tier dies right here, at the
+    // The batch slots are this path's parallelism: a decomposed query in a
+    // slot closes its groups on the slot's own thread, so no slot starts a
+    // nested pool. The per-query temporary tier dies right here, at the
     // end of the query; the shared tier is swept once, below.
     slots[i] = Run(*batch[i].plan(), bindings[i], &cache,
                    /*workers_override=*/1);

@@ -60,12 +60,12 @@ struct EngineOptions {
   bool enable_separable = true;
   bool enable_power_sum = true;
   bool enable_redundancy_elision = true;
-  /// Worker count applied to EVERY strategy (common/parallel.h rule:
-  /// 0 = one lane per hardware thread, 1 = serial). kDecomposed spends it
-  /// on parallel group closures first; every semi-naive/power-sum round —
-  /// including the single-group case no decomposition can touch — splits
-  /// its Δ into work-stealing chunks with thread-local output pools and a
-  /// sharded merge (eval/fixpoint.h).
+  /// Lanes for the two parallel paths (common/parallel.h rule: 0 = one
+  /// lane per hardware thread, 1 = serial): a kDecomposed plan's commuting
+  /// group closures, which run concurrently before their ordered merge,
+  /// and the slots of ExecuteBatch / ExecuteBatchEach. Every closure's
+  /// rounds run serially, so no result — rows or their order — depends on
+  /// this count.
   int parallel_workers = 0;
   /// Memoize compiled plans keyed on (rule-set digest, σ, forced strategy)
   /// so repeated queries skip analysis and planning entirely.
@@ -116,10 +116,10 @@ class Engine {
   /// stats(); indexes over parameter relations are shared across calls.
   Result<QueryResult> Execute(const BoundQuery& bound);
 
-  /// Runs independent bound queries concurrently on the shared worker pool
-  /// (EngineOptions::parallel_workers lanes, capped at the batch size; the
-  /// queries themselves run their rounds serially — batch-level
-  /// parallelism replaces intra-round parallelism here). All queries share
+  /// Runs independent bound queries concurrently on a worker pool
+  /// (EngineOptions::parallel_workers lanes, capped at the batch size; a
+  /// decomposed query closes its groups on its slot's lane instead of
+  /// starting a pool of its own). All queries share
   /// one read-side IndexCache, so an index over a parameter relation is
   /// built once for the whole batch; per-query temporaries (Δs, seeds) use
   /// isolated private caches, and temporary-index eviction is deferred to

@@ -87,13 +87,13 @@ std::string ExecutionPlan::Explain() const {
   if (parallel_workers <= 1) {
     os << "parallel: serial (1 worker)\n";
   } else {
-    os << "parallel: " << parallel_workers
-       << " workers — work-stealing Δ partitions inside every round, "
-          "thread-local output pools, sharded dedup merge";
+    os << "parallel: " << parallel_workers << " workers — ";
     if (strategy == Strategy::kDecomposed && groups.size() > 1) {
-      os << "; group closures run concurrently before the ordered merge";
+      os << "the " << groups.size()
+         << " commuting group closures run concurrently before the ordered "
+            "merge; ";
     }
-    os << "\n";
+    os << "batch slots run concurrently; every round is serial\n";
   }
 
   if (selection.has_value()) {

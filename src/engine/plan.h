@@ -54,10 +54,10 @@ struct ExecutionPlan {
   std::optional<RedundantFactorization> factorization;
   /// Predicates elided by the factorization (from the bounded bridges).
   std::vector<std::string> elided_predicates;
-  /// Resolved worker count the executor will use (from
-  /// EngineOptions::parallel_workers via ResolveWorkers): 1 = serial,
-  /// >= 2 = intra-round Δ-partition parallelism (plus group-level
-  /// parallelism for kDecomposed).
+  /// Resolved worker count (from EngineOptions::parallel_workers via
+  /// ResolveWorkers): the lanes of a kDecomposed plan's group closures and
+  /// of Engine::ExecuteBatch's slots; 1 = serial. Rounds are serial at
+  /// every count, so it never changes a result.
   int parallel_workers = 1;
   /// Theorem-level reasons for the choice, in planning order.
   std::vector<std::string> justification;

@@ -390,7 +390,7 @@ Status CompiledRule::Impl::Execute(const PartitionView* delta, Relation* out,
     // In-cursor stop probe: one counter increment per candidate row, one
     // relaxed atomic load every kCancelStride of them, zero clock reads.
     // This is what lets the watchdog (which flips the token's flag) stop a
-    // query stuck inside a single enormous chunk within milliseconds.
+    // query stuck inside a single enormous round within milliseconds.
     constexpr std::size_t kCancelStride = 2048;
     std::size_t candidates_since_check = 0;
 

@@ -4,12 +4,11 @@
 // Two entry points share one join kernel:
 //  * ApplyRule — compile + run in one call (the original API).
 //  * CompileRule / CompiledRule::Run — compile once per closure, run once
-//    per round (or once per Δ chunk in the parallel round). Fixpoint loops
-//    execute the same rule hundreds of times; hoisting the join-order
-//    choice, step compilation and scratch allocation out of the round loop
-//    removes every per-round allocation, and the partition entry point
-//    (RunPartition) is what lets a work-stealing pool hand each worker a
-//    cache-sized slice of Δ.
+//    per round. Fixpoint loops execute the same rule hundreds of times;
+//    hoisting the join-order choice, step compilation and scratch
+//    allocation out of the round loop removes every per-round allocation,
+//    and the partition entry point (RunPartition) restricts the first
+//    atom's scan to the round's Δ row range.
 
 #pragma once
 
@@ -47,8 +46,9 @@ struct ApplyOptions {
 /// loop's Δ-carrying relation does; indexes are revalidated per Run through
 /// the caller's IndexCache).
 ///
-/// Not thread-safe: Run reuses internal scratch. Parallel rounds compile
-/// one instance per worker lane (compilation is cheap and per-closure).
+/// Not thread-safe: Run reuses internal scratch. Closures running on
+/// different threads compile their own instances (compilation is cheap and
+/// per-closure).
 class CompiledRule {
  public:
   CompiledRule();
@@ -65,7 +65,7 @@ class CompiledRule {
              IndexCache* cache = nullptr,
              const CancellationToken* cancel = nullptr);
 
-  /// The chunked cursor entry point: evaluates the join with the first
+  /// The Δ cursor entry point: evaluates the join with the first
   /// atom's scan restricted to `delta` — which must view the relation the
   /// first atom was compiled against (asserted). Requires the rule to have
   /// been compiled with options.first_atom >= 0.

@@ -1,17 +1,14 @@
 // Fixpoint engines: the transitive closure A* = Σ_k A^k of Theorem 2.1,
 // computed naively or semi-naively over a sum of linear operators.
 //
-// Every engine accepts a `workers` count (see common/parallel.h for the
-// resolution rule: 0 = one lane per hardware thread, 1 = serial). With
-// workers >= 2 the INSIDE of each round is parallelized: Δ is split into
-// cache-sized chunks claimed by a work-stealing pool, each worker runs the
-// compiled join cursor against a thread-local output pool (no locks on the
-// hot path, per-worker index caches reused across rounds), and the pools
-// are folded into the global relation by a sharded, contention-free merge
-// (storage/relation.h PoolMerger). Because the rounds of a semi-naive
-// closure multiply — a speedup inside the recursion step applies to every
-// round — this parallelizes the single-group (non-commuting) case that the
-// Theorem 3.1 decomposition cannot touch.
+// Each engine is the one-member case of the joint round engine
+// (eval/joint.h JointRoundEvaluator): the recursive predicate is member 0,
+// and every round runs serially on the calling thread, emitting straight
+// into its target relation. SemiNaiveClosure copies its seed, and
+// SemiNaiveResume takes its closed part by value; both continue with
+// SemiNaiveExtend, which works in place.
+// The rows of a result, and their order, depend only on the inputs — never
+// on a worker count or a thread schedule.
 //
 // Every engine also accepts an optional CancellationToken, checked at round
 // boundaries: a cancelled or deadline-expired token stops the fixpoint with
@@ -37,13 +34,11 @@ namespace linrec {
 ///
 /// All rules must share the head predicate and arity of `q`. Parameter
 /// relations are read from `db`; the recursive predicate itself is never
-/// read from `db`. `workers` parallelizes the inside of each round (the
-/// result is the same relation for every worker count).
+/// read from `db`.
 Result<Relation> SemiNaiveClosure(const std::vector<LinearRule>& rules,
                                   const Database& db, const Relation& q,
                                   ClosureStats* stats = nullptr,
                                   IndexCache* cache = nullptr,
-                                  int workers = 1,
                                   const CancellationToken* cancel = nullptr);
 
 /// Semi-naive continuation: computes (Σ rules)* (closed ∪ extra) given that
@@ -51,23 +46,23 @@ Result<Relation> SemiNaiveClosure(const std::vector<LinearRule>& rules,
 /// missing from `closed` seed the Δ, so the closed part is never re-derived.
 /// Sound because the operators are linear: each derivation consumes exactly
 /// one recursive tuple, and derivations from `closed` tuples land in
-/// `closed`. The parallel decomposed closure uses this to merge
-/// independently computed group closures (storage cost: one copy of
-/// `closed`).
+/// `closed`. `closed` is taken by value: a caller done with it moves it in
+/// and nothing is copied (the decomposed closure merges its independently
+/// computed group closures this way).
 Result<Relation> SemiNaiveResume(const std::vector<LinearRule>& rules,
-                                 const Database& db, const Relation& closed,
+                                 const Database& db, Relation closed,
                                  const Relation& extra,
                                  ClosureStats* stats = nullptr,
                                  IndexCache* cache = nullptr,
-                                 int workers = 1,
                                  const CancellationToken* cancel = nullptr);
 
-/// In-place semi-naive continuation — the primitive behind SemiNaiveResume
-/// and the IVM delta engine (src/ivm). `result` holds a closed prefix
-/// (rows [0, delta_begin), a fixpoint of the rules) with the new seed
-/// tuples already appended as rows [delta_begin, size()); the call extends
-/// `result` to the fixpoint of the union by running Δ rounds from exactly
-/// that appended range. Unlike SemiNaiveResume nothing is copied: the
+/// In-place semi-naive continuation — the primitive behind
+/// SemiNaiveClosure, SemiNaiveResume and the IVM delta engine (src/ivm).
+/// `result` holds a closed prefix (rows [0, delta_begin), a fixpoint of
+/// the rules) with the new seed tuples already appended as rows
+/// [delta_begin, size()); the call extends `result` to the fixpoint of the
+/// union by running Δ rounds from exactly that appended range. Unlike
+/// SemiNaiveClosure and SemiNaiveResume nothing is copied: the
 /// caller owns the relation and — because every mutation is an append —
 /// can roll a failure back by truncating to the pre-call size
 /// (Relation::TruncateRows). On any error `result` holds a sound partial
@@ -75,7 +70,7 @@ Result<Relation> SemiNaiveResume(const std::vector<LinearRule>& rules,
 Status SemiNaiveExtend(const std::vector<LinearRule>& rules,
                        const Database& db, Relation* result,
                        RowId delta_begin, ClosureStats* stats = nullptr,
-                       IndexCache* cache = nullptr, int workers = 1,
+                       IndexCache* cache = nullptr,
                        const CancellationToken* cancel = nullptr);
 
 /// Same fixpoint by naive evaluation: each round applies every operator to
@@ -84,7 +79,7 @@ Status SemiNaiveExtend(const std::vector<LinearRule>& rules,
 Result<Relation> NaiveClosure(const std::vector<LinearRule>& rules,
                               const Database& db, const Relation& q,
                               ClosureStats* stats = nullptr,
-                              IndexCache* cache = nullptr, int workers = 1,
+                              IndexCache* cache = nullptr,
                               const CancellationToken* cancel = nullptr);
 
 /// Computes the single power sum Σ_{m=0}^{max_power} A^m q where A is the
@@ -93,7 +88,7 @@ Result<Relation> NaiveClosure(const std::vector<LinearRule>& rules,
 Result<Relation> PowerSum(const std::vector<LinearRule>& rules,
                           const Database& db, const Relation& q,
                           int max_power, ClosureStats* stats = nullptr,
-                          IndexCache* cache = nullptr, int workers = 1,
+                          IndexCache* cache = nullptr,
                           const CancellationToken* cancel = nullptr);
 
 }  // namespace linrec

@@ -32,8 +32,8 @@ namespace linrec {
 /// thread-safety analysis enforces.
 ///
 /// The accessors are virtual so SharedIndexCache (locked) and
-/// TieredIndexCache (routing) can interpose; Get runs once per (round, Δ
-/// chunk, join step), never per tuple, so the indirection costs nothing
+/// TieredIndexCache (routing) can interpose; Get runs once per (round,
+/// join step), never per tuple, so the indirection costs nothing
 /// measurable.
 class IndexCache {
  public:
@@ -109,8 +109,8 @@ class IndexCache {
 /// same reason it always was: entries are heap-owned (the map never moves
 /// them), and a shared relation is quiescent while a batch runs, so no Get
 /// can rebuild an entry another lane still reads. The serial path pays one
-/// uncontended lock per Get — per (round, chunk, join step), never per
-/// tuple; see the bench gate.
+/// uncontended lock per Get — per (round, join step), never per tuple;
+/// see the bench gate.
 class SharedIndexCache final : public IndexCache {
  public:
   SharedIndexCache() = default;

@@ -1,26 +1,32 @@
 // Joint multi-relation semi-naive fixpoint for mutually recursive
 // predicates — one strongly connected component of the predicate
-// dependency graph closed as a unit.
+// dependency graph closed as a unit — and the round engine every closure
+// in linrec runs on.
 //
 // The paper's processing class is single-predicate linear recursion; the
 // joint fixpoint lifts the same computation model to *stratified linear
 // mutual recursion*: every rule consumes exactly one tuple of exactly one
 // member predicate (its "recursive atom") and derives into its head
 // member, so the component closes by the familiar Δ-driven rounds — one Δ
-// row-range per member relation instead of one. Rules compile once per
-// closure (eval/apply.h CompiledRule); with workers >= 2 each round fans
-// every member's Δ chunks to the shared work-stealing pool and folds
-// per-member thread-local output pools through the sharded PoolMerger,
-// exactly like the single-relation rounds of eval/fixpoint.h.
+// row-range per member relation instead of one. A single-predicate closure
+// (eval/fixpoint.h) is the one-member case of the same engine. Rules
+// compile once per closure (eval/apply.h CompiledRule), and every round
+// runs serially on the calling thread, emitting straight into its target
+// relations: a closure yields the same rows in the same order on every run
+// and at every worker count. Parallelism lives above the closure, where
+// closures are independent: the commuting group closures of
+// algebra/closure.h and the batch slots of Engine::ExecuteBatch.
 
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
 #include "common/status.h"
 #include "datalog/rule.h"
+#include "eval/apply.h"
 #include "eval/index_cache.h"
 #include "eval/stats.h"
 #include "storage/database.h"
@@ -62,12 +68,71 @@ Status ValidateJointRules(const std::vector<std::string>& members,
 Status ValidateJointRuleStructure(const std::vector<std::string>& members,
                                   const std::vector<JointRule>& rules);
 
+/// The round engine behind every closure: a joint rule set compiled
+/// against borrowed member relations. `members[m]` is the relation the
+/// recursive atoms of member m read; the rules are compiled against that
+/// address, so the relations must stay put (they may grow). A round
+/// applies every rule to a row range of its recursive member and appends
+/// the derived rows straight into caller-given targets — the members
+/// themselves for semi-naive and naive rounds, separate relations for
+/// power sums. Appending to a member while its rows are being read is
+/// safe: each Δ scan is bounded by its fixed row range, the recursive atom
+/// is the only step reading a member (the rules are linear), and the join
+/// kernel re-resolves row pointers per candidate, so an append that moves
+/// the pool never invalidates a live read. The compiled rules and their
+/// scratch persist across rounds: steady-state rounds allocate nothing.
+class JointRoundEvaluator {
+ public:
+  JointRoundEvaluator(const Database& db, std::vector<Relation*> members)
+      : db_(&db), members_(std::move(members)), by_member_(members_.size()) {}
+
+  /// Eliminates equality atoms from `rules` (a rule left unsatisfiable
+  /// derives nothing and is dropped) and compiles the rest. Every round
+  /// probes parameter-relation indexes through `cache`.
+  Status Compile(const std::vector<JointRule>& rules, IndexCache* cache);
+
+  /// Applies every rule to its recursive member's rows [begin[m], end[m])
+  /// and appends each derived row missing from targets[head member] to
+  /// it. A non-null `cancel` is also probed inside the join cursor, so one
+  /// runaway round stops in milliseconds.
+  Status Round(const std::vector<RowId>& begin, const std::vector<RowId>& end,
+               const std::vector<Relation*>& targets, ClosureStats* stats,
+               const CancellationToken* cancel);
+
+  /// Extends the members in place to their joint fixpoint, checking
+  /// `cancel` at every round boundary. Semi-naive: the first round's Δ is
+  /// rows [begin[m], size) of each member, and every later Δ is the rows
+  /// the round before appended. Naive (`naive`): `begin` stays put, so
+  /// every round re-reads all rows from it — all of them for a zero begin —
+  /// until a round adds nothing.
+  Status Close(std::vector<RowId> begin, bool naive, ClosureStats* stats,
+               const CancellationToken* cancel);
+
+ private:
+  const Database* db_;
+  std::vector<Relation*> members_;
+  IndexCache* cache_ = nullptr;
+  std::vector<CompiledRule> compiled_;
+  std::vector<int> heads_;                   // compiled rule → head member
+  std::vector<std::vector<int>> by_member_;  // member → consuming rules
+};
+
+/// Closes `members` in place under already validated `rules`
+/// (JointRoundEvaluator::Close over a fresh evaluator) and records the
+/// call in `stats`: its rounds, derivations and wall time, the result
+/// size, and as duplicates every derivation that added no row. The shared
+/// body of every semi-naive and naive entry point, single-predicate ones
+/// included. A null `cache` means a call-local one.
+Status CloseMembers(const std::vector<JointRule>& rules, const Database& db,
+                    const std::vector<Relation*>& members,
+                    std::vector<RowId> begin, bool naive, ClosureStats* stats,
+                    IndexCache* cache, const CancellationToken* cancel);
+
 /// Computes the least relations P_0..P_{M-1} with P_i ⊇ seeds[i] jointly
 /// closed under every rule, by multi-relation semi-naive evaluation: each
 /// round applies every rule to the Δ row-range of its recursive member
 /// only. members[i] names P_i (used for validation); member arities are
-/// the seed arities. The result is the same family of relations for
-/// every worker count.
+/// the seed arities.
 ///
 /// Equality atoms in rule bodies are statically eliminated up front
 /// (rules left unsatisfiable contribute nothing). Parameter relations are
@@ -77,12 +142,11 @@ Result<std::vector<Relation>> JointSemiNaiveClosure(
     const std::vector<std::string>& members,
     const std::vector<JointRule>& rules, const Database& db,
     const std::vector<Relation>& seeds, ClosureStats* stats = nullptr,
-    IndexCache* cache = nullptr, int workers = 1,
-    const CancellationToken* cancel = nullptr);
+    IndexCache* cache = nullptr, const CancellationToken* cancel = nullptr);
 
 /// In-place joint continuation — the multi-member counterpart of
 /// SemiNaiveExtend (eval/fixpoint.h), used by the IVM delta engine.
-/// `rels` holds one relation per member whose rows [0, delta_begin[m])
+/// `rels` borrows one relation per member whose rows [0, delta_begin[m])
 /// form a jointly closed prefix (a fixpoint of the rules) and whose rows
 /// [delta_begin[m], size) are freshly appended seed/delta tuples; the call
 /// extends every member to the joint fixpoint of the union, running Δ
@@ -91,10 +155,11 @@ Result<std::vector<Relation>> JointSemiNaiveClosure(
 /// each member to its pre-call size (Relation::TruncateRows).
 Status JointSemiNaiveExtend(const std::vector<std::string>& members,
                             const std::vector<JointRule>& rules,
-                            const Database& db, std::vector<Relation>* rels,
+                            const Database& db,
+                            const std::vector<Relation*>& rels,
                             const std::vector<RowId>& delta_begin,
                             ClosureStats* stats = nullptr,
-                            IndexCache* cache = nullptr, int workers = 1,
+                            IndexCache* cache = nullptr,
                             const CancellationToken* cancel = nullptr);
 
 /// The same fixpoint by naive evaluation: each round re-applies every rule
@@ -104,7 +169,6 @@ Result<std::vector<Relation>> JointNaiveClosure(
     const std::vector<std::string>& members,
     const std::vector<JointRule>& rules, const Database& db,
     const std::vector<Relation>& seeds, ClosureStats* stats = nullptr,
-    IndexCache* cache = nullptr, int workers = 1,
-    const CancellationToken* cancel = nullptr);
+    IndexCache* cache = nullptr, const CancellationToken* cancel = nullptr);
 
 }  // namespace linrec

@@ -195,8 +195,8 @@ class ProgramInstance {
   /// (cached until facts change), takes the σ-bind fast path for a
   /// single-constant goal over a recursive singleton predicate, and
   /// filters rows against the goal's constants and repeated variables.
-  /// `cancel` is checked at round boundaries (and Δ-chunk boundaries) of
-  /// every closure run. A non-null `budget` is charged by every relation
+  /// `cancel` is checked at round boundaries (and inside the join cursor)
+  /// of every closure run. A non-null `budget` is charged by every relation
   /// grown on the goal's behalf — including materializing its dependency
   /// cone — and denial surfaces as Status::ResourceExhausted.
   /// `row_limit` caps the rows copied into the reply relation (the closure

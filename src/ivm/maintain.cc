@@ -233,7 +233,6 @@ Result<ApplyOutcome> Engine::Apply(MaterializedView& view,
   }
   std::vector<std::pair<Relation*, std::size_t>> param_pre;
 
-  const int workers = plan.parallel_workers > 0 ? plan.parallel_workers : 1;
   ApplyOutcome outcome;
   outcome.appended.assign(members, {0, 0});
 
@@ -295,28 +294,18 @@ Result<ApplyOutcome> Engine::Apply(MaterializedView& view,
     if (!view.joint_) {
       LINREC_RETURN_IF_ERROR(SemiNaiveExtend(
           plan.rules, db_, closed[0], outcome.appended[0].first,
-          &outcome.stats, &cache_, workers, cancel));
+          &outcome.stats, &cache_, cancel));
     } else {
-      // JointSemiNaiveExtend works on a member vector; the members live as
-      // separate database entries, so move them out, extend, move back
-      // (O(1) moves — and safe: the linearity invariant means no rule body
-      // reads a member through the database).
-      std::vector<Relation> rels;
-      rels.reserve(members);
-      for (std::size_t m = 0; m < members; ++m) {
-        rels.push_back(std::move(*closed[m]));
-      }
+      // The members are extended where they live, as database entries
+      // (safe: the linearity invariant means no rule body reads a member
+      // through the database).
       std::vector<RowId> begin(members);
       for (std::size_t m = 0; m < members; ++m) {
         begin[m] = outcome.appended[m].first;
       }
-      Status extended = JointSemiNaiveExtend(
-          plan.members, plan.joint_rules, db_, &rels, begin, &outcome.stats,
-          &cache_, workers, cancel);
-      for (std::size_t m = 0; m < members; ++m) {
-        *closed[m] = std::move(rels[m]);
-      }
-      LINREC_RETURN_IF_ERROR(extended);
+      LINREC_RETURN_IF_ERROR(JointSemiNaiveExtend(
+          plan.members, plan.joint_rules, db_, closed, begin, &outcome.stats,
+          &cache_, cancel));
     }
 
     if (FaultFires(FaultSite::kIvmApply)) {
@@ -400,8 +389,6 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
       view.joint_ ? DeltaRulesOf(plan.members, plan.joint_rules)
                   : DeltaRulesOf(plan.rules);
   if (!delta_rules.ok()) return delta_rules.status();
-
-  const int workers = plan.parallel_workers > 0 ? plan.parallel_workers : 1;
 
   // Parameter relations this call erased rows from, with their pre-call
   // copies — the rollback state (the view and its seed change only at
@@ -509,13 +496,13 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
         if (!view.joint_) {
           Result<Relation> d =
               SemiNaiveClosure(plan.rules, db_, suspects0[0], &out.stats,
-                               &cache_, workers, cancel);
+                               &cache_, cancel);
           if (!d.ok()) return d.status();
           suspects.push_back(*std::move(d));
         } else {
           Result<std::vector<Relation>> d = JointSemiNaiveClosure(
               plan.members, plan.joint_rules, db_, suspects0, &out.stats,
-              &cache_, workers, cancel);
+              &cache_, cancel);
           if (!d.ok()) return d.status();
           suspects = *std::move(d);
         }
@@ -562,13 +549,13 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
           if (!view.joint_) {
             Result<Relation> r =
                 SemiNaiveClosure(plan.rules, db_, frontier[0], &out.stats,
-                                 &cache_, workers, cancel);
+                                 &cache_, cancel);
             if (!r.ok()) return r.status();
             rederived.push_back(*std::move(r));
           } else {
             Result<std::vector<Relation>> r = JointSemiNaiveClosure(
                 plan.members, plan.joint_rules, db_, frontier, &out.stats,
-                &cache_, workers, cancel);
+                &cache_, cancel);
             if (!r.ok()) return r.status();
             rederived = *std::move(r);
           }

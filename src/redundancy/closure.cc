@@ -13,7 +13,7 @@ namespace {
 Result<Relation> GeneralPath(const RedundantFactorization& f,
                              const Database& db, const Relation& q,
                              ClosureStats* stats, IndexCache* cache,
-                             int workers, const CancellationToken* cancel) {
+                             const CancellationToken* cancel) {
   const int l = f.L;
   const int k = f.K;
   const int n = f.N;
@@ -24,7 +24,7 @@ Result<Relation> GeneralPath(const RedundantFactorization& f,
   if (!b_power.ok()) return b_power.status();
   std::vector<LinearRule> b_rules{std::move(b_power).value()};
   Result<Relation> x =
-      SemiNaiveClosure(b_rules, db, q, stats, cache, workers, cancel);
+      SemiNaiveClosure(b_rules, db, q, stats, cache, cancel);
   if (!x.ok()) return x.status();
 
   // Y = Σ_{m=K}^{N-1} A^{mL} X, collected while iterating A.
@@ -42,12 +42,12 @@ Result<Relation> GeneralPath(const RedundantFactorization& f,
 
   // W = Σ_{n'=0}^{L-1} A^{n'} Y.
   Result<Relation> w =
-      PowerSum(a_rules, db, y, l - 1, stats, cache, workers, cancel);
+      PowerSum(a_rules, db, y, l - 1, stats, cache, cancel);
   if (!w.ok()) return w.status();
 
   // Prefix Σ_{m=0}^{KL-1} A^m q.
   Result<Relation> prefix =
-      PowerSum(a_rules, db, q, k * l - 1, stats, cache, workers, cancel);
+      PowerSum(a_rules, db, q, k * l - 1, stats, cache, cancel);
   if (!prefix.ok()) return prefix.status();
 
   Relation result = std::move(prefix).value();
@@ -67,7 +67,6 @@ Result<Relation> GeneralPath(const RedundantFactorization& f,
 Result<Relation> CommutingPath(const RedundantFactorization& f,
                                const Database& db, const Relation& q,
                                ClosureStats* stats, IndexCache* cache,
-                               int workers,
                                const CancellationToken* cancel) {
   const int l = f.L;
   const int k_prime = (f.K + l - 1) / l;
@@ -100,14 +99,14 @@ Result<Relation> CommutingPath(const RedundantFactorization& f,
   if (!b_power.ok()) return b_power.status();
   std::vector<LinearRule> b_rules{std::move(b_power).value()};
   Result<Relation> x =
-      SemiNaiveClosure(b_rules, db, t, stats, cache, workers, cancel);
+      SemiNaiveClosure(b_rules, db, t, stats, cache, cancel);
   if (!x.ok()) return x.status();
 
   Relation d_star = std::move(s1);
   d_star.UnionWith(*x);
 
   // A* q = Σ_{n<L} A^n (D* q).
-  return PowerSum(a_rules, db, d_star, l - 1, stats, cache, workers, cancel);
+  return PowerSum(a_rules, db, d_star, l - 1, stats, cache, cancel);
 }
 
 }  // namespace
@@ -115,7 +114,6 @@ Result<Relation> CommutingPath(const RedundantFactorization& f,
 Result<Relation> RedundantClosure(const RedundantFactorization& f,
                                   const Database& db, const Relation& q,
                                   ClosureStats* stats, IndexCache* cache,
-                                  int workers,
                                   const CancellationToken* cancel) {
   if (!f.product_verified || !f.swap_verified) {
     return Status::InvalidArgument(
@@ -124,8 +122,8 @@ Result<Relation> RedundantClosure(const RedundantFactorization& f,
   IndexCache local_cache;
   if (cache == nullptr) cache = &local_cache;
   Result<Relation> result =
-      f.commuting ? CommutingPath(f, db, q, stats, cache, workers, cancel)
-                  : GeneralPath(f, db, q, stats, cache, workers, cancel);
+      f.commuting ? CommutingPath(f, db, q, stats, cache, cancel)
+                  : GeneralPath(f, db, q, stats, cache, cancel);
   if (result.ok() && stats != nullptr) stats->result_size = result->size();
   return result;
 }

@@ -18,13 +18,11 @@ namespace linrec {
 /// Evaluates A* q using the factorization. Equal to the direct semi-naive
 /// closure of A (verified in tests); asymptotically cheaper when the
 /// redundant predicates are expensive. All phases share `cache` (or a
-/// local one when null); `workers` parallelizes the inside of every
-/// closure/power-sum phase's rounds (eval/fixpoint.h).
+/// local one when null).
 Result<Relation> RedundantClosure(const RedundantFactorization& f,
                                   const Database& db, const Relation& q,
                                   ClosureStats* stats = nullptr,
                                   IndexCache* cache = nullptr,
-                                  int workers = 1,
                                   const CancellationToken* cancel = nullptr);
 
 }  // namespace linrec

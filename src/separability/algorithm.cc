@@ -26,7 +26,7 @@ Result<Relation> SeparableClosure(const std::vector<LinearRule>& a_rules,
                                   const std::vector<LinearRule>& b_rules,
                                   const Selection& sigma, const Database& db,
                                   const Relation& q, ClosureStats* stats,
-                                  IndexCache* cache, int workers,
+                                  IndexCache* cache,
                                   const CancellationToken* cancel) {
   for (const LinearRule& a : a_rules) {
     for (const LinearRule& b : b_rules) {
@@ -50,14 +50,14 @@ Result<Relation> SeparableClosure(const std::vector<LinearRule>& a_rules,
   }
 
   return SeparableClosureUnchecked(a_rules, b_rules, sigma, db, q, stats,
-                                   cache, workers, cancel);
+                                   cache, cancel);
 }
 
 Result<Relation> SeparableClosureUnchecked(
     const std::vector<LinearRule>& a_rules,
     const std::vector<LinearRule>& b_rules, const Selection& sigma,
     const Database& db, const Relation& q, ClosureStats* stats,
-    IndexCache* cache, int workers, const CancellationToken* cancel) {
+    IndexCache* cache, const CancellationToken* cancel) {
   // A*( σ( B* q ) ) — see the header derivation. Both phases share one
   // index cache so the parameter-relation indexes are built once.
   IndexCache local_cache;
@@ -69,7 +69,7 @@ Result<Relation> SeparableClosureUnchecked(
   } else {
     ClosureStats phase;
     Result<Relation> after_b =
-        SemiNaiveClosure(b_rules, db, q, &phase, cache, workers, cancel);
+        SemiNaiveClosure(b_rules, db, q, &phase, cache, cancel);
     if (!after_b.ok()) return after_b.status();
     if (stats != nullptr) stats->Accumulate(phase);
     filtered = ApplySelection(*after_b, sigma, stats);
@@ -77,8 +77,7 @@ Result<Relation> SeparableClosureUnchecked(
 
   ClosureStats phase2;
   Result<Relation> after_a =
-      SemiNaiveClosure(a_rules, db, filtered, &phase2, cache, workers,
-                       cancel);
+      SemiNaiveClosure(a_rules, db, filtered, &phase2, cache, cancel);
   if (!after_a.ok()) return after_a.status();
   if (stats != nullptr) stats->Accumulate(phase2);
   return after_a;
@@ -88,11 +87,11 @@ Result<Relation> ClosureThenSelect(const std::vector<LinearRule>& a_rules,
                                    const std::vector<LinearRule>& b_rules,
                                    const Selection& sigma, const Database& db,
                                    const Relation& q, ClosureStats* stats,
-                                   IndexCache* cache, int workers) {
+                                   IndexCache* cache) {
   std::vector<LinearRule> all = a_rules;
   all.insert(all.end(), b_rules.begin(), b_rules.end());
   Result<Relation> closure =
-      SemiNaiveClosure(all, db, q, stats, cache, workers);
+      SemiNaiveClosure(all, db, q, stats, cache);
   if (!closure.ok()) return closure.status();
   return ApplySelection(*closure, sigma, stats);
 }

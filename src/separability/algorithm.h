@@ -35,8 +35,6 @@ Result<bool> SelectionCommutesWith(const LinearRule& rule,
 ///
 /// When `cache` is null a local IndexCache spans both phases; passing the
 /// caller's cache shares parameter-relation indexes with other closures.
-/// `workers` parallelizes the inside of both closure phases' rounds
-/// (eval/fixpoint.h).
 /// Prefer Engine::Execute (engine/engine.h), which plans this strategy
 /// automatically; this entry point remains for direct use.
 Result<Relation> SeparableClosure(const std::vector<LinearRule>& a_rules,
@@ -45,7 +43,6 @@ Result<Relation> SeparableClosure(const std::vector<LinearRule>& a_rules,
                                   const Relation& q,
                                   ClosureStats* stats = nullptr,
                                   IndexCache* cache = nullptr,
-                                  int workers = 1,
                                   const CancellationToken* cancel = nullptr);
 
 /// The A*(σ(B* q)) pipeline WITHOUT the precondition checks — the shared
@@ -57,8 +54,7 @@ Result<Relation> SeparableClosureUnchecked(
     const std::vector<LinearRule>& a_rules,
     const std::vector<LinearRule>& b_rules, const Selection& sigma,
     const Database& db, const Relation& q, ClosureStats* stats = nullptr,
-    IndexCache* cache = nullptr, int workers = 1,
-    const CancellationToken* cancel = nullptr);
+    IndexCache* cache = nullptr, const CancellationToken* cancel = nullptr);
 
 /// Baseline for comparison: (ΣA + ΣB)* q computed fully, then filtered.
 Result<Relation> ClosureThenSelect(const std::vector<LinearRule>& a_rules,
@@ -66,7 +62,6 @@ Result<Relation> ClosureThenSelect(const std::vector<LinearRule>& a_rules,
                                    const Selection& sigma, const Database& db,
                                    const Relation& q,
                                    ClosureStats* stats = nullptr,
-                                   IndexCache* cache = nullptr,
-                                   int workers = 1);
+                                   IndexCache* cache = nullptr);
 
 }  // namespace linrec

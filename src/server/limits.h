@@ -39,7 +39,7 @@ struct ServerLimits {
   int retry_after_ms = 100;
 
   /// Watchdog scan interval: how often deadline-armed in-flight tokens are
-  /// checked for expiry (and force-cancelled mid-chunk). The watchdog
+  /// checked for expiry (and force-cancelled mid-round). The watchdog
   /// thread starts lazily with the first deadline-armed query.
   int watchdog_interval_ms = 10;
 };

@@ -175,7 +175,7 @@ std::vector<Result<QueryResult>> Server::EvaluateGoals(
 
   // Arm per-goal deadlines. Tokens live here (stable addresses) for the
   // whole evaluation; deadline-armed tokens also register with the
-  // watchdog, which force-expires them mid-chunk if they blow.
+  // watchdog, which force-expires them mid-round if they blow.
   std::vector<CancellationToken> tokens;
   tokens.reserve(goals.size());
   std::vector<const CancellationToken*> cancels(goals.size(), nullptr);

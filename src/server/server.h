@@ -31,7 +31,7 @@
 //      "ERR Unavailable retry_after_ms=<N> ..." instead of being admitted
 //      only to die mid-round.
 //   3. A watchdog thread force-expires deadline-blown tokens every few
-//      milliseconds, so even a query stuck inside one enormous Δ-chunk
+//      milliseconds, so even a query stuck inside one enormous round
 //      stops at the next in-cursor probe instead of the next round.
 
 #pragma once

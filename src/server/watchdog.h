@@ -1,13 +1,13 @@
-// Deadline watchdog: the piece that makes mid-chunk cancellation real.
+// Deadline watchdog: the piece that makes mid-round cancellation real.
 //
-// Round/chunk boundaries call CancellationToken::Check() (which reads the
+// Round boundaries call CancellationToken::Check() (which reads the
 // clock), but the in-cursor probe inside the join loop is deliberately
 // clock-free — one relaxed flag load every few thousand candidates. That
 // flag only turns on when someone calls Cancel() or ForceDeadline(). The
 // watchdog is that someone: a single lazily-started thread that scans the
 // deadline-armed tokens of in-flight queries every `interval_ms` and calls
 // ForceDeadline() on any whose deadline has passed, so a query stuck deep
-// inside one enormous Δ-chunk still stops within roughly one watchdog
+// inside one enormous round still stops within roughly one watchdog
 // interval.
 //
 // Thread safety (statically enforced): the watch table, the handle

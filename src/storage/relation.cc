@@ -4,7 +4,6 @@
 #include <atomic>
 
 #include "common/memory.h"
-#include "common/parallel.h"
 #include "common/simd_kernels.h"
 
 namespace linrec {
@@ -359,126 +358,6 @@ bool Relation::operator==(const Relation& other) const {
     if (FindRow(other.RowData(id), other.hashes_[id]) == kNoRow) return false;
   }
   return true;
-}
-
-PoolMerger::PoolMerger(int shard_bits)
-    : shard_bits_(shard_bits),
-      shard_count_(static_cast<std::size_t>(1) << shard_bits),
-      shards_(shard_count_) {}
-
-void PoolMerger::BucketPool(std::size_t pool_index, const Relation& pool) {
-  std::vector<RowId>* row_buckets = &buckets_[pool_index * shard_count_];
-  const RowId rows = static_cast<RowId>(pool.size());
-  for (RowId r = 0; r < rows; ++r) {
-    row_buckets[ShardOf(pool.hashes_[r])].push_back(r);
-  }
-}
-
-void PoolMerger::DedupShard(std::size_t shard, const Relation* const* pools,
-                            std::size_t pool_count, const Relation& target) {
-  Shard& s = shards_[shard];
-  std::size_t incoming = 0;
-  for (std::size_t p = 0; p < pool_count; ++p) {
-    incoming += buckets_[p * shard_count_ + shard].size();
-  }
-  if (incoming == 0) return;
-  std::size_t needed = 8;
-  while (needed * 7 < incoming * 8) needed <<= 1;
-  if (s.slots.size() < needed) s.slots.resize(needed);
-  std::fill(s.slots.begin(), s.slots.end(), 0);
-  const std::size_t mask = s.slots.size() - 1;
-
-  for (std::size_t p = 0; p < pool_count; ++p) {
-    const Relation& pool = *pools[p];
-    for (RowId r : buckets_[p * shard_count_ + shard]) {
-      const std::size_t hash = pool.hashes_[r];
-      const Value* row = pool.RowData(r);
-      if (target.FindRow(row, hash) != Relation::kNoRow) continue;
-      // Probe the shard-local table of surviving rows; first occurrence
-      // (in pool order) wins.
-      std::size_t i = hash & mask;
-      bool duplicate = false;
-      while (true) {
-        std::uint32_t slot = s.slots[i];
-        if (slot == 0) break;
-        const auto& [sp, sr] = s.survivors[slot - 1];
-        if (pools[sp]->hashes_[sr] == hash &&
-            std::equal(row, row + pool.arity(), pools[sp]->RowData(sr))) {
-          duplicate = true;
-          break;
-        }
-        i = (i + 1) & mask;
-      }
-      if (duplicate) continue;
-      s.survivors.emplace_back(static_cast<std::uint32_t>(p), r);
-      s.slots[i] = static_cast<std::uint32_t>(s.survivors.size());
-    }
-  }
-}
-
-std::size_t PoolMerger::Merge(const Relation* const* pools,
-                              std::size_t pool_count, Relation* target,
-                              WorkerPool* pool) {
-  std::size_t total = 0;
-  for (std::size_t p = 0; p < pool_count; ++p) {
-    assert(pools[p]->arity() == target->arity());
-    total += pools[p]->size();
-  }
-  buckets_.resize(pool_count * shard_count_);
-  for (std::vector<RowId>& b : buckets_) b.clear();
-  for (Shard& s : shards_) s.survivors.clear();
-  if (total == 0) return 0;
-
-  // WorkerPool swallows exceptions on its threads (its contract: report
-  // through lane state); capture the first one here and rethrow after the
-  // phases so an allocation failure mid-shard can never yield a silently
-  // incomplete merge.
-  std::atomic<bool> failed{false};
-  std::exception_ptr error;
-  auto guarded = [&](auto&& body) {
-    try {
-      body();
-    } catch (...) {
-      if (!failed.exchange(true)) error = std::current_exception();
-    }
-  };
-
-  // Phase 1: bucket each pool's rows by the high hash bits (pool-major
-  // bucket storage: no two lanes ever write the same vector).
-  if (pool != nullptr && pool_count > 1) {
-    pool->Run(pool_count, [&](int, std::size_t p) {
-      guarded([&] { BucketPool(p, *pools[p]); });
-    });
-  } else {
-    for (std::size_t p = 0; p < pool_count; ++p) BucketPool(p, *pools[p]);
-  }
-
-  // Phase 2: deduplicate every shard independently — disjoint hash ranges,
-  // read-only target probes, per-shard scratch: no contention.
-  if (pool != nullptr) {
-    pool->Run(shard_count_, [&](int, std::size_t shard) {
-      guarded([&] { DedupShard(shard, pools, pool_count, *target); });
-    });
-  } else {
-    for (std::size_t s = 0; s < shard_count_; ++s) {
-      DedupShard(s, pools, pool_count, *target);
-    }
-  }
-  if (failed.load()) std::rethrow_exception(error);
-
-  // Phase 3: append the survivors — all provably new and pairwise distinct
-  // (cross-shard rows differ in their high hash bits), so every insert
-  // probes straight to an empty slot and lands.
-  std::size_t added = 0;
-  for (const Shard& s : shards_) added += s.survivors.size();
-  if (added == 0) return 0;
-  target->Reserve(target->size() + added);
-  for (const Shard& s : shards_) {
-    for (const auto& [p, r] : s.survivors) {
-      target->InsertHashed(pools[p]->RowData(r), pools[p]->hashes_[r]);
-    }
-  }
-  return added;
 }
 
 HashIndex::HashIndex(const Relation& rel, std::vector<int> key_positions)

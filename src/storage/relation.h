@@ -19,7 +19,6 @@ namespace linrec {
 using RowId = std::uint32_t;
 
 class Relation;
-class WorkerPool;
 
 /// What one columnar σ scan examined — accumulated into ClosureStats
 /// (rows_scanned / simd_blocks / simd_lane_hits) by callers that carry
@@ -31,10 +30,10 @@ struct ScanCounters {
   std::size_t hits = 0;    // matching rows
 };
 
-/// A borrowed contiguous row range [begin, end) of one Relation — the unit
-/// of work the parallel semi-naive round hands to each worker. Views are
-/// cheap value types; they are invalidated (like TupleViews) by inserts
-/// into the underlying relation.
+/// A borrowed contiguous row range [begin, end) of one Relation — the Δ a
+/// closure round hands to the join cursor (CompiledRule::RunPartition).
+/// Views are cheap value types; they are invalidated (like TupleViews) by
+/// inserts into the underlying relation.
 struct PartitionView {
   const Relation* relation = nullptr;
   RowId begin = 0;
@@ -168,8 +167,8 @@ class Relation {
   void Reserve(std::size_t rows);
 
   /// Removes every row but keeps the pool, hash and slot capacity, so a
-  /// per-round scratch relation (a worker's thread-local output pool) is
-  /// reused across rounds without reallocating.
+  /// per-round scratch relation (a power sum's next power) is reused
+  /// across rounds without reallocating.
   void Clear();
 
   /// Shrinks the relation back to its first `rows` rows (requires
@@ -302,8 +301,6 @@ class Relation {
   bool operator!=(const Relation& other) const { return !(*this == other); }
 
  private:
-  friend class PoolMerger;
-
   std::size_t Hash(const Value* row) const { return HashRow(row, arity_); }
   bool InsertHashed(const Value* row, std::size_t hash);
   RowId FindRow(const Value* row, std::size_t hash) const;
@@ -360,64 +357,6 @@ class Relation {
   std::vector<Value, simd::PoolAllocator<Value>> pool_;
   std::vector<std::size_t> hashes_;  // per-row hash (dedup probes, rehash)
   std::vector<RowId> slots_;      // open addressing: row id + 1; 0 = empty
-};
-
-/// Merges thread-local output pools into one target relation with no
-/// locking on any row: rows are bucketed by the HIGH bits of their cached
-/// hashes into shards (the dedup table probes with the LOW bits, so the two
-/// partitions are independent), each shard is deduplicated on its own —
-/// against the target, then across pools, first pool-order occurrence wins
-/// — and only the surviving, provably-unique rows are appended to the
-/// target. Bucketing parallelizes over pools and deduplication over shards
-/// (disjoint hash ranges never contend); the final append is a short
-/// sequential pass over new rows only.
-///
-/// Scratch buffers persist across Merge calls, so the steady state of a
-/// semi-naive closure (one Merge per round) allocates nothing.
-class PoolMerger {
- public:
-  /// 2^shard_bits shards. More shards = finer parallelism and smaller
-  /// per-shard dedup tables; 64 is plenty for any realistic worker count.
-  explicit PoolMerger(int shard_bits = 6);
-
-  /// Appends every row of `pools[0..pool_count)` absent from `*target` to
-  /// `*target` (deduplicating across pools) and returns the number of rows
-  /// appended. All relations must share the target's arity. When `pool` is
-  /// non-null the bucket and dedup phases run on it; serial otherwise.
-  /// The appended rows occupy target ids [old_size, new_size) in shard-
-  /// major, then pool-major, then row order — deterministic for fixed pool
-  /// contents. An exception thrown inside a parallel phase (WorkerPool
-  /// swallows them on its threads) is captured and rethrown here on the
-  /// calling thread — a failed phase must surface, never return a
-  /// silently incomplete merge.
-  std::size_t Merge(const Relation* const* pools, std::size_t pool_count,
-                    Relation* target, WorkerPool* pool = nullptr);
-
- private:
-  /// Cache-line aligned: neighbouring shards are written by different
-  /// worker lanes during the dedup phase, and an unaligned Shard would put
-  /// two lanes' vector headers (data/size/capacity, mutated on every
-  /// survivor push) on one line — false sharing on the hottest merge loop.
-  struct alignas(64) Shard {
-    /// Surviving rows as (pool index, row id), in arrival order.
-    std::vector<std::pair<std::uint32_t, RowId>> survivors;
-    /// Open-addressing table over `survivors` (index + 1; 0 = empty).
-    std::vector<std::uint32_t> slots;
-  };
-
-  std::size_t ShardOf(std::size_t hash) const {
-    return hash >> (sizeof(std::size_t) * 8 - static_cast<unsigned>(shard_bits_));
-  }
-  void BucketPool(std::size_t pool_index, const Relation& pool);
-  void DedupShard(std::size_t shard, const Relation* const* pools,
-                  std::size_t pool_count, const Relation& target);
-
-  int shard_bits_;
-  std::size_t shard_count_;
-  /// buckets_[pool * shard_count_ + shard] = row ids of that pool whose
-  /// hash lands in that shard. Pool-major so bucketing never contends.
-  std::vector<std::vector<RowId>> buckets_;
-  std::vector<Shard> shards_;
 };
 
 /// A borrowed, contiguous list of row ids — what HashIndex::Lookup yields.

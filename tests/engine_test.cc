@@ -254,7 +254,23 @@ TEST(EnginePlanTest, ExplainReportsParallelMode) {
   EXPECT_EQ(parallel_plan->parallel_workers, 8);
   std::string text = parallel_plan->Explain();
   EXPECT_NE(text.find("8 workers"), std::string::npos) << text;
-  EXPECT_NE(text.find("Δ partitions"), std::string::npos) << text;
+  // The worker count sizes only batch slots here: rounds stay serial.
+  EXPECT_NE(text.find("batch slots"), std::string::npos) << text;
+  EXPECT_NE(text.find("every round is serial"), std::string::npos) << text;
+  EXPECT_EQ(text.find("group closures"), std::string::npos) << text;
+
+  // A decomposed plan also spends it on its commuting group closures.
+  Engine decomposed_engine(SameGenDb(), parallel_options);
+  Relation identity = IdentitySeed(decomposed_engine.db());
+  auto decomposed_plan =
+      decomposed_engine.Plan(Query::Closure({Down(), Up()}).From(identity));
+  ASSERT_TRUE(decomposed_plan.ok());
+  ASSERT_EQ(decomposed_plan->strategy, Strategy::kDecomposed);
+  text = decomposed_plan->Explain();
+  EXPECT_NE(text.find("the 2 commuting group closures run concurrently"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("batch slots"), std::string::npos) << text;
 }
 
 TEST(EngineOptionsTest, ZeroWorkersMeansHardwareConcurrencyNotSerial) {

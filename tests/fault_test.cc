@@ -7,7 +7,6 @@
 #include "common/fault.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -16,6 +15,7 @@
 #include "common/memory.h"
 #include "datalog/parser.h"
 #include "engine/engine.h"
+#include "workload/databases.h"
 #include "workload/graphs.h"
 
 namespace linrec {
@@ -29,9 +29,9 @@ LinearRule LR(const std::string& text) {
 
 /// An engine over a chain graph with the usual tc rule, built *before* any
 /// fault is armed (relation construction hits kPoolGrowth too).
-Engine ChainEngine(int n, int workers = 1) {
+Engine ChainEngine(int n) {
   EngineOptions options;
-  options.parallel_workers = workers;
+  options.parallel_workers = 1;
   Engine engine(Database{}, options);
   engine.db().GetOrCreate("e", 2) = ChainGraph(n);
   return engine;
@@ -127,25 +127,23 @@ TEST(FaultInjectionTest, RehashFaultSurfacesAsResourceExhausted) {
 }
 
 TEST(FaultInjectionTest, WorkerDispatchFaultSurfacesAsTypedInternal) {
-  // Real worker threads: the chunk lambda observes the armed fault and
-  // fails its lane with a typed status that wins the round's merge. The
-  // identity seed keeps every round's Δ above kSerialRowThreshold, so the
-  // chunked (pool) path actually runs — unless the host has a single
-  // hardware thread, in which case the pool (correctly) never fans out and
-  // the site is unreachable.
-  if (std::thread::hardware_concurrency() < 2) {
-    GTEST_SKIP() << "worker-dispatch site needs a multi-core host";
-  }
-  Engine engine = ChainEngine(512, /*workers=*/4);
-  LinearRule tc = LR("p(X,Y) :- p(X,Z), e(Z,Y).");
-  auto prepared = engine.Prepare(Query::Closure({tc}));
+  // The commuting same-generation pair plans as a two-group decomposed
+  // closure: each group closure is dispatched to a worker lane, and the
+  // armed fault fails that lane's group with a typed status. The pool
+  // dispatches on every host, one core or many.
+  SameGenerationWorkload w =
+      MakeSameGeneration(/*layers=*/4, /*width=*/12, /*fanout=*/2,
+                         /*seed=*/5);
+  EngineOptions options;
+  options.parallel_workers = 4;
+  Engine engine(w.db, options);
+  auto prepared = engine.Prepare(Query::Closure(SameGenerationRules()));
   ASSERT_TRUE(prepared.ok()) << prepared.status();
-
-  Relation seed(2);
-  for (Value i = 0; i < 512; ++i) seed.Insert({i, i});
+  ASSERT_EQ(prepared->plan().strategy, Strategy::kDecomposed);
+  ASSERT_EQ(prepared->plan().groups.size(), 2u);
   {
     ScopedFault fault(FaultSite::kWorkerDispatch, 1);
-    auto result = engine.Execute(prepared->Bind().BindSeed(seed));
+    auto result = engine.Execute(prepared->Bind().BindSeed(w.q));
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kInternal)
         << result.status();
@@ -153,8 +151,18 @@ TEST(FaultInjectionTest, WorkerDispatchFaultSurfacesAsTypedInternal) {
               std::string::npos)
         << result.status();
   }
-  auto after = engine.Execute(prepared->Bind().BindSeed(seed));
+  // The engine keeps serving: the next run succeeds with the rows of an
+  // untouched engine.
+  auto after = engine.Execute(prepared->Bind().BindSeed(w.q));
   ASSERT_TRUE(after.ok()) << after.status();
+  Engine fresh(w.db, options);
+  auto clean = fresh.Execute(
+      fresh.Prepare(Query::Closure(SameGenerationRules()))
+          ->Bind()
+          .BindSeed(w.q));
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  EXPECT_EQ(after->relation(), clean->relation());
+  EXPECT_GT(after->relation().size(), w.q.size());
 }
 
 TEST(FaultInjectionTest, FixedScheduleAbortsAtTheSameHitEveryRun) {

@@ -126,10 +126,9 @@ TEST(SemiNaiveTest, DuplicateAccountingWithPreloadedStats) {
 
   for (auto* naive : {&NaiveClosure}) {
     ClosureStats once;
-    ASSERT_TRUE((*naive)({TC()}, db, q, &once, nullptr, 1, nullptr).ok());
+    ASSERT_TRUE((*naive)({TC()}, db, q, &once, nullptr, nullptr).ok());
     ClosureStats preloaded = Preloaded();
-    ASSERT_TRUE(
-        (*naive)({TC()}, db, q, &preloaded, nullptr, 1, nullptr).ok());
+    ASSERT_TRUE((*naive)({TC()}, db, q, &preloaded, nullptr, nullptr).ok());
     EXPECT_EQ(preloaded.duplicates, 7 + once.duplicates);
   }
   {

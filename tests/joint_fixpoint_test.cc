@@ -1,7 +1,7 @@
 // Joint multi-relation fixpoint: correctness against hand-computed
-// closures and the naive reference, determinism across worker counts
-// (with real threads forced, so single-core CI still exercises the
-// parallel round), and validation of malformed joint rules.
+// closures and the naive reference, engine results independent of the
+// worker count (with real threads forced, so single-core CI still runs the
+// worker pool), and validation of malformed joint rules.
 
 #include "eval/joint.h"
 
@@ -12,13 +12,11 @@
 
 #include "common/parallel.h"
 #include "datalog/parser.h"
+#include "engine/engine.h"
 #include "workload/rulegen.h"
 
 namespace linrec {
 namespace {
-
-void ForceRealThreads() { WorkerPool::OverrideThreadCapForTesting(16); }
-void RestoreThreadCap() { WorkerPool::OverrideThreadCapForTesting(0); }
 
 TEST(JointFixpointTest, EvenOddChainClosure) {
   auto w = MakeEvenOddChain(10);
@@ -45,7 +43,9 @@ TEST(JointFixpointTest, SemiNaiveMatchesNaiveReference) {
   ASSERT_TRUE(even_odd.ok());
   auto alternating = MakeAlternatingReachability(40, 90, /*seed=*/7);
   ASSERT_TRUE(alternating.ok());
-  for (const JointWorkload* w : {&*even_odd, &*alternating}) {
+  auto dense = MakeAlternatingReachability(60, 200, /*seed=*/3);
+  ASSERT_TRUE(dense.ok());
+  for (const JointWorkload* w : {&*even_odd, &*alternating, &*dense}) {
     auto semi = JointSemiNaiveClosure(w->members, w->rules, w->db, w->seeds);
     auto naive = JointNaiveClosure(w->members, w->rules, w->db, w->seeds);
     ASSERT_TRUE(semi.ok()) << semi.status();
@@ -59,44 +59,42 @@ TEST(JointFixpointTest, SemiNaiveMatchesNaiveReference) {
   }
 }
 
-TEST(JointFixpointTest, DeterministicAcrossWorkerCounts) {
-  // Sized so rounds cross the serial-fallback threshold: the closure over
-  // a dense 2-colored graph reaches thousands of Δ rows per round.
-  ForceRealThreads();
+TEST(JointFixpointTest, EngineRowsIndependentOfWorkerCount) {
+  // Sized so rounds carry thousands of Δ rows: the closure over a dense
+  // 2-colored graph. The worker count sizes only batch slots and group
+  // lanes, so at every count each member holds the same rows in the same
+  // order (what a reply streams), from the same derivations. Helper
+  // threads are forced on, so the pool fans out even on one core.
+  WorkerPool::OverrideThreadCapForTesting(16);
   auto w = MakeAlternatingReachability(120, 480, /*seed=*/21);
   ASSERT_TRUE(w.ok()) << w.status();
-  auto reference = JointSemiNaiveClosure(w->members, w->rules, w->db, w->seeds,
-                                         /*stats=*/nullptr,
-                                         /*cache=*/nullptr, /*workers=*/1);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-  ASSERT_GT((*reference)[0].size() + (*reference)[1].size(), 1000u);
-  for (int workers : {2, 8}) {
-    auto out = JointSemiNaiveClosure(w->members, w->rules, w->db, w->seeds,
-                                     /*stats=*/nullptr, /*cache=*/nullptr,
-                                     workers);
+  std::vector<std::vector<Tuple>> reference;
+  std::size_t reference_derivations = 0;
+  for (int workers : {1, 2, 8}) {
+    EngineOptions options;
+    options.parallel_workers = workers;
+    Engine engine(w->db, options);
+    auto prepared =
+        engine.Prepare(Query::JointClosure(w->members, w->rules));
+    ASSERT_TRUE(prepared.ok()) << prepared.status();
+    auto out = engine.Execute(prepared->Bind().BindSeeds(w->seeds));
     ASSERT_TRUE(out.ok()) << out.status();
-    for (std::size_t m = 0; m < reference->size(); ++m) {
-      EXPECT_EQ((*out)[m].Sorted(), (*reference)[m].Sorted())
-          << "member " << m << " differs at " << workers << " workers";
+    std::vector<std::vector<Tuple>> rows;
+    for (const Relation& member : out->relations) {
+      rows.emplace_back();
+      for (TupleView t : member) rows.back().push_back(t.ToTuple());
     }
+    if (workers == 1) {
+      ASSERT_GT(rows[0].size() + rows[1].size(), 1000u);
+      reference = std::move(rows);
+      reference_derivations = out->stats.derivations;
+      continue;
+    }
+    EXPECT_EQ(rows, reference) << "workers=" << workers;
+    EXPECT_EQ(out->stats.derivations, reference_derivations)
+        << "workers=" << workers;
   }
-  RestoreThreadCap();
-}
-
-TEST(JointFixpointTest, ParallelMatchesNaiveReference) {
-  ForceRealThreads();
-  auto w = MakeAlternatingReachability(60, 200, /*seed=*/3);
-  ASSERT_TRUE(w.ok());
-  auto naive = JointNaiveClosure(w->members, w->rules, w->db, w->seeds);
-  ASSERT_TRUE(naive.ok());
-  auto parallel = JointSemiNaiveClosure(w->members, w->rules, w->db, w->seeds,
-                                        /*stats=*/nullptr,
-                                        /*cache=*/nullptr, /*workers=*/4);
-  ASSERT_TRUE(parallel.ok()) << parallel.status();
-  for (std::size_t m = 0; m < naive->size(); ++m) {
-    EXPECT_EQ((*parallel)[m], (*naive)[m]) << "member " << m;
-  }
-  RestoreThreadCap();
+  WorkerPool::OverrideThreadCapForTesting(0);
 }
 
 TEST(JointFixpointTest, MemberWithNoConsumingRuleTerminates) {
@@ -216,7 +214,8 @@ TEST(JointFixpointTest, DuplicateAccountingWithPreloadedStats) {
   ClosureStats extend;
   extend.derivations = 1000;
   extend.duplicates = 7;
-  ASSERT_TRUE(JointSemiNaiveExtend(w->members, w->rules, w->db, &rels,
+  ASSERT_TRUE(JointSemiNaiveExtend(w->members, w->rules, w->db,
+                                   {&rels[0], &rels[1]},
                                    std::vector<RowId>(rels.size(), 0),
                                    &extend)
                   .ok());

@@ -1,8 +1,9 @@
 // End-to-end tests for the linrecd front door (src/server/): the text
 // protocol, LOAD-block compilation through the shared program registry,
 // pipelined query batches, per-session deadline and row-cap limits,
-// admission control, and the plan-cache-miss=1 guarantee across N
-// concurrent sessions submitting the same program.
+// admission control, replies independent of the worker count, and the
+// plan-cache-miss=1 guarantee across N concurrent sessions submitting the
+// same program.
 
 #include "server/server.h"
 
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "common/strings.h"
 #include "server/protocol.h"
 
@@ -152,6 +154,36 @@ TEST(ServerTest, ResultCapTruncationIsFlagged) {
   // Raising the cap restores the full result.
   out = Drive(server, *session, {"SET max_rows 100", "?- tc(X, Y)."});
   EXPECT_EQ(out[1], "RESULT tc/2 rows=6 truncated=0");
+}
+
+TEST(ServerTest, TruncatedReplyIsByteIdenticalAcrossWorkerCounts) {
+  // A goal of a few thousand rows, cut by max_rows: a server at
+  // parallel_workers 8 must stream the 1-worker reply line for line — the
+  // same rows, in the same order, truncated at the same row. Helper
+  // threads are forced on, so the pool fans out even on one core.
+  WorkerPool::OverrideThreadCapForTesting(16);
+  std::string program =
+      "tc(X, Y) :- e(X, Y).\n"
+      "tc(X, Y) :- tc(X, Z), e(Z, Y).\n";
+  const int nodes = 60;
+  for (int i = 0; i < nodes; ++i) {
+    for (int step : {7, 13, 31}) {
+      program += StrCat("e(", i, ", ", (i * step + 1) % nodes, ").\n");
+    }
+  }
+  auto reply = [&](int workers) {
+    EngineOptions options;
+    options.parallel_workers = workers;
+    Server server(ServerLimits{}, options);
+    auto session = server.NewSession();
+    Load(server, *session, program);
+    return Drive(server, *session, {"SET max_rows 2000", "?- tc(X, Y)."});
+  };
+  const std::vector<std::string> serial = reply(1);
+  ASSERT_EQ(serial.size(), 2003u);  // OK set, header, 2000 rows, "."
+  EXPECT_EQ(serial[1], "RESULT tc/2 rows=2000 truncated=1");
+  EXPECT_EQ(reply(8), serial);
+  WorkerPool::OverrideThreadCapForTesting(0);
 }
 
 TEST(ServerTest, RowCapBoundsSelectionOnMaterializedView) {

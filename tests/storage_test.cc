@@ -5,7 +5,6 @@
 
 #include "common/fault.h"
 #include "common/memory.h"
-#include "common/parallel.h"
 #include "storage/database.h"
 #include "storage/relation.h"
 #include "storage/tuple.h"
@@ -258,64 +257,6 @@ TEST(RelationTest, PartitionViewCoversRowRanges) {
   EXPECT_FALSE(tail.empty());
   EXPECT_TRUE(r.View(4, 4).empty());
   EXPECT_EQ(tail.relation, &r);
-}
-
-TEST(PoolMergerTest, MergesPoolsDeduplicatingAgainstTargetAndAcrossPools) {
-  Relation target(2);
-  target.Insert({0, 0});
-  target.Insert({1, 1});
-
-  Relation a(2), b(2), c(2);
-  a.Insert({1, 1});  // already in target: dropped
-  a.Insert({2, 2});  // new
-  b.Insert({2, 2});  // duplicate of a's row: dropped
-  b.Insert({3, 3});  // new
-  // c empty
-
-  Relation expected = target;
-  expected.UnionWith(a);
-  expected.UnionWith(b);
-
-  const Relation* pools[] = {&a, &b, &c};
-  PoolMerger merger;
-  std::size_t added = merger.Merge(pools, 3, &target);
-  EXPECT_EQ(added, 2u);
-  EXPECT_EQ(target, expected);
-
-  // A second merge of the same pools adds nothing (idempotent).
-  EXPECT_EQ(merger.Merge(pools, 3, &target), 0u);
-  EXPECT_EQ(target, expected);
-}
-
-TEST(PoolMergerTest, LargeMergeMatchesUnionWith) {
-  // Cross-check the sharded path against the straightforward union on a
-  // size that populates many shards, with and without a worker pool.
-  Relation a(2), b(2);
-  for (Value i = 0; i < 5000; ++i) a.Insert({i, i + 1});
-  for (Value i = 2500; i < 7500; ++i) b.Insert({i, i + 1});  // 50% overlap
-  Relation target(2);
-  for (Value i = 0; i < 1000; ++i) target.Insert({i * 3, i * 3 + 1});
-
-  Relation expected = target;
-  expected.UnionWith(a);
-  expected.UnionWith(b);
-
-  const Relation* pools[] = {&a, &b};
-  {
-    Relation serial_target = target;
-    PoolMerger merger;
-    merger.Merge(pools, 2, &serial_target);
-    EXPECT_EQ(serial_target, expected);
-  }
-  {
-    WorkerPool::OverrideThreadCapForTesting(8);
-    WorkerPool pool(4);
-    Relation parallel_target = target;
-    PoolMerger merger;
-    merger.Merge(pools, 2, &parallel_target, &pool);
-    EXPECT_EQ(parallel_target, expected);
-    WorkerPool::OverrideThreadCapForTesting(0);
-  }
 }
 
 TEST(DatabaseTest, GetOrCreateAndFind) {

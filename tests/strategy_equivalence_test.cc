@@ -1,9 +1,10 @@
 // Execution equivalence across strategies: every evaluation route — naive,
-// semi-naive, the sequential and the parallel decomposed product, and the
+// semi-naive, the decomposed product at every worker count, and the
 // engine's automatic choice — must produce the identical closure on the
 // workload suite. This is the paper's core claim (the theorems rewrite the
 // *computation*, never the *result*) and the regression net for the flat
-// storage layer and the parallel merge.
+// storage layer. The worker-count suite goes further: the rows and their
+// order, not just the set, are independent of EngineOptions::parallel_workers.
 
 #include <gtest/gtest.h>
 
@@ -23,12 +24,6 @@ LinearRule LR(const std::string& text) {
   EXPECT_TRUE(r.ok()) << r.status();
   return *r;
 }
-
-/// The determinism suite must exercise true cross-thread execution even on
-/// single-core CI hosts, where the pool would otherwise (correctly) decline
-/// to spawn helper threads.
-void ForceRealThreads() { WorkerPool::OverrideThreadCapForTesting(16); }
-void RestoreThreadCap() { WorkerPool::OverrideThreadCapForTesting(0); }
 
 /// Asserts naive == semi-naive == engine-auto on (rules, db, q) and returns
 /// the agreed closure (as sorted tuples, so failures print deterministic
@@ -135,146 +130,191 @@ TEST(StrategyEquivalence, ParallelDecomposedThreeGroups) {
   }
 }
 
-// --- Parallel semi-naive determinism suite --------------------------------
+// --- Worker-count parity --------------------------------------------------
 //
-// The intra-round parallel path (work-stealing Δ chunks, thread-local
-// output pools, sharded merge) must produce the IDENTICAL closure for every
-// worker count and on every repetition — chunk-to-thread assignment is
-// scheduler-dependent, so these tests fail if any result depends on it.
+// EngineOptions::parallel_workers sizes only a decomposed plan's group
+// phase and batch slots; every closure's rounds are serial. So at every
+// worker count each strategy must return the same rows in the same order —
+// the bytes a linrecd reply streams — not merely the same set. Helper
+// threads are forced on, so the pool really fans out even on a single-core
+// host.
 
-TEST(ParallelSemiNaive, DeterministicAcrossWorkerCountsAndRuns_TcRandom) {
-  ForceRealThreads();
-  Database db;
-  db.GetOrCreate("e", 2) = RandomGraph(200, 600, /*seed=*/7);
-  std::vector<LinearRule> rules = {LR("p(X,Y) :- p(X,Z), e(Z,Y).")};
-  Relation q(2);
-  for (int i = 0; i < 200; i += 4) q.Insert({i, i});
+constexpr int kWorkerCounts[] = {1, 2, 8};
 
-  ClosureStats reference_stats;
-  auto reference =
-      SemiNaiveClosure(rules, db, q, &reference_stats, nullptr, 1);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-  for (int workers : {1, 2, 8}) {
-    for (int run = 0; run < 5; ++run) {
-      ClosureStats stats;
-      auto out = SemiNaiveClosure(rules, db, q, &stats, nullptr, workers);
-      ASSERT_TRUE(out.ok()) << out.status();
-      EXPECT_EQ(*reference, *out) << "workers=" << workers << " run=" << run;
-      // Derivation and round counts are chunking-independent: each Δ row
-      // produces the same matches whichever worker scans it, and every
-      // round's Δ is the same set.
-      EXPECT_EQ(stats.derivations, reference_stats.derivations)
-          << "workers=" << workers << " run=" << run;
-      EXPECT_EQ(stats.iterations, reference_stats.iterations);
-      EXPECT_EQ(out->Sorted(), reference->Sorted());
-    }
-  }
-  RestoreThreadCap();
+/// Lifts the pool's hardware-thread cap for one test.
+struct RealThreads {
+  RealThreads() { WorkerPool::OverrideThreadCapForTesting(16); }
+  ~RealThreads() { WorkerPool::OverrideThreadCapForTesting(0); }
+};
+
+/// The rows of `r` in iteration order.
+std::vector<Tuple> RowsInOrder(const Relation& r) {
+  std::vector<Tuple> rows;
+  rows.reserve(r.size());
+  for (TupleView t : r) rows.push_back(t.ToTuple());
+  return rows;
 }
 
-TEST(ParallelSemiNaive, DeterministicAcrossWorkerCountsAndRuns_SameGen) {
-  ForceRealThreads();
+/// Executes `query` (seeded, σ attached if any) on a fresh engine over
+/// `db` at every worker count, expecting the planned `strategy` and, for
+/// every result relation, the 1-worker rows in the 1-worker order with the
+/// 1-worker derivation count.
+void ExpectWorkerCountParity(const Database& db, const Query& query,
+                             Strategy strategy) {
+  RealThreads threads;
+  std::vector<std::vector<Tuple>> reference;
+  std::size_t reference_derivations = 0;
+  for (int workers : kWorkerCounts) {
+    EngineOptions options;
+    options.parallel_workers = workers;
+    Engine engine(db, options);
+    auto prepared = engine.Prepare(query);
+    ASSERT_TRUE(prepared.ok()) << prepared.status();
+    EXPECT_EQ(prepared->plan().strategy, strategy)
+        << prepared->plan().Explain();
+    auto out = engine.Execute(prepared->Bind().BindSeed(query.shared_seed()));
+    ASSERT_TRUE(out.ok()) << out.status();
+    std::vector<std::vector<Tuple>> rows;
+    for (const Relation& r : out->relations) rows.push_back(RowsInOrder(r));
+    ASSERT_FALSE(rows.empty());
+    ASSERT_FALSE(rows.front().empty());
+    if (workers == kWorkerCounts[0]) {
+      reference = std::move(rows);
+      reference_derivations = out->stats.derivations;
+      continue;
+    }
+    EXPECT_EQ(rows, reference) << "workers=" << workers;
+    EXPECT_EQ(out->stats.derivations, reference_derivations)
+        << "workers=" << workers;
+  }
+}
+
+Relation SelfLoops(int n, int step) {
+  Relation q(2);
+  for (int i = 0; i < n; i += step) q.Insert({i, i});
+  return q;
+}
+
+TEST(WorkerCountParity, SemiNaive) {
+  Database db;
+  db.GetOrCreate("e", 2) = RandomGraph(200, 600, /*seed=*/7);
+  ExpectWorkerCountParity(
+      db, Query::Closure({LR("p(X,Y) :- p(X,Z), e(Z,Y).")})
+              .From(SelfLoops(200, 4)),
+      Strategy::kSemiNaive);
+}
+
+TEST(WorkerCountParity, Naive) {
+  Database db;
+  db.GetOrCreate("e", 2) = RandomGraph(120, 360, /*seed=*/3);
+  ExpectWorkerCountParity(
+      db, Query::Closure({LR("p(X,Y) :- p(X,Z), e(Z,Y).")})
+              .From(SelfLoops(120, 6))
+              .Force(Strategy::kNaive),
+      Strategy::kNaive);
+}
+
+TEST(WorkerCountParity, PowerSum) {
+  // A² ⊆ A (the g(Y) guard re-applied adds nothing), so the planner
+  // closes with one power: q plus every (x, g) pair of its sources.
+  Database db;
+  Relation& g = db.GetOrCreate("g", 1);
+  for (Value v = 0; v < 20; ++v) g.Insert({v});
+  ExpectWorkerCountParity(
+      db,
+      Query::Closure({LR("p(X,Y) :- p(X,Z), g(Y).")}).From(SelfLoops(300, 1)),
+      Strategy::kPowerSum);
+}
+
+TEST(WorkerCountParity, Decomposed) {
   SameGenerationWorkload w =
       MakeSameGeneration(/*layers=*/5, /*width=*/24, /*fanout=*/2,
                          /*seed=*/99);
-  std::vector<LinearRule> rules = SameGenerationRules();
-
-  auto reference = SemiNaiveClosure(rules, w.db, w.q, nullptr, nullptr, 1);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-  std::size_t reference_derivations = 0;
-  for (int workers : {1, 2, 8}) {
-    for (int run = 0; run < 5; ++run) {
-      ClosureStats stats;
-      auto out = SemiNaiveClosure(rules, w.db, w.q, &stats, nullptr,
-                                  workers);
-      ASSERT_TRUE(out.ok()) << out.status();
-      EXPECT_EQ(*reference, *out) << "workers=" << workers << " run=" << run;
-      if (reference_derivations == 0) {
-        reference_derivations = stats.derivations;
-      }
-      EXPECT_EQ(stats.derivations, reference_derivations)
-          << "workers=" << workers << " run=" << run;
-    }
-  }
-  RestoreThreadCap();
+  ExpectWorkerCountParity(w.db, Query::Closure(SameGenerationRules()).From(w.q),
+                          Strategy::kDecomposed);
 }
 
-TEST(ParallelSemiNaive, ResumeDeterministicAcrossWorkerCounts) {
-  ForceRealThreads();
-  Database db;
-  db.GetOrCreate("e", 2) = RandomGraph(150, 450, /*seed=*/21);
-  std::vector<LinearRule> rules = {LR("p(X,Y) :- p(X,Z), e(Z,Y).")};
-
-  Relation q1(2);
-  for (int i = 0; i < 150; i += 10) q1.Insert({i, i});
-  auto closed = SemiNaiveClosure(rules, db, q1, nullptr, nullptr, 1);
-  ASSERT_TRUE(closed.ok()) << closed.status();
-
-  Relation extra(2);
-  for (int i = 5; i < 150; i += 10) extra.Insert({i, i});
-  auto reference = SemiNaiveResume(rules, db, *closed, extra, nullptr,
-                                   nullptr, 1);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-  for (int workers : {2, 8}) {
-    auto out =
-        SemiNaiveResume(rules, db, *closed, extra, nullptr, nullptr,
-                        workers);
-    ASSERT_TRUE(out.ok()) << out.status();
-    EXPECT_EQ(*reference, *out) << "workers=" << workers;
+TEST(WorkerCountParity, Separable) {
+  // σ on the down-persistent column: A = {down} outside, B = {up} inside
+  // (Theorem 4.1). The seed pairs every top-layer node with every other,
+  // and σ picks a child of node 0, so B* q holds that child paired with
+  // the whole top layer and both phases run rounds of hundreds of Δ rows.
+  const int width = 260;
+  SameGenerationWorkload w =
+      MakeSameGeneration(/*layers=*/3, width, /*fanout=*/2, /*seed=*/99);
+  Relation q(2);
+  for (Value u = 0; u < width; ++u) {
+    for (Value y = 0; y < width; ++y) q.Insert({u, y});
   }
-  RestoreThreadCap();
+  const Value child = w.db.Find("down")->WhereEquals(0, 0).Row(0)[1];
+  ExpectWorkerCountParity(w.db,
+                          Query::Closure(SameGenerationRules())
+                              .Select(Selection{0, child})
+                              .From(q),
+                          Strategy::kSeparable);
 }
 
-TEST(ParallelSemiNaive, EngineForcedParallelMatchesSerial) {
-  ForceRealThreads();
-  // Engine-level: parallel_workers applies to the automatically planned
-  // strategy; an 8-worker engine and a serial engine agree on tc_random.
-  auto build_engine = [](int workers) {
-    Database db;
-    db.GetOrCreate("e", 2) = RandomGraph(200, 600, /*seed=*/7);
+// The joint case is JointFixpointTest.EngineRowsIndependentOfWorkerCount.
+
+TEST(WorkerCountParity, IvmApplyRetractSequence) {
+  // A maintained tc view through inserts and deletes of edges: after every
+  // step the view holds the same rows in the same order at every worker
+  // count, and each step reports the same counts.
+  RealThreads threads;
+  const Relation edges = RandomGraph(160, 360, /*seed=*/13);
+  Relation base(2), extra(2);
+  std::size_t i = 0;
+  for (TupleView t : edges) (i++ % 4 == 0 ? extra : base).Insert(t);
+
+  auto run = [&](int workers) {
+    std::vector<std::vector<Tuple>> steps;
     EngineOptions options;
     options.parallel_workers = workers;
-    return Engine(std::move(db), options);
+    Database db;
+    db.GetOrCreate("e", 2) = base;
+    Engine engine(std::move(db), options);
+    auto prepared =
+        engine.Prepare(Query::Closure({LR("p(X,Y) :- p(X,Z), e(Z,Y).")}));
+    EXPECT_TRUE(prepared.ok()) << prepared.status();
+    auto view =
+        engine.Materialize(prepared->Bind().BindSeed(SelfLoops(160, 2)),
+                           {"tc"});
+    EXPECT_TRUE(view.ok()) << view.status();
+    steps.push_back(RowsInOrder(*engine.db().Find("tc")));
+    for (int step = 0; step < 3; ++step) {
+      Relation batch(2);
+      std::size_t j = 0;
+      for (TupleView t : extra) {
+        if (j++ % 3 == static_cast<std::size_t>(step)) batch.Insert(t);
+      }
+      DeltaInsert insert;
+      insert.param_inserts.emplace("e", batch);
+      auto applied = engine.Apply(*view, insert);
+      EXPECT_TRUE(applied.ok()) << applied.status();
+      steps.push_back(RowsInOrder(*engine.db().Find("tc")));
+      steps.push_back({Tuple({static_cast<Value>(applied->added)})});
+
+      Relation dropped(2);
+      std::size_t k = 0;
+      for (TupleView t : base) {
+        if (k++ % 7 == static_cast<std::size_t>(step)) dropped.Insert(t);
+      }
+      DeltaDelete erase;
+      erase.param_deletes.emplace("e", dropped);
+      auto retracted = engine.Retract(*view, erase);
+      EXPECT_TRUE(retracted.ok()) << retracted.status();
+      steps.push_back(RowsInOrder(*engine.db().Find("tc")));
+      steps.push_back({Tuple({static_cast<Value>(retracted->removed_count),
+                              static_cast<Value>(retracted->rederived)})});
+    }
+    return steps;
   };
-  Relation q(2);
-  for (int i = 0; i < 200; i += 4) q.Insert({i, i});
-  std::vector<LinearRule> rules = {LR("p(X,Y) :- p(X,Z), e(Z,Y).")};
 
-  Engine serial_engine = build_engine(1);
-  Engine parallel_engine = build_engine(8);
-  auto serial_prepared = serial_engine.Prepare(Query::Closure(rules));
-  auto parallel_prepared = parallel_engine.Prepare(Query::Closure(rules));
-  ASSERT_TRUE(serial_prepared.ok()) << serial_prepared.status();
-  ASSERT_TRUE(parallel_prepared.ok()) << parallel_prepared.status();
-  auto serial = serial_engine.Execute(serial_prepared->Bind().BindSeed(q));
-  auto parallel =
-      parallel_engine.Execute(parallel_prepared->Bind().BindSeed(q));
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  ASSERT_TRUE(parallel.ok()) << parallel.status();
-  EXPECT_EQ(serial->relation(), parallel->relation());
-  RestoreThreadCap();
-}
-
-TEST(ParallelSemiNaive, ParallelNaiveAndPowerSumMatchSerial) {
-  ForceRealThreads();
-  Database db;
-  db.GetOrCreate("e", 2) = RandomGraph(120, 360, /*seed=*/3);
-  std::vector<LinearRule> rules = {LR("p(X,Y) :- p(X,Z), e(Z,Y).")};
-  Relation q(2);
-  for (int i = 0; i < 120; i += 6) q.Insert({i, i});
-
-  auto naive_serial = NaiveClosure(rules, db, q, nullptr, nullptr, 1);
-  auto naive_parallel = NaiveClosure(rules, db, q, nullptr, nullptr, 8);
-  ASSERT_TRUE(naive_serial.ok()) << naive_serial.status();
-  ASSERT_TRUE(naive_parallel.ok()) << naive_parallel.status();
-  EXPECT_EQ(*naive_serial, *naive_parallel);
-
-  auto power_serial = PowerSum(rules, db, q, 6, nullptr, nullptr, 1);
-  auto power_parallel = PowerSum(rules, db, q, 6, nullptr, nullptr, 8);
-  ASSERT_TRUE(power_serial.ok()) << power_serial.status();
-  ASSERT_TRUE(power_parallel.ok()) << power_parallel.status();
-  EXPECT_EQ(*power_serial, *power_parallel);
-  RestoreThreadCap();
+  const std::vector<std::vector<Tuple>> reference = run(kWorkerCounts[0]);
+  ASSERT_GT(reference.front().size(), 1000u);
+  for (int workers : kWorkerCounts) {
+    EXPECT_EQ(run(workers), reference) << "workers=" << workers;
+  }
 }
 
 TEST(StrategyEquivalence, SimdAndScalarScansAgreeOnEveryStrategysClosure) {

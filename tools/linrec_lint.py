@@ -80,8 +80,9 @@ NO_ALLOC_TUS = [
 
 # TUs whose objects must not reference std::function (type-erased calls
 # have no place on the scan/probe path; the worker pool's std::function
-# hand-off happens once per round in common/parallel.cc, which is not a
-# kernel TU).
+# hand-off lives in common/parallel.cc and its callers, none of which is
+# a kernel TU). No exception is sanctioned: a kernel TU that hands work
+# to the WorkerPool is flagged like any other std::function reference.
 NO_STD_FUNCTION_TUS = [
     "src/common/simd_scalar.cc",
     "src/storage/relation.cc",
@@ -117,17 +118,6 @@ ALLOC_SYMBOL = re.compile(r"^_Zn[wa]")
 
 # std::function<...> in itanium mangling: libstdc++ and libc++ spellings.
 STD_FUNCTION_SYMBOL = re.compile(r"(St8functionI|NSt3__18functionI)")
-
-# The one sanctioned std::function on a kernel TU's symbol list: the
-# WorkerPool::Run hand-off (see common/parallel.h) — once per parallel
-# phase, never per row. That shows up two ways: references to WorkerPool
-# methods (std::function is in Run's mangled signature), and — in -O0
-# builds, where nothing inlines away — the caller's own weak
-# construct/destruct instantiations of the chunk-function type
-# std::function<void(int, std::size_t)> (mangled St8functionIFvimEE).
-# Any other std::function type still trips the rule.
-STD_FUNCTION_ALLOWED = re.compile(
-    r"(_ZN6linrec10WorkerPool|St8functionIFvimEE)")
 
 HOT_ATOMIC_MARKER = "// lint: hot-atomic"
 
@@ -229,8 +219,7 @@ def check_symbols(symbols, tu, no_alloc, no_std_function):
                 "kernel-alloc", tu,
                 f"kernel-path TU references operator new ({name}); the "
                 "scan kernels must not allocate"))
-        if (no_std_function and STD_FUNCTION_SYMBOL.search(name)
-                and not STD_FUNCTION_ALLOWED.search(name)):
+        if no_std_function and STD_FUNCTION_SYMBOL.search(name):
             violations.append(Violation(
                 "kernel-alloc", tu,
                 f"kernel-path TU references std::function ({name}); "
@@ -468,15 +457,16 @@ def self_test(fixtures_dir):
            False)
     expect("kernel-alloc", "symbols_bad.nm (rule off)",
            check_symbols(bad, "src/eval/fixpoint.cc", False, False), False)
-    # The WorkerPool::Run hand-off is sanctioned even though std::function
-    # shows up in its mangling: the Run reference itself, and the -O0-only
-    # weak construct/destruct instantiations of the chunk-function type.
-    expect("kernel-alloc", "symbols_good.nm (WorkerPool hand-off)",
+    # No kernel TU may hand work to the WorkerPool: the Run reference
+    # carries std::function in its mangling, and -O0 builds add the
+    # caller's weak construct/destruct instantiations of the chunk-function
+    # type. Both are flagged.
+    expect("kernel-alloc", "symbols_bad.nm (WorkerPool hand-off)",
            check_symbols(
                "                 U _ZN6linrec10WorkerPool3RunEmRKSt8"
                "functionIFvimEE\n"
                "0000000000000000 W _ZNSt8functionIFvimEED1Ev\n",
-               "src/storage/relation.cc", False, True), False)
+               "src/storage/relation.cc", False, True), True)
 
     # ctest-registration: fixture registers only one of the two tests.
     ctest = fixture("ctest_registrations.cmake")

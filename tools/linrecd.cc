@@ -12,12 +12,17 @@
 // --memory-budget BYTES (global ledger), --query-memory-budget BYTES
 // (per-query default; sessions override with SET memory_budget),
 // --retry-after MS (backoff hint in Unavailable replies),
-// --watchdog-interval MS (deadline-watchdog scan period).
+// --watchdog-interval MS (deadline-watchdog scan period). --timeout-ms,
+// --max-rows and --query-memory-budget accept exactly what the matching
+// SET accepts. --workers sizes the worker lanes of decomposed group
+// closures and of pipelined query batches (0 = one per hardware thread);
+// every closure's rounds are serial, so replies do not depend on it. A
+// malformed or out-of-range value prints the usage and exits 2.
 //
 // Fault injection (deterministic, for smoke tests):
 //   --fault <site>:<n>      fire an injected fault on the nth hit of the
-//                           named site (pool_growth, rehash,
-//                           worker_dispatch, socket_write)
+//                           named site (common/fault.h FaultSiteName; an
+//                           unknown name lists them all)
 //   --fault-seed <s>:<p>    seeded schedule: every site fires wherever
 //                           hash(seed, site, hit) % period == 0
 
@@ -27,11 +32,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <list>
 #include <sstream>
 #include <string>
@@ -39,6 +45,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "server/protocol.h"
 #include "server/server.h"
 
 namespace linrec {
@@ -246,36 +253,69 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+/// Parses all of `text` as a base-10 integer in [min, max]. An empty
+/// string, a sign an unsigned field cannot hold, a stray character or an
+/// out-of-range value all fail.
+template <typename Int>
+bool ParseWhole(const char* text, Int min, Int max, Int* out) {
+  const char* end = text + std::strlen(text);
+  Int value{};
+  const std::from_chars_result parsed = std::from_chars(text, end, value);
+  if (parsed.ec != std::errc() || parsed.ptr != end || value < min ||
+      value > max) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// Parses a session default the way `SET <key> <value>` does, so the flag
+/// and the verb share one range check (ParseSetArgs).
+template <typename Field>
+bool ParseSetDefault(const char* key, const char* text, Field* out) {
+  Result<SetArgs> set = ParseSetArgs(std::string(key) + " " + text);
+  if (!set.ok()) {
+    std::cerr << set.status().message() << "\n";
+    return false;
+  }
+  *out = static_cast<Field>(set->value);
+  return true;
+}
+
 /// Parses "--fault pool_growth:3" / "--fault-seed 42:1000" specs and arms
 /// the process-wide injector. Returns false (after a diagnostic) on a
 /// malformed spec or unknown site.
 bool ArmFault(const std::string& spec, bool seeded) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   const std::size_t colon = spec.find(':');
-  if (colon == std::string::npos || colon + 1 >= spec.size()) {
+  std::uint64_t n = 0;
+  if (colon == std::string::npos ||
+      !ParseWhole(spec.c_str() + colon + 1, std::uint64_t{1}, kMax, &n)) {
     std::cerr << "fault spec '" << spec << "' is not <"
-              << (seeded ? "seed" : "site") << ">:<n>\n";
+              << (seeded ? "seed" : "site") << ">:<positive count>\n";
     return false;
   }
   const std::string head = spec.substr(0, colon);
-  const long n = std::atol(spec.c_str() + colon + 1);
-  if (n <= 0) {
-    std::cerr << "fault spec '" << spec << "' needs a positive count\n";
-    return false;
-  }
   if (seeded) {
-    FaultInjector::Instance().ArmSeeded(
-        static_cast<std::uint64_t>(std::atol(head.c_str())),
-        static_cast<std::uint64_t>(n));
+    std::uint64_t seed = 0;
+    if (!ParseWhole(head.c_str(), std::uint64_t{0}, kMax, &seed)) {
+      std::cerr << "fault seed '" << head << "' is not an unsigned integer\n";
+      return false;
+    }
+    FaultInjector::Instance().ArmSeeded(seed, n);
     return true;
   }
   FaultSite site;
   if (!ParseFaultSite(head.c_str(), &site)) {
-    std::cerr << "unknown fault site '" << head
-              << "' (expected pool_growth, rehash, worker_dispatch or "
-                 "socket_write)\n";
+    std::cerr << "unknown fault site '" << head << "' (expected";
+    for (int i = 0; i < kFaultSiteCount; ++i) {
+      std::cerr << (i == 0 ? " " : ", ")
+                << FaultSiteName(static_cast<FaultSite>(i));
+    }
+    std::cerr << ")\n";
     return false;
   }
-  FaultInjector::Instance().ArmAt(site, static_cast<std::uint64_t>(n));
+  FaultInjector::Instance().ArmAt(site, n);
   return true;
 }
 
@@ -290,66 +330,51 @@ int main(int argc, char** argv) {
   int port = 0;
   ServerLimits limits;
   EngineOptions engine_options;
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  constexpr std::size_t kSizeMax = std::numeric_limits<std::size_t>::max();
 
+  // Every value is checked before the daemon binds a port: a malformed one
+  // prints the usage and exits 2.
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
     if (arg == "--stdin") {
       mode = Mode::kStdin;
-    } else if (arg == "--file") {
-      const char* value = next();
-      if (value == nullptr) return Usage(argv[0]);
+      continue;
+    }
+    const char* value = i + 1 < argc ? argv[++i] : nullptr;
+    if (value == nullptr) return Usage(argv[0]);
+    bool ok = true;
+    if (arg == "--file") {
       mode = Mode::kFile;
       file = value;
     } else if (arg == "--port") {
-      const char* value = next();
-      if (value == nullptr) return Usage(argv[0]);
       mode = Mode::kSocket;
-      port = std::atoi(value);
+      ok = ParseWhole(value, 0, 65535, &port);
     } else if (arg == "--timeout-ms") {
-      const char* value = next();
-      if (value == nullptr) return Usage(argv[0]);
-      limits.default_timeout_ms = std::atoi(value);
+      ok = ParseSetDefault("timeout_ms", value, &limits.default_timeout_ms);
     } else if (arg == "--max-rows") {
-      const char* value = next();
-      if (value == nullptr) return Usage(argv[0]);
-      limits.default_max_rows = static_cast<std::size_t>(std::atol(value));
-    } else if (arg == "--max-pending") {
-      const char* value = next();
-      if (value == nullptr) return Usage(argv[0]);
-      limits.max_pending = static_cast<std::size_t>(std::atol(value));
-    } else if (arg == "--workers") {
-      const char* value = next();
-      if (value == nullptr) return Usage(argv[0]);
-      engine_options.parallel_workers = std::atoi(value);
-    } else if (arg == "--memory-budget") {
-      const char* value = next();
-      if (value == nullptr) return Usage(argv[0]);
-      limits.global_memory_budget = static_cast<std::size_t>(std::atol(value));
+      ok = ParseSetDefault("max_rows", value, &limits.default_max_rows);
     } else if (arg == "--query-memory-budget") {
-      const char* value = next();
-      if (value == nullptr) return Usage(argv[0]);
-      limits.default_query_memory_budget =
-          static_cast<std::size_t>(std::atol(value));
+      ok = ParseSetDefault("memory_budget", value,
+                           &limits.default_query_memory_budget);
+    } else if (arg == "--max-pending") {
+      ok = ParseWhole(value, std::size_t{1}, kSizeMax, &limits.max_pending);
+    } else if (arg == "--workers") {
+      ok = ParseWhole(value, 0, kIntMax, &engine_options.parallel_workers);
+    } else if (arg == "--memory-budget") {
+      ok = ParseWhole(value, std::size_t{0}, kSizeMax,
+                      &limits.global_memory_budget);
     } else if (arg == "--retry-after") {
-      const char* value = next();
-      if (value == nullptr) return Usage(argv[0]);
-      limits.retry_after_ms = std::atoi(value);
+      ok = ParseWhole(value, 0, kIntMax, &limits.retry_after_ms);
     } else if (arg == "--watchdog-interval") {
-      const char* value = next();
-      if (value == nullptr) return Usage(argv[0]);
-      limits.watchdog_interval_ms = std::atoi(value);
-    } else if (arg == "--fault") {
-      const char* value = next();
-      if (value == nullptr) return Usage(argv[0]);
-      if (!ArmFault(value, /*seeded=*/false)) return 2;
-    } else if (arg == "--fault-seed") {
-      const char* value = next();
-      if (value == nullptr) return Usage(argv[0]);
-      if (!ArmFault(value, /*seeded=*/true)) return 2;
+      ok = ParseWhole(value, 1, kIntMax, &limits.watchdog_interval_ms);
+    } else if (arg == "--fault" || arg == "--fault-seed") {
+      ok = ArmFault(value, /*seeded=*/arg == "--fault-seed");
     } else {
+      return Usage(argv[0]);
+    }
+    if (!ok) {
+      std::cerr << "invalid value '" << value << "' for " << arg << "\n";
       return Usage(argv[0]);
     }
   }
