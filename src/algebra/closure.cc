@@ -1,65 +1,8 @@
 #include "algebra/closure.h"
 
-#include <algorithm>
-#include <string>
-
-#include "common/fault.h"
 #include "common/memory.h"
-#include "common/parallel.h"
-#include "common/strings.h"
 
 namespace linrec {
-namespace {
-
-/// Computes every P_i = groups[i]* q on a WorkerPool of `lanes` lanes (one
-/// chunk per group). Lane 0 is the calling thread and uses the caller's
-/// `cache`; every other lane gets its own IndexCache (HashIndex building
-/// mutates the cache, and the shared parameter relations are only ever
-/// read). Each lane runs under the caller's query budget. Results and stats
-/// land in per-group slots, so no synchronization beyond the pool's
-/// work-stealing counter is needed, and a group's closure is the same
-/// relation whichever lane computes it.
-std::vector<Result<Relation>> CloseGroups(
-    const std::vector<std::vector<LinearRule>>& groups, const Database& db,
-    const Relation& q, std::vector<ClosureStats>* group_stats, int lanes,
-    IndexCache* cache, const CancellationToken* cancel) {
-  std::vector<Result<Relation>> parts;
-  parts.reserve(groups.size());
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    parts.push_back(Status::Internal("group closure not executed"));
-  }
-  // A relation stamps its version on the first read after a mutation. Two
-  // lanes reading one stale parameter relation at once could both stamp
-  // it, and the second stamp would invalidate an index the first lane is
-  // still joining through, so stamp every shared relation up front.
-  for (const std::string& name : db.Names()) db.Find(name)->version();
-  WorkerPool pool(lanes);
-  std::vector<IndexCache> caches(static_cast<std::size_t>(pool.lanes()));
-  QueryBudget* budget = CurrentQueryBudget();
-  pool.Run(groups.size(), [&, budget](int lane, std::size_t i) {
-    if (FaultFires(FaultSite::kWorkerDispatch)) {
-      parts[i] = Status::Internal(
-          StrCat("injected worker fault dispatching group closure ", i));
-      return;
-    }
-    ScopedQueryBudget budget_scope(budget);
-    // The pool swallows exceptions on its threads; convert them to the
-    // Status contract every other path uses.
-    try {
-      parts[i] = SemiNaiveClosure(
-          groups[i], db, q, &(*group_stats)[i],
-          lane == 0 ? cache : &caches[static_cast<std::size_t>(lane)],
-          cancel);
-    } catch (const std::exception& e) {
-      parts[i] = Status::Internal(StrCat("group closure threw: ", e.what()));
-    } catch (...) {
-      parts[i] = Status::Internal("group closure threw");
-    }
-  });
-  return parts;
-}
-
-}  // namespace
 
 Result<Relation> DirectClosure(const std::vector<LinearRule>& rules,
                                const Database& db, const Relation& q,
@@ -70,7 +13,7 @@ Result<Relation> DirectClosure(const std::vector<LinearRule>& rules,
 
 Result<Relation> DecomposedClosure(
     const std::vector<std::vector<LinearRule>>& groups, const Database& db,
-    const Relation& q, ClosureStats* stats, IndexCache* cache, int workers,
+    const Relation& q, ClosureStats* stats, IndexCache* cache,
     const CancellationToken* cancel) {
   if (groups.empty()) {
     return Status::InvalidArgument("DecomposedClosure requires >= 1 group");
@@ -78,42 +21,20 @@ Result<Relation> DecomposedClosure(
   IndexCache local_cache;
   if (cache == nullptr) cache = &local_cache;
 
-  // Group phase: P_i = G_i* q for every group, one lane per group up to
-  // the worker budget.
-  const int lanes = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(ResolveWorkers(workers)), groups.size()));
-  std::vector<ClosureStats> group_stats(groups.size());
-  std::vector<Result<Relation>> parts =
-      CloseGroups(groups, db, q, &group_stats, lanes, cache, cancel);
-  ClosureStats total;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (!parts[i].ok()) return parts[i].status();
-    total.Accumulate(group_stats[i]);
-  }
-
-  // Merge right-to-left in product order. Step i computes G_i*(current)
-  // as SemiNaiveResume(G_i, closed = P_i, extra = current): P_i ⊆
-  // G_i*(current) because current ⊇ q, so seeding from P_i is sound and
-  // only cross-group compositions are newly derived. P_i is moved in, not
-  // copied.
-  Relation current = std::move(parts.back()).value();
-  for (std::size_t i = groups.size() - 1; i-- > 0;) {
-    Result<Relation> merged =
-        SemiNaiveResume(groups[i], db, std::move(parts[i]).value(), current,
-                        &total, cache, cancel);
-    if (!merged.ok()) return merged.status();
-    current = std::move(merged).value();
-  }
-  if (stats != nullptr) {
-    // A row that two group closures both derive counts as new in each, so
-    // the per-call duplicate counts undercount. Count every derivation of
-    // the product that added no row to its result instead: the count the
-    // sequential product G_1*(G_2*(… q)) reports.
-    total.duplicates = total.derivations - (current.size() - q.size());
-    total.result_size = current.size();
-    stats->Accumulate(total);
-  }
-  return current;
+  // Sequential product: thread the accumulating relation through each
+  // group closure, rightmost first. Each group's Δ starts as the whole
+  // relation so far, so G_i* is applied to everything the groups to its
+  // right derived; the relation is extended in place, never copied.
+  return GuardAllocFailures([&]() -> Result<Relation> {
+    Relation current = q;
+    for (auto it = groups.rbegin(); it != groups.rend(); ++it) {
+      ClosureStats group_stats;
+      LINREC_RETURN_IF_ERROR(SemiNaiveExtend(*it, db, &current, 0,
+                                             &group_stats, cache, cancel));
+      if (stats != nullptr) stats->Accumulate(group_stats);
+    }
+    return current;
+  });
 }
 
 }  // namespace linrec

@@ -6,11 +6,9 @@
 // different groups commute, in which case it equals the direct closure with
 // no more (and typically many fewer) duplicate derivations (Theorem 3.1).
 //
-// Commutativity is also what makes the group closures independent of one
-// another, so DecomposedClosure is the one closure that spends a worker
-// count: its group closures run concurrently. Every closure's rounds,
-// including each group's, run serially (eval/fixpoint.h), and the result is
-// the same relation, row for row, at every worker count.
+// Every closure's rounds run serially on the calling thread
+// (eval/fixpoint.h), so a result's rows and their order depend only on the
+// inputs.
 
 #pragma once
 
@@ -34,23 +32,16 @@ Result<Relation> DirectClosure(const std::vector<LinearRule>& rules,
 /// groups[0]* groups[1]* ... groups[k-1]* q — the rightmost group closure is
 /// applied first, matching operator-product order. Callers are responsible
 /// for the cross-group commutativity that makes this equal the direct
-/// closure (PlanDecomposition produces such groups). The calling thread
-/// indexes through `cache` (or a local one when null); other lanes use
-/// private caches.
+/// closure (PlanDecomposition produces such groups). All group closures
+/// share `cache` (or a local one when null).
 ///
-/// The group closures P_i = G_i* q are independent of one another — only
-/// the *merge* must respect the product order — so they run first, each as
-/// one chunk of a WorkerPool with min(workers, groups) lanes (`workers`
-/// follows the common/parallel.h rule: 0 = hardware concurrency, 1 =
-/// serial). They are then folded right-to-left with SemiNaiveResume, each
-/// merge step seeding its Δ with the other groups' tuples only, so no
-/// group's own work is re-derived. The derivation count equals that of the
-/// sequential product G_1*(G_2*(… q)), and the result — rows and their
-/// order — is the same for every worker count.
+/// Evaluated as the sequential product G_1*(G_2*(… q)): each group closure
+/// semi-naively extends, in place, the relation the groups to its right
+/// produced.
 Result<Relation> DecomposedClosure(
     const std::vector<std::vector<LinearRule>>& groups, const Database& db,
     const Relation& q, ClosureStats* stats = nullptr,
-    IndexCache* cache = nullptr, int workers = 0,
+    IndexCache* cache = nullptr,
     const CancellationToken* cancel = nullptr);
 
 }  // namespace linrec

@@ -199,9 +199,7 @@ Result<ProgramResult> EvaluateProgram(const Program& program,
   ProgramResult result;
   Result<Database> edb = program.FactsToDatabase();
   if (!edb.ok()) return edb.status();
-  EngineOptions engine_options;
-  engine_options.parallel_workers = options.parallel_workers;
-  Engine engine(std::move(edb).value(), engine_options);
+  Engine engine(std::move(edb).value());
 
   // Group rules by head predicate; arities must be consistent.
   std::map<std::string, PredicateRules> rules;

@@ -34,10 +34,6 @@ struct ProgramEvalOptions {
   /// recursion) components always run the multi-relation semi-naive
   /// fixpoint.
   bool use_decomposition = false;
-  /// Worker lanes for decomposed group closures (common/parallel.h rule:
-  /// 0 = one lane per hardware thread, 1 = serial); see
-  /// EngineOptions::parallel_workers.
-  int parallel_workers = 0;
 };
 
 /// Result of evaluating a program: the final database (EDB facts plus one

@@ -3,7 +3,7 @@
 //
 // Each site calls FaultFires(site) at the moment the real failure would
 // happen (an allocation about to grow the pool, a worker lane about to
-// start a group closure, a socket about to be written). Disarmed — the
+// start a batch slot, a socket about to be written). Disarmed — the
 // default — a site costs one relaxed atomic load; built with
 // -DLINREC_FAULT_INJECTION=0 the call compiles to a constant `false` and
 // the sites vanish entirely.
@@ -33,8 +33,8 @@ enum class FaultSite : int {
   kPoolGrowth = 0,
   /// Dedup-table rehash growth (storage/relation.cc).
   kRehash,
-  /// A worker lane about to run one group closure of a decomposed plan
-  /// (algebra/closure.cc).
+  /// A worker lane about to run one slot of Engine::ExecuteBatch /
+  /// ExecuteBatchEach (engine/engine.cc).
   kWorkerDispatch,
   /// A reply about to be written to a client socket (tools/linrecd.cc).
   kSocketWrite,

@@ -19,8 +19,8 @@
 // surfaces as the same typed status instead of a crash).
 //
 // Propagation is via a thread_local current budget (ScopedQueryBudget):
-// storage code stays signature-stable, and a decomposed closure installs
-// the caller's budget inside each of its group lanes.
+// storage code stays signature-stable, and Engine::Run installs a query's
+// budget on whichever thread — the caller or a batch lane — runs it.
 
 #pragma once
 
@@ -86,8 +86,8 @@ class MemoryBudget {
 };
 
 /// Per-query high-water accounting; releases its total from the parent
-/// global budget (if any) on destruction. Charge() is thread-safe so the
-/// group lanes of one decomposed query can share it.
+/// global budget (if any) on destruction. Charge() is thread-safe, so
+/// queries on different batch lanes may share one budget.
 class QueryBudget {
  public:
   /// limit 0 = unlimited (still counts, still charges the parent).
@@ -115,8 +115,8 @@ class QueryBudget {
  private:
   std::size_t limit_;
   MemoryBudget* parent_;
-  /// Own cache line, like MemoryBudget::used_: all group lanes of one
-  /// decomposed query charge through this atomic.
+  /// Own cache line, like MemoryBudget::used_: every batch lane whose
+  /// query shares this budget charges through this atomic.
   alignas(64) std::atomic<std::size_t> charged_{0};  // lint: hot-atomic
 };
 
@@ -124,8 +124,8 @@ class QueryBudget {
 QueryBudget* CurrentQueryBudget();
 
 /// Installs `budget` as the thread's current budget for its scope; restores
-/// the previous one (supports nesting). Each group lane of a governed
-/// decomposed closure installs the query's budget this way.
+/// the previous one (supports nesting). Engine::Run installs each query's
+/// budget this way, on the thread that runs the query.
 class ScopedQueryBudget {
  public:
   explicit ScopedQueryBudget(QueryBudget* budget);

@@ -1,8 +1,7 @@
-// A minimal work-stealing worker pool for the two things linrec runs in
-// parallel: the commuting group closures of a decomposed plan
-// (algebra/closure.cc) and the slots of Engine::ExecuteBatch. Both hand it
-// whole, independent closures — never the inside of a round — so no result
-// depends on which thread ran which chunk.
+// A minimal work-stealing worker pool for the one thing linrec runs in
+// parallel: the slots of Engine::ExecuteBatch. Each slot is a whole,
+// independent query — never the inside of a closure or a round — so no
+// result depends on which thread ran which chunk.
 //
 // The pool model is deliberately simple: a Run() call publishes a batch of
 // `chunks` independent work items; every participating thread (the caller

@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "algebra/closure.h"
+#include "common/fault.h"
 #include "common/parallel.h"
 #include "common/strings.h"
 #include "datalog/printer.h"
@@ -448,33 +449,22 @@ Engine::ExecutionBinding Engine::BindingOf(const BoundQuery& bound) {
 
 Result<QueryResult> Engine::Run(const ExecutionPlan& plan,
                                 const ExecutionBinding& binding,
-                                IndexCache* cache,
-                                int workers_override) const {
+                                IndexCache* cache) const {
   // Install this execution's budget: storage growth below charges the
-  // thread-local current budget, and a decomposed plan's group lanes
-  // re-install it on their threads. Without a binding budget, any budget
+  // thread-local current budget. Without a binding budget, any budget
   // already in effect on this thread (e.g. installed by the serving layer
   // around a whole goal) stays active. The guard converts a denial into a
   // typed ResourceExhausted.
   ScopedQueryBudget budget_scope(
       binding.budget != nullptr ? binding.budget : CurrentQueryBudget());
   return GuardAllocFailures([&]() -> Result<QueryResult> {
-    return RunImpl(plan, binding, cache, workers_override);
+    return RunImpl(plan, binding, cache);
   });
 }
 
 Result<QueryResult> Engine::RunImpl(const ExecutionPlan& plan,
                                     const ExecutionBinding& binding,
-                                    IndexCache* cache,
-                                    int workers_override) const {
-  // Lanes for a decomposed plan's group closures. Plans from older callers
-  // may predate the resolved field; fall back to the engine's own options.
-  const int workers =
-      workers_override > 0
-          ? workers_override
-          : (plan.parallel_workers > 0
-                 ? plan.parallel_workers
-                 : ResolveWorkers(options_.parallel_workers));
+                                    IndexCache* cache) const {
   const CancellationToken* cancel = binding.cancel;
 
   if (plan.strategy == Strategy::kJointSemiNaive) {
@@ -551,8 +541,7 @@ Result<QueryResult> Engine::RunImpl(const ExecutionPlan& plan,
       for (const std::vector<int>& group : plan.groups) {
         groups.push_back(plan.RulesOf(group));
       }
-      out = DecomposedClosure(groups, db_, seed, &s, cache, workers,
-                              cancel);
+      out = DecomposedClosure(groups, db_, seed, &s, cache, cancel);
       break;
     }
     case Strategy::kSeparable: {
@@ -597,8 +586,7 @@ Result<QueryResult> Engine::Execute(const BoundQuery& bound) {
   LINREC_RETURN_IF_ERROR(bound.Validate());
   // The shared plan is used in place: the seed, σ value and cancellation
   // token flow through the binding, so executing never copies the plan.
-  Result<QueryResult> result = Run(*bound.plan(), BindingOf(bound), &cache_,
-                                   /*workers_override=*/0);
+  Result<QueryResult> result = Run(*bound.plan(), BindingOf(bound), &cache_);
   // Evict on the failure path too: an aborted execution (cancelled, budget
   // denied) may have left indexes over its already-destroyed temporaries in
   // the cache, and the next query would read dangling addresses.
@@ -638,21 +626,27 @@ std::vector<Result<QueryResult>> Engine::ExecuteBatchEach(
   // quiescent for the whole batch, so their indexes live in the engine's
   // SharedIndexCache — internally locked, built by whichever query needs
   // one first, reused by every other. Everything else a query indexes is a
-  // private temporary.
+  // private temporary. A relation written since its last read draws a
+  // fresh version stamp on the next read; drawing it here, before any slot
+  // starts, keeps every shared relation's stamp fixed for the whole batch.
   std::unordered_set<const Relation*> shared_relations;
   for (const std::string& name : db_.Names()) {
-    shared_relations.insert(db_.Find(name));
+    const Relation* relation = db_.Find(name);
+    relation->version();
+    shared_relations.insert(relation);
   }
 
   auto run_one = [&](std::size_t i) {
     if (!runnable[i]) return;  // failed validation above
+    if (FaultFires(FaultSite::kWorkerDispatch)) {
+      slots[i] = Status::Internal(
+          StrCat("injected worker fault dispatching batch slot ", i));
+      return;
+    }
+    // The per-query temporary tier dies right here, at the end of the
+    // query; the shared tier is swept once, below.
     TieredIndexCache cache(&cache_, &shared_relations);
-    // The batch slots are this path's parallelism: a decomposed query in a
-    // slot closes its groups on the slot's own thread, so no slot starts a
-    // nested pool. The per-query temporary tier dies right here, at the
-    // end of the query; the shared tier is swept once, below.
-    slots[i] = Run(*batch[i].plan(), bindings[i], &cache,
-                   /*workers_override=*/1);
+    slots[i] = Run(*batch[i].plan(), bindings[i], &cache);
   };
 
   const int lanes = static_cast<int>(

@@ -60,12 +60,11 @@ struct EngineOptions {
   bool enable_separable = true;
   bool enable_power_sum = true;
   bool enable_redundancy_elision = true;
-  /// Lanes for the two parallel paths (common/parallel.h rule: 0 = one
-  /// lane per hardware thread, 1 = serial): a kDecomposed plan's commuting
-  /// group closures, which run concurrently before their ordered merge,
-  /// and the slots of ExecuteBatch / ExecuteBatchEach. Every closure's
-  /// rounds run serially, so no result — rows or their order — depends on
-  /// this count.
+  /// Lanes for the one parallel path, the slots of ExecuteBatch /
+  /// ExecuteBatchEach (common/parallel.h rule: 0 = one lane per hardware
+  /// thread, 1 = serial). Each query in a slot, and every round of its
+  /// closure, runs serially, so no result — rows or their order — depends
+  /// on this count.
   int parallel_workers = 0;
   /// Memoize compiled plans keyed on (rule-set digest, σ, forced strategy)
   /// so repeated queries skip analysis and planning entirely.
@@ -117,9 +116,8 @@ class Engine {
   Result<QueryResult> Execute(const BoundQuery& bound);
 
   /// Runs independent bound queries concurrently on a worker pool
-  /// (EngineOptions::parallel_workers lanes, capped at the batch size; a
-  /// decomposed query closes its groups on its slot's lane instead of
-  /// starting a pool of its own). All queries share
+  /// (EngineOptions::parallel_workers lanes, capped at the batch size;
+  /// each query runs whole on one lane). All queries share
   /// one read-side IndexCache, so an index over a parameter relation is
   /// built once for the whole batch; per-query temporaries (Δs, seeds) use
   /// isolated private caches, and temporary-index eviction is deferred to
@@ -233,17 +231,15 @@ class Engine {
   /// `plan` (single-predicate or joint) with this `binding` against db_
   /// through `cache`, filling one QueryResult with this execution's stats.
   /// Const — it mutates no engine state, so batch lanes may call it
-  /// concurrently with distinct caches. `workers_override` > 0 replaces
-  /// the plan's resolved worker count (ExecuteBatchEach forces 1:
-  /// parallelism moves across queries). Installs the binding's budget for
+  /// concurrently with distinct caches. Installs the binding's budget for
   /// its duration and converts an escaped budget denial / bad_alloc into
   /// Status::ResourceExhausted (RunImpl is the unguarded body).
   Result<QueryResult> Run(const ExecutionPlan& plan,
-                          const ExecutionBinding& binding, IndexCache* cache,
-                          int workers_override) const;
+                          const ExecutionBinding& binding,
+                          IndexCache* cache) const;
   Result<QueryResult> RunImpl(const ExecutionPlan& plan,
                               const ExecutionBinding& binding,
-                              IndexCache* cache, int workers_override) const;
+                              IndexCache* cache) const;
   /// Fills groups via union-find over the memoized non-commuting pairs,
   /// appending per-pair verdicts to the plan's justification.
   Status ComputeGroups(ExecutionPlan* plan);

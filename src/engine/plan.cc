@@ -87,13 +87,9 @@ std::string ExecutionPlan::Explain() const {
   if (parallel_workers <= 1) {
     os << "parallel: serial (1 worker)\n";
   } else {
-    os << "parallel: " << parallel_workers << " workers — ";
-    if (strategy == Strategy::kDecomposed && groups.size() > 1) {
-      os << "the " << groups.size()
-         << " commuting group closures run concurrently before the ordered "
-            "merge; ";
-    }
-    os << "batch slots run concurrently; every round is serial\n";
+    os << "parallel: " << parallel_workers
+       << " workers — batch slots run concurrently; every query and round "
+          "is serial\n";
   }
 
   if (selection.has_value()) {

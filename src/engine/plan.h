@@ -55,9 +55,9 @@ struct ExecutionPlan {
   /// Predicates elided by the factorization (from the bounded bridges).
   std::vector<std::string> elided_predicates;
   /// Resolved worker count (from EngineOptions::parallel_workers via
-  /// ResolveWorkers): the lanes of a kDecomposed plan's group closures and
-  /// of Engine::ExecuteBatch's slots; 1 = serial. Rounds are serial at
-  /// every count, so it never changes a result.
+  /// ResolveWorkers): the lanes of Engine::ExecuteBatch's slots; 1 =
+  /// serial. The query itself runs serially at every count, so it never
+  /// changes a result.
   int parallel_workers = 1;
   /// Theorem-level reasons for the choice, in planning order.
   std::vector<std::string> justification;

@@ -47,8 +47,7 @@ Result<Relation> SemiNaiveClosure(const std::vector<LinearRule>& rules,
 /// Sound because the operators are linear: each derivation consumes exactly
 /// one recursive tuple, and derivations from `closed` tuples land in
 /// `closed`. `closed` is taken by value: a caller done with it moves it in
-/// and nothing is copied (the decomposed closure merges its independently
-/// computed group closures this way).
+/// and nothing is copied.
 Result<Relation> SemiNaiveResume(const std::vector<LinearRule>& rules,
                                  const Database& db, Relation closed,
                                  const Relation& extra,

@@ -14,8 +14,7 @@
 // runs serially on the calling thread, emitting straight into its target
 // relations: a closure yields the same rows in the same order on every run
 // and at every worker count. Parallelism lives above the closure, where
-// closures are independent: the commuting group closures of
-// algebra/closure.h and the batch slots of Engine::ExecuteBatch.
+// queries are independent: the batch slots of Engine::ExecuteBatch.
 
 #pragma once
 

@@ -127,10 +127,11 @@ TEST(FaultInjectionTest, RehashFaultSurfacesAsResourceExhausted) {
 }
 
 TEST(FaultInjectionTest, WorkerDispatchFaultSurfacesAsTypedInternal) {
-  // The commuting same-generation pair plans as a two-group decomposed
-  // closure: each group closure is dispatched to a worker lane, and the
-  // armed fault fails that lane's group with a typed status. The pool
-  // dispatches on every host, one core or many.
+  // Every slot of a batch is dispatched to a worker lane, and the armed
+  // fault fails the first slot dispatched with a typed status while its
+  // neighbours still run. The slots are the commuting same-generation pair,
+  // planned as a two-group decomposed closure. Slots dispatch on every
+  // host, one core or many.
   SameGenerationWorkload w =
       MakeSameGeneration(/*layers=*/4, /*width=*/12, /*fanout=*/2,
                          /*seed=*/5);
@@ -141,28 +142,36 @@ TEST(FaultInjectionTest, WorkerDispatchFaultSurfacesAsTypedInternal) {
   ASSERT_TRUE(prepared.ok()) << prepared.status();
   ASSERT_EQ(prepared->plan().strategy, Strategy::kDecomposed);
   ASSERT_EQ(prepared->plan().groups.size(), 2u);
+  const std::vector<BoundQuery> batch(4, prepared->Bind().BindSeed(w.q));
   {
     ScopedFault fault(FaultSite::kWorkerDispatch, 1);
-    auto result = engine.Execute(prepared->Bind().BindSeed(w.q));
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kInternal)
-        << result.status();
-    EXPECT_NE(result.status().message().find("injected worker fault"),
-              std::string::npos)
-        << result.status();
+    std::vector<Result<QueryResult>> slots = engine.ExecuteBatchEach(batch);
+    ASSERT_EQ(slots.size(), batch.size());
+    std::size_t failed = 0;
+    for (const Result<QueryResult>& slot : slots) {
+      if (slot.ok()) continue;
+      ++failed;
+      EXPECT_EQ(slot.status().code(), StatusCode::kInternal) << slot.status();
+      EXPECT_NE(slot.status().message().find("injected worker fault"),
+                std::string::npos)
+          << slot.status();
+    }
+    EXPECT_EQ(failed, 1u);
   }
-  // The engine keeps serving: the next run succeeds with the rows of an
-  // untouched engine.
-  auto after = engine.Execute(prepared->Bind().BindSeed(w.q));
-  ASSERT_TRUE(after.ok()) << after.status();
+  // The engine keeps serving: the next batch succeeds in every slot with
+  // the rows of an untouched engine.
   Engine fresh(w.db, options);
   auto clean = fresh.Execute(
       fresh.Prepare(Query::Closure(SameGenerationRules()))
           ->Bind()
           .BindSeed(w.q));
   ASSERT_TRUE(clean.ok()) << clean.status();
-  EXPECT_EQ(after->relation(), clean->relation());
-  EXPECT_GT(after->relation().size(), w.q.size());
+  EXPECT_GT(clean->relation().size(), w.q.size());
+  auto after = engine.ExecuteBatch(batch);
+  ASSERT_TRUE(after.ok()) << after.status();
+  for (const QueryResult& slot : *after) {
+    EXPECT_EQ(slot.relation(), clean->relation());
+  }
 }
 
 TEST(FaultInjectionTest, FixedScheduleAbortsAtTheSameHitEveryRun) {

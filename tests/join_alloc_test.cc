@@ -260,15 +260,14 @@ TEST(ClosureAllocTest, PowerSumSteadyStateRoundsAllocateNothing) {
 }
 
 /// Allocations of one DecomposedClosure over same-generation with each rule
-/// in its own group (the commuting pair of Example 5.2), serial.
+/// in its own group (the commuting pair of Example 5.2).
 std::size_t DecomposedAllocations(int width) {
   SameGenerationWorkload w = MakeSameGeneration(5, width, 2, 7);
   std::vector<LinearRule> rules = SameGenerationRules();
   std::vector<std::vector<LinearRule>> groups = {{rules[0]}, {rules[1]}};
 
   std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  Result<Relation> out = DecomposedClosure(groups, w.db, w.q, nullptr,
-                                           nullptr, /*workers=*/1);
+  Result<Relation> out = DecomposedClosure(groups, w.db, w.q);
   std::size_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_TRUE(out.ok());
   EXPECT_GT(out->size(), 0u);

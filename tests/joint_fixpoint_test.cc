@@ -1,7 +1,8 @@
 // Joint multi-relation fixpoint: correctness against hand-computed
 // closures and the naive reference, engine results independent of the
-// worker count (with real threads forced, so single-core CI still runs the
-// worker pool), and validation of malformed joint rules.
+// worker count, alone and in a batch (with real threads forced, so
+// single-core CI still runs the worker pool), and validation of malformed
+// joint rules.
 
 #include "eval/joint.h"
 
@@ -10,9 +11,9 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.h"
 #include "datalog/parser.h"
 #include "engine/engine.h"
+#include "real_threads.h"
 #include "workload/rulegen.h"
 
 namespace linrec {
@@ -61,15 +62,32 @@ TEST(JointFixpointTest, SemiNaiveMatchesNaiveReference) {
 
 TEST(JointFixpointTest, EngineRowsIndependentOfWorkerCount) {
   // Sized so rounds carry thousands of Δ rows: the closure over a dense
-  // 2-colored graph. The worker count sizes only batch slots and group
-  // lanes, so at every count each member holds the same rows in the same
-  // order (what a reply streams), from the same derivations. Helper
-  // threads are forced on, so the pool fans out even on one core.
-  WorkerPool::OverrideThreadCapForTesting(16);
+  // 2-colored graph. The worker count sizes only batch slots, so at every
+  // count each member holds the same rows in the same order (what a reply
+  // streams), from the same derivations — executed alone or as a slot of
+  // a batch. Helper threads are forced on, so the batch fans out even on
+  // one core.
+  RealThreads threads;
   auto w = MakeAlternatingReachability(120, 480, /*seed=*/21);
   ASSERT_TRUE(w.ok()) << w.status();
   std::vector<std::vector<Tuple>> reference;
   std::size_t reference_derivations = 0;
+  auto expect_reference = [&](const QueryResult& out, int workers) {
+    std::vector<std::vector<Tuple>> rows;
+    for (const Relation& member : out.relations) {
+      rows.emplace_back();
+      for (TupleView t : member) rows.back().push_back(t.ToTuple());
+    }
+    if (reference.empty()) {
+      ASSERT_GT(rows[0].size() + rows[1].size(), 1000u);
+      reference = std::move(rows);
+      reference_derivations = out.stats.derivations;
+      return;
+    }
+    EXPECT_EQ(rows, reference) << "workers=" << workers;
+    EXPECT_EQ(out.stats.derivations, reference_derivations)
+        << "workers=" << workers;
+  };
   for (int workers : {1, 2, 8}) {
     EngineOptions options;
     options.parallel_workers = workers;
@@ -77,24 +95,14 @@ TEST(JointFixpointTest, EngineRowsIndependentOfWorkerCount) {
     auto prepared =
         engine.Prepare(Query::JointClosure(w->members, w->rules));
     ASSERT_TRUE(prepared.ok()) << prepared.status();
-    auto out = engine.Execute(prepared->Bind().BindSeeds(w->seeds));
+    const BoundQuery bound = prepared->Bind().BindSeeds(w->seeds);
+    auto out = engine.Execute(bound);
     ASSERT_TRUE(out.ok()) << out.status();
-    std::vector<std::vector<Tuple>> rows;
-    for (const Relation& member : out->relations) {
-      rows.emplace_back();
-      for (TupleView t : member) rows.back().push_back(t.ToTuple());
-    }
-    if (workers == 1) {
-      ASSERT_GT(rows[0].size() + rows[1].size(), 1000u);
-      reference = std::move(rows);
-      reference_derivations = out->stats.derivations;
-      continue;
-    }
-    EXPECT_EQ(rows, reference) << "workers=" << workers;
-    EXPECT_EQ(out->stats.derivations, reference_derivations)
-        << "workers=" << workers;
+    expect_reference(*out, workers);
+    auto batch = engine.ExecuteBatch({bound, bound, bound});
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    for (const QueryResult& slot : *batch) expect_reference(slot, workers);
   }
-  WorkerPool::OverrideThreadCapForTesting(0);
 }
 
 TEST(JointFixpointTest, MemberWithNoConsumingRuleTerminates) {

@@ -14,6 +14,7 @@
 #include "engine/engine.h"
 #include "eval/fixpoint.h"
 #include "eval/selection.h"
+#include "real_threads.h"
 #include "workload/graphs.h"
 #include "workload/rulegen.h"
 
@@ -428,6 +429,68 @@ TEST(ExecuteBatchTest, SharedParameterIndexBuildsDoNotScaleWithBatchSize) {
   EXPECT_EQ(rebuilds_large, 0u);
 
   WorkerPool::OverrideThreadCapForTesting(0);
+}
+
+TEST(ExecuteBatchTest, BatchAfterParameterInsertsMatchesSequential) {
+  // Facts inserted after the shared tier was warmed leave the parameter
+  // relations with a stale version stamp, as the serving layer leaves them
+  // when it materializes a goal's dependencies right before batching its σ
+  // goals. Every slot must still read one consistent index per relation:
+  // the σ sweep and the decomposed closures of the batch match sequential
+  // execution on an engine that never saw the old facts.
+  RealThreads threads;
+  auto add_edges = [](Database& db) {
+    Relation& down = db.GetOrCreate("down", 2);
+    Relation& up = db.GetOrCreate("up", 2);
+    for (Value child : {100, 101, 102}) {
+      down.Insert({child - 70, child});
+      up.Insert({child, child - 70});
+    }
+  };
+  auto prepare = [](Engine& engine) {
+    auto sweep =
+        engine.Prepare(Query::Closure({Down(), Up()}).SelectPosition(0));
+    auto plain = engine.Prepare(Query::Closure({Down(), Up()}));
+    EXPECT_TRUE(sweep.ok() && plain.ok());
+    EXPECT_EQ(plain->plan().strategy, Strategy::kDecomposed);
+    return std::make_pair(*sweep, *plain);
+  };
+
+  EngineOptions options;
+  options.parallel_workers = 4;
+  Engine engine(SameGenDb(), options);
+  auto [sweep, plain] = prepare(engine);
+  const auto old_seed =
+      std::make_shared<const Relation>(IdentitySeed(engine.db()));
+  ASSERT_TRUE(engine.ExecuteBatch(MakeSweepBatch(sweep, plain, old_seed, 2))
+                  .ok());
+  add_edges(engine.db());
+  const auto seed =
+      std::make_shared<const Relation>(IdentitySeed(engine.db()));
+  const std::vector<BoundQuery> batch = {
+      sweep.Bind(1).BindSeed(seed), plain.Bind().BindSeed(seed),
+      sweep.Bind(2).BindSeed(seed), plain.Bind().BindSeed(seed)};
+  auto results = engine.ExecuteBatch(batch);
+  ASSERT_TRUE(results.ok()) << results.status();
+
+  Database db = SameGenDb();
+  add_edges(db);
+  EngineOptions serial;
+  serial.parallel_workers = 1;
+  Engine reference(std::move(db), serial);
+  auto [ref_sweep, ref_plain] = prepare(reference);
+  const std::vector<BoundQuery> ref_batch = {
+      ref_sweep.Bind(1).BindSeed(seed), ref_plain.Bind().BindSeed(seed),
+      ref_sweep.Bind(2).BindSeed(seed), ref_plain.Bind().BindSeed(seed)};
+  ASSERT_EQ(results->size(), ref_batch.size());
+  for (std::size_t i = 0; i < ref_batch.size(); ++i) {
+    auto expected = reference.Execute(ref_batch[i]);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    EXPECT_EQ((*results)[i].relation(), expected->relation())
+        << "batch slot " << i;
+  }
+  // The new edges reach the closure.
+  EXPECT_TRUE((*results)[1].relation().Contains({30, 100}));
 }
 
 TEST(ExecuteBatchTest, EmptyBatchAndFailurePropagation) {

@@ -4,7 +4,6 @@
 
 #include <string>
 
-#include "common/parallel.h"
 #include "common/strings.h"
 #include "datalog/parser.h"
 
@@ -153,41 +152,6 @@ TEST(ProgramEvalTest, EvenOddChainEvaluates) {
   EXPECT_NE(result->plan_explanations[0].find("even, odd"),
             std::string::npos)
       << result->plan_explanations[0];
-}
-
-TEST(ProgramEvalTest, JointClosureDeterministicAcrossWorkerCounts) {
-  // A three-member component over a cycle with guards, closed at 1, 2 and
-  // 8 workers: byte-identical relations (compared in sorted order).
-  std::string text =
-      "a(X,Y) :- e(X,Y).\n"
-      "a(X,Y) :- c(X,Z), e(Z,Y).\n"
-      "b(X,Y) :- a(X,Z), f(Z,Y).\n"
-      "c(X,Y) :- b(X,Z), e(Z,Y).\n";
-  for (int i = 0; i < 24; ++i) {
-    text += StrCat("e(", i, ",", (i + 1) % 24, ").\n");
-    text += StrCat("f(", i, ",", (i * 7) % 24, ").\n");
-  }
-  Program program = P(text);
-  // Force real helper threads so single-core CI exercises true
-  // cross-thread joint rounds, as in strategy_equivalence_test.
-  WorkerPool::OverrideThreadCapForTesting(16);
-  ProgramEvalOptions serial;
-  serial.parallel_workers = 1;
-  auto reference = EvaluateProgram(program, serial);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-  ASSERT_FALSE(reference->db.Find("a")->empty());
-  for (int workers : {2, 8}) {
-    ProgramEvalOptions options;
-    options.parallel_workers = workers;
-    auto result = EvaluateProgram(program, options);
-    ASSERT_TRUE(result.ok()) << result.status();
-    for (const char* pred : {"a", "b", "c"}) {
-      EXPECT_EQ(result->db.Find(pred)->Sorted(),
-                reference->db.Find(pred)->Sorted())
-          << pred << " differs at " << workers << " workers";
-    }
-  }
-  WorkerPool::OverrideThreadCapForTesting(0);
 }
 
 TEST(ProgramEvalTest, NonLinearMutualRecursionNamesComponent) {

@@ -16,8 +16,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/parallel.h"
 #include "common/strings.h"
+#include "real_threads.h"
 #include "server/protocol.h"
 
 namespace linrec {
@@ -157,11 +157,12 @@ TEST(ServerTest, ResultCapTruncationIsFlagged) {
 }
 
 TEST(ServerTest, TruncatedReplyIsByteIdenticalAcrossWorkerCounts) {
-  // A goal of a few thousand rows, cut by max_rows: a server at
+  // Pipelined point goals, which run as the slots of one batch, then a
+  // goal of a few thousand rows cut by max_rows: a server at
   // parallel_workers 8 must stream the 1-worker reply line for line — the
   // same rows, in the same order, truncated at the same row. Helper
-  // threads are forced on, so the pool fans out even on one core.
-  WorkerPool::OverrideThreadCapForTesting(16);
+  // threads are forced on, so the batch fans out even on one core.
+  RealThreads threads;
   std::string program =
       "tc(X, Y) :- e(X, Y).\n"
       "tc(X, Y) :- tc(X, Z), e(Z, Y).\n";
@@ -177,13 +178,24 @@ TEST(ServerTest, TruncatedReplyIsByteIdenticalAcrossWorkerCounts) {
     Server server(ServerLimits{}, options);
     auto session = server.NewSession();
     Load(server, *session, program);
-    return Drive(server, *session, {"SET max_rows 2000", "?- tc(X, Y)."});
+    std::vector<std::string> out =
+        Drive(server, *session, {"SET max_rows 2000"});
+    server.SubmitQueryLines(
+        *session, {"?- tc(0, Y).", "?- tc(7, Y).", "?- tc(31, Y)."}, &out);
+    server.HandleLine(*session, "?- tc(X, Y).", &out);
+    return out;
   };
   const std::vector<std::string> serial = reply(1);
-  ASSERT_EQ(serial.size(), 2003u);  // OK set, header, 2000 rows, "."
-  EXPECT_EQ(serial[1], "RESULT tc/2 rows=2000 truncated=1");
+  ASSERT_GT(serial.size(), 2003u);
+  EXPECT_EQ(serial[0], "OK set max_rows=2000");
+  EXPECT_EQ(std::count_if(serial.begin(), serial.end(),
+                          [](const std::string& line) {
+                            return line.rfind("RESULT tc/2 ", 0) == 0;
+                          }),
+            4);
+  // The full goal's header, 2000 rows and "." close the reply.
+  EXPECT_EQ(serial[serial.size() - 2002], "RESULT tc/2 rows=2000 truncated=1");
   EXPECT_EQ(reply(8), serial);
-  WorkerPool::OverrideThreadCapForTesting(0);
 }
 
 TEST(ServerTest, RowCapBoundsSelectionOnMaterializedView) {

@@ -1,18 +1,19 @@
 // Execution equivalence across strategies: every evaluation route — naive,
-// semi-naive, the decomposed product at every worker count, and the
-// engine's automatic choice — must produce the identical closure on the
-// workload suite. This is the paper's core claim (the theorems rewrite the
-// *computation*, never the *result*) and the regression net for the flat
-// storage layer. The worker-count suite goes further: the rows and their
-// order, not just the set, are independent of EngineOptions::parallel_workers.
+// semi-naive, the decomposed product, and the engine's automatic choice —
+// must produce the identical closure on the workload suite. This is the
+// paper's core claim (the theorems rewrite the *computation*, never the
+// *result*) and the regression net for the flat storage layer. The
+// worker-count suite goes further: the rows and their order, not just the
+// set, are independent of EngineOptions::parallel_workers, executed alone
+// or in a batch.
 
 #include <gtest/gtest.h>
 
 #include "algebra/closure.h"
-#include "common/parallel.h"
 #include "datalog/parser.h"
 #include "engine/engine.h"
 #include "eval/fixpoint.h"
+#include "real_threads.h"
 #include "workload/databases.h"
 #include "workload/graphs.h"
 
@@ -73,7 +74,7 @@ TEST(StrategyEquivalence, TransitiveClosureRandom) {
                            q);
 }
 
-TEST(StrategyEquivalence, SameGenerationDecomposedSequentialAndParallel) {
+TEST(StrategyEquivalence, SameGenerationDecomposedEqualsDirect) {
   SameGenerationWorkload w =
       MakeSameGeneration(/*layers=*/4, /*width=*/10, /*fanout=*/2,
                          /*seed=*/42);
@@ -84,23 +85,15 @@ TEST(StrategyEquivalence, SameGenerationDecomposedSequentialAndParallel) {
 
   // The two rules commute, so each may form its own group (Theorem 3.1).
   std::vector<std::vector<LinearRule>> groups = {{rules[0]}, {rules[1]}};
-  auto sequential =
-      DecomposedClosure(groups, w.db, w.q, nullptr, nullptr, /*workers=*/1);
-  ASSERT_TRUE(sequential.ok()) << sequential.status();
-  EXPECT_EQ(*direct, *sequential);
-
-  // Force the thread-pool path even on single-core machines.
-  auto parallel =
-      DecomposedClosure(groups, w.db, w.q, nullptr, nullptr, /*workers=*/4);
-  ASSERT_TRUE(parallel.ok()) << parallel.status();
-  EXPECT_EQ(*direct, *parallel);
+  auto decomposed = DecomposedClosure(groups, w.db, w.q);
+  ASSERT_TRUE(decomposed.ok()) << decomposed.status();
+  EXPECT_EQ(*direct, *decomposed);
 }
 
-TEST(StrategyEquivalence, ParallelDecomposedThreeGroups) {
+TEST(StrategyEquivalence, DecomposedThreeGroups) {
   // Three mutually commuting chase operators over disjoint columns-by-value
   // ranges: each rule advances along its own edge relation. All groups
-  // commute pairwise, so any product order — and the parallel merge — must
-  // equal the direct closure.
+  // commute pairwise, so any product order must equal the direct closure.
   Database db;
   db.GetOrCreate("e1", 2) = ChainGraph(8);
   Relation shifted(2);
@@ -123,29 +116,21 @@ TEST(StrategyEquivalence, ParallelDecomposedThreeGroups) {
 
   std::vector<std::vector<LinearRule>> groups = {{rules[0]}, {rules[1]},
                                                  {rules[2]}};
-  for (int workers : {1, 2, 4}) {
-    auto out = DecomposedClosure(groups, db, q, nullptr, nullptr, workers);
-    ASSERT_TRUE(out.ok()) << out.status();
-    EXPECT_EQ(*direct, *out) << "workers=" << workers;
-  }
+  auto out = DecomposedClosure(groups, db, q);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(*direct, *out);
 }
 
 // --- Worker-count parity --------------------------------------------------
 //
-// EngineOptions::parallel_workers sizes only a decomposed plan's group
-// phase and batch slots; every closure's rounds are serial. So at every
-// worker count each strategy must return the same rows in the same order —
-// the bytes a linrecd reply streams — not merely the same set. Helper
-// threads are forced on, so the pool really fans out even on a single-core
-// host.
+// EngineOptions::parallel_workers sizes only the slots of a batch; each
+// query, and every round of its closure, runs serially. So at every worker
+// count each strategy must return the same rows in the same order — the
+// bytes a linrecd reply streams — not merely the same set, whether the
+// query runs alone or in a batch beside copies of itself. Helper threads
+// are forced on, so the batch really fans out even on a single-core host.
 
 constexpr int kWorkerCounts[] = {1, 2, 8};
-
-/// Lifts the pool's hardware-thread cap for one test.
-struct RealThreads {
-  RealThreads() { WorkerPool::OverrideThreadCapForTesting(16); }
-  ~RealThreads() { WorkerPool::OverrideThreadCapForTesting(0); }
-};
 
 /// The rows of `r` in iteration order.
 std::vector<Tuple> RowsInOrder(const Relation& r) {
@@ -156,14 +141,30 @@ std::vector<Tuple> RowsInOrder(const Relation& r) {
 }
 
 /// Executes `query` (seeded, σ attached if any) on a fresh engine over
-/// `db` at every worker count, expecting the planned `strategy` and, for
-/// every result relation, the 1-worker rows in the 1-worker order with the
-/// 1-worker derivation count.
+/// `db` at every worker count — once alone, then as each slot of a batch of
+/// three copies — expecting the planned `strategy` and, for every result
+/// relation, the 1-worker rows in the 1-worker order with the 1-worker
+/// derivation count.
 void ExpectWorkerCountParity(const Database& db, const Query& query,
                              Strategy strategy) {
   RealThreads threads;
   std::vector<std::vector<Tuple>> reference;
   std::size_t reference_derivations = 0;
+  auto expect_reference = [&](const QueryResult& out, const char* how,
+                              int workers) {
+    std::vector<std::vector<Tuple>> rows;
+    for (const Relation& r : out.relations) rows.push_back(RowsInOrder(r));
+    ASSERT_FALSE(rows.empty());
+    ASSERT_FALSE(rows.front().empty());
+    if (reference.empty()) {
+      reference = std::move(rows);
+      reference_derivations = out.stats.derivations;
+      return;
+    }
+    EXPECT_EQ(rows, reference) << how << ", workers=" << workers;
+    EXPECT_EQ(out.stats.derivations, reference_derivations)
+        << how << ", workers=" << workers;
+  };
   for (int workers : kWorkerCounts) {
     EngineOptions options;
     options.parallel_workers = workers;
@@ -172,20 +173,15 @@ void ExpectWorkerCountParity(const Database& db, const Query& query,
     ASSERT_TRUE(prepared.ok()) << prepared.status();
     EXPECT_EQ(prepared->plan().strategy, strategy)
         << prepared->plan().Explain();
-    auto out = engine.Execute(prepared->Bind().BindSeed(query.shared_seed()));
+    const BoundQuery bound = prepared->Bind().BindSeed(query.shared_seed());
+    auto out = engine.Execute(bound);
     ASSERT_TRUE(out.ok()) << out.status();
-    std::vector<std::vector<Tuple>> rows;
-    for (const Relation& r : out->relations) rows.push_back(RowsInOrder(r));
-    ASSERT_FALSE(rows.empty());
-    ASSERT_FALSE(rows.front().empty());
-    if (workers == kWorkerCounts[0]) {
-      reference = std::move(rows);
-      reference_derivations = out->stats.derivations;
-      continue;
+    expect_reference(*out, "alone", workers);
+    auto batch = engine.ExecuteBatch({bound, bound, bound});
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    for (const QueryResult& slot : *batch) {
+      expect_reference(slot, "batch slot", workers);
     }
-    EXPECT_EQ(rows, reference) << "workers=" << workers;
-    EXPECT_EQ(out->stats.derivations, reference_derivations)
-        << "workers=" << workers;
   }
 }
 
@@ -356,8 +352,7 @@ TEST(StrategyEquivalence, SimdAndScalarScansAgreeOnEveryStrategysClosure) {
   check(*power);
 
   std::vector<std::vector<LinearRule>> groups = {{rules[0]}, {rules[1]}};
-  auto decomposed =
-      DecomposedClosure(groups, w.db, w.q, nullptr, nullptr, /*workers=*/1);
+  auto decomposed = DecomposedClosure(groups, w.db, w.q);
   ASSERT_TRUE(decomposed.ok()) << decomposed.status();
   check(*decomposed);
 }

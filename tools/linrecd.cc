@@ -14,10 +14,10 @@
 // --retry-after MS (backoff hint in Unavailable replies),
 // --watchdog-interval MS (deadline-watchdog scan period). --timeout-ms,
 // --max-rows and --query-memory-budget accept exactly what the matching
-// SET accepts. --workers sizes the worker lanes of decomposed group
-// closures and of pipelined query batches (0 = one per hardware thread);
-// every closure's rounds are serial, so replies do not depend on it. A
-// malformed or out-of-range value prints the usage and exits 2.
+// SET accepts. --workers sizes the worker lanes of pipelined query
+// batches (0 = one per hardware thread); every goal and every round is
+// serial, so replies do not depend on it. A malformed or out-of-range
+// value prints the usage and exits 2.
 //
 // Fault injection (deterministic, for smoke tests):
 //   --fault <site>:<n>      fire an injected fault on the nth hit of the
