@@ -2,10 +2,10 @@
 //
 // Reads a Datalog program from a file (or stdin with "-"), and for every
 // recursive predicate reports: per-rule variable classification, pairwise
-// commutativity (with the clause that justified each position), the
-// decomposition plan for the rule sum, separability, recursively
-// redundant predicates, and the execution plan the linrec::Engine would
-// compile for the rule sum (with its theorem-level justification).
+// commutativity (with the clause that justified each position),
+// separability, recursively redundant predicates, and the execution plan
+// the linrec::Engine would compile for the rule sum (with its commuting
+// groups and theorem-level justification).
 //
 // Usage:
 //   analyze program.dl
@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "algebra/plan.h"
 #include "analysis/dot.h"
 #include "analysis/rule_analysis.h"
 #include "commutativity/oracle.h"
@@ -115,19 +114,6 @@ int main(int argc, char** argv) {
             std::cout << "    also separable (Naughton, disjoint form)\n";
           }
         }
-      }
-      auto plan = PlanDecomposition(rules);
-      if (plan.ok()) {
-        std::cout << "decomposition plan: ";
-        for (const auto& group : plan->groups) {
-          std::cout << "{";
-          for (std::size_t k = 0; k < group.size(); ++k) {
-            std::cout << (k ? "," : "") << group[k];
-          }
-          std::cout << "}";
-        }
-        std::cout << (plan->fully_decomposed ? "  (fully commutative)" : "")
-                  << "\n";
       }
     }
 

@@ -52,7 +52,9 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--dot") g_dot_only = true;
   }
 
-  // Figure 1 (Example 5.1) — reconstruction, see DESIGN.md.
+  // Figure 1 (Example 5.1): a rule built so that its α-graph has the classes
+  // the example names — z free 1-persistent; w, y link 1-persistent; u, v
+  // free 2-persistent; x general.
   Show("Figure 1: classification example (Example 5.1)",
        "p(U,V,W,X,Y,Z) :- p(V,U,W,Y,Y,Z), q(W,X), rr(X,Y).");
 

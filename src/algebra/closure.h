@@ -32,8 +32,8 @@ Result<Relation> DirectClosure(const std::vector<LinearRule>& rules,
 /// groups[0]* groups[1]* ... groups[k-1]* q — the rightmost group closure is
 /// applied first, matching operator-product order. Callers are responsible
 /// for the cross-group commutativity that makes this equal the direct
-/// closure (PlanDecomposition produces such groups). All group closures
-/// share `cache` (or a local one when null).
+/// closure (the engine's planner produces such groups for kDecomposed
+/// plans). All group closures share `cache` (or a local one when null).
 ///
 /// Evaluated as the sequential product G_1*(G_2*(… q)): each group closure
 /// semi-naively extends, in place, the relation the groups to its right

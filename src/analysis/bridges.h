@@ -6,10 +6,10 @@
 // class is a bridge; a bridge plus the part of G′ connected to it is an
 // augmented bridge. Identification is O(n + e) by union-find (Lemma 5.3).
 //
-// One refinement (documented in DESIGN.md): arcs of the same body atom are
-// kept in one bridge even when a middle argument lies in V′, so that every
-// atom belongs to exactly one augmented bridge and narrow/wide rules are
-// well defined. On the paper's examples this coarsening changes nothing.
+// One refinement: arcs of the same body atom are kept in one bridge even
+// when a middle argument lies in V′, so that every atom belongs to exactly
+// one augmented bridge and narrow/wide rules are well defined. On the
+// paper's examples this coarsening changes nothing.
 
 #pragma once
 

@@ -1,11 +1,12 @@
 // Iterative Tarjan strongly-connected-components condensation.
 //
-// Used by EvaluateProgram to order predicate evaluation: the predicate
-// dependency graph is condensed into SCCs, singleton components run the
-// per-predicate engine path, and non-trivial components are closed jointly
-// (eval/joint.h). The implementation is fully iterative — an explicit
-// frame stack replaces the DFS call stack — so dependency chains of
-// hundreds of thousands of nodes cannot overflow the thread stack.
+// Used by CompileProgram (frontend/lower.h) to order predicate evaluation:
+// the predicate dependency graph is condensed into SCCs, singleton
+// components run the per-predicate engine path, and non-trivial components
+// are closed jointly (eval/joint.h). The implementation is fully
+// iterative — an explicit frame stack replaces the DFS call stack — so
+// dependency chains of hundreds of thousands of nodes cannot overflow the
+// thread stack.
 
 #pragma once
 

@@ -200,7 +200,7 @@ Status Engine::PlanSingleRule(ExecutionPlan* plan) {
   if (!info_result.ok()) return info_result.status();
   const RuleInfo* info = *info_result;
 
-  if (options_.enable_power_sum && info->uniform_bound.found) {
+  if (info->uniform_bound.found) {
     plan->strategy = Strategy::kPowerSum;
     plan->power_bound = info->uniform_bound.n - 1;
     plan->justification.push_back(StrCat(
@@ -210,9 +210,9 @@ Status Engine::PlanSingleRule(ExecutionPlan* plan) {
     return Status::OK();
   }
 
-  if (options_.enable_redundancy_elision && info->HasRedundantPredicates()) {
+  if (info->HasRedundantPredicates()) {
     Result<RedundantFactorization> factorization =
-        FactorFirstRedundant(rule, analysis_.max_power());
+        FactorFirstRedundant(rule, kAnalysisMaxPower);
     if (factorization.ok() && factorization->product_verified &&
         factorization->swap_verified) {
       plan->strategy = Strategy::kSemiNaive;
@@ -262,12 +262,6 @@ Status Engine::PlanSingleRule(ExecutionPlan* plan) {
 
 Status Engine::ChooseClosureStrategy(ExecutionPlan* plan) {
   if (plan->rules.size() == 1) return PlanSingleRule(plan);
-  if (!options_.enable_decomposition) {
-    plan->strategy = Strategy::kSemiNaive;
-    plan->justification.push_back(
-        "decomposition disabled by options; semi-naive over the sum");
-    return Status::OK();
-  }
   LINREC_RETURN_IF_ERROR(ComputeGroups(plan));
   if (plan->groups.size() > 1) {
     plan->strategy = Strategy::kDecomposed;
@@ -338,8 +332,7 @@ Status Engine::PlanForced(Strategy forced, ExecutionPlan* plan) {
 
 Result<ExecutionPlan> Engine::PlanParameterized(const Query& query) {
   std::string digest;
-  const bool cache_on =
-      options_.enable_plan_cache && options_.plan_cache_capacity > 0;
+  const bool cache_on = options_.plan_cache_capacity > 0;
   if (cache_on) {
     digest = QueryDigest(query);
     auto it = plan_cache_.find(digest);
@@ -379,7 +372,7 @@ Result<ExecutionPlan> Engine::PlanParameterized(const Query& query) {
       LINREC_RETURN_IF_ERROR(PlanForced(*query.forced_strategy(), &plan));
     } else {
       bool planned_separable = false;
-      if (plan.selection.has_value() && options_.enable_separable) {
+      if (plan.selection.has_value()) {
         Result<bool> separable = TrySeparable(&plan);
         if (!separable.ok()) return separable.status();
         planned_separable = *separable;

@@ -27,9 +27,15 @@
 // strategy — never the σ value or the seed), so sweeping selection
 // constants over one prepared query plans exactly once.
 //
-// The pre-engine free functions (SemiNaiveClosure, DecomposedClosure,
-// SeparableClosure, ...) remain available as direct entry points; the
-// engine is the recommended API.
+// Execution dispatches each plan to one free strategy function:
+// NaiveClosure, SemiNaiveClosure and PowerSum (eval/fixpoint.h),
+// DecomposedClosure (algebra/closure.h), SeparableClosureUnchecked
+// (separability/algorithm.h), RedundantClosure (redundancy/closure.h) and
+// JointSemiNaiveClosure (eval/joint.h). They stay public because the tests
+// call them directly (SeparableClosure is the checked twin of
+// SeparableClosureUnchecked) as the reference a plan's result is checked
+// against. The IVM delta engine (src/ivm) extends views in place with
+// SemiNaiveExtend.
 
 #pragma once
 
@@ -50,30 +56,21 @@
 
 namespace linrec {
 
+/// The planner always applies every theorem its analysis licenses;
+/// Query::Force is the one way to pick a strategy by hand.
 struct EngineOptions {
-  /// Budget for the torsion / uniform-boundedness searches behind
-  /// kPowerSum and redundancy elision (0 disables both analyses).
-  int analysis_max_power = 6;
-  /// Individual strategy gates (all on by default). Disabling one makes
-  /// the planner fall back to the next applicable strategy.
-  bool enable_decomposition = true;
-  bool enable_separable = true;
-  bool enable_power_sum = true;
-  bool enable_redundancy_elision = true;
   /// Lanes for the one parallel path, the slots of ExecuteBatch /
   /// ExecuteBatchEach (common/parallel.h rule: 0 = one lane per hardware
   /// thread, 1 = serial). Each query in a slot, and every round of its
   /// closure, runs serially, so no result — rows or their order — depends
   /// on this count.
   int parallel_workers = 0;
-  /// Memoize compiled plans keyed on (rule-set digest, σ, forced strategy)
-  /// so repeated queries skip analysis and planning entirely.
-  bool enable_plan_cache = true;
-  /// Entry bound for the plan cache: at capacity the oldest entry is
-  /// evicted (FIFO) before the next insert, so a long-lived engine serving
-  /// unboundedly diverse queries stays bounded while hot plans survive —
-  /// earlier versions dropped the whole cache, cold-starting every hot
-  /// plan. 0 disables caching entirely.
+  /// Entry bound for the plan cache, which memoizes compiled plans keyed
+  /// on (rule-set digest, σ position, forced strategy) so repeated queries
+  /// skip analysis and planning. At capacity the oldest entry is evicted
+  /// (FIFO) before the next insert, so a long-lived engine serving
+  /// unboundedly diverse queries stays bounded while hot plans survive.
+  /// 0 disables caching entirely.
   std::size_t plan_cache_capacity = 1024;
 };
 
@@ -81,9 +78,7 @@ class Engine {
  public:
   Engine() : Engine(Database{}, EngineOptions{}) {}
   explicit Engine(Database db, EngineOptions options = {})
-      : db_(std::move(db)),
-        options_(options),
-        analysis_(options.analysis_max_power) {}
+      : db_(std::move(db)), options_(options) {}
 
   Database& db() { return db_; }
   const Database& db() const { return db_; }

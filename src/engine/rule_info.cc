@@ -8,14 +8,15 @@ namespace {
 
 /// Runs the budgeted semi-decisions once; a failure (budget or
 /// precondition) simply leaves the optimization unavailable.
-void RunBudgetedSearches(RuleInfo* info, int max_power) {
+void RunBudgetedSearches(RuleInfo* info) {
   if (info->budgeted_searches_done) return;
   info->budgeted_searches_done = true;
-  if (!info->analyzable || max_power <= 0) return;
+  if (!info->analyzable) return;
   Result<RedundancyReport> redundancy =
-      AnalyzeRedundancy(info->rule, max_power);
+      AnalyzeRedundancy(info->rule, kAnalysisMaxPower);
   if (redundancy.ok()) info->redundancy = std::move(redundancy).value();
-  Result<ExponentSearch> bound = FindUniformBound(info->rule, max_power);
+  Result<ExponentSearch> bound =
+      FindUniformBound(info->rule, kAnalysisMaxPower);
   if (bound.ok()) info->uniform_bound = *bound;
 }
 
@@ -26,7 +27,7 @@ Result<const RuleInfo*> AnalysisCache::Info(const LinearRule& rule,
   std::string key = ToString(rule);
   auto it = rules_.find(key);
   if (it != rules_.end()) {
-    if (budgeted_searches) RunBudgetedSearches(it->second.get(), max_power_);
+    if (budgeted_searches) RunBudgetedSearches(it->second.get());
     return static_cast<const RuleInfo*>(it->second.get());
   }
 
@@ -47,7 +48,7 @@ Result<const RuleInfo*> AnalysisCache::Info(const LinearRule& rule,
       info->analysis_blocked = classes.status().message();
     }
   }
-  if (budgeted_searches) RunBudgetedSearches(info.get(), max_power_);
+  if (budgeted_searches) RunBudgetedSearches(info.get());
 
   const RuleInfo* result = info.get();
   rules_.emplace(std::move(key), std::move(info));

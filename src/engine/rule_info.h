@@ -53,19 +53,19 @@ struct RuleInfo {
   }
 };
 
+/// Budget of the torsion / uniform-boundedness searches behind kPowerSum
+/// and redundancy elision: rule powers up to A^6 are tried.
+inline constexpr int kAnalysisMaxPower = 6;
+
 /// Computes and memoizes RuleInfo per rule and the combined-oracle
 /// commutativity verdict per unordered rule pair.
 class AnalysisCache {
  public:
-  /// `max_power` budgets the torsion / uniform-boundedness searches
-  /// (0 disables them: uniform_bound.found and redundancy stay unset).
-  explicit AnalysisCache(int max_power = 6) : max_power_(max_power) {}
-
   /// Cached info for `rule`, computed on first sight. The pointer stays
   /// valid for the cache's lifetime. The budgeted searches (redundancy
   /// bridges, uniform boundedness) run only when `budgeted_searches` is
-  /// requested — they cost up to max_power symbolic rule powers each and
-  /// only single-rule plans consult them.
+  /// requested — they cost up to kAnalysisMaxPower symbolic rule powers
+  /// each and only single-rule plans consult them.
   Result<const RuleInfo*> Info(const LinearRule& rule,
                                bool budgeted_searches = false);
 
@@ -74,12 +74,10 @@ class AnalysisCache {
   Result<CommutativityReport> Commutes(const LinearRule& r1,
                                        const LinearRule& r2);
 
-  int max_power() const { return max_power_; }
   std::size_t rule_entries() const { return rules_.size(); }
   std::size_t pair_entries() const { return pairs_.size(); }
 
  private:
-  int max_power_;
   std::unordered_map<std::string, std::unique_ptr<RuleInfo>> rules_;
   std::unordered_map<std::string, CommutativityReport> pairs_;
 };

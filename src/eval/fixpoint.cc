@@ -55,32 +55,6 @@ Result<Relation> SemiNaiveClosure(const std::vector<LinearRule>& rules,
   });
 }
 
-Result<Relation> SemiNaiveResume(const std::vector<LinearRule>& rules,
-                                 const Database& db, Relation closed,
-                                 const Relation& extra, ClosureStats* stats,
-                                 IndexCache* cache,
-                                 const CancellationToken* cancel) {
-  if (extra.arity() != closed.arity()) {
-    return Status::InvalidArgument(
-        StrCat("extra arity ", extra.arity(), " != closed arity ",
-               closed.arity()));
-  }
-  return GuardAllocFailures([&]() -> Result<Relation> {
-    // Seed the Δ with the genuinely new tuples only. Because every rule is
-    // linear — each derivation consumes exactly one recursive tuple — and
-    // `closed` is a fixpoint of the rules, derivations whose recursive
-    // input lies in `closed` can only reproduce `closed`; they need not be
-    // re-run. The new tuples are appended, so the initial Δ is exactly the
-    // row range past the closed prefix.
-    const RowId delta_begin = static_cast<RowId>(closed.size());
-    closed.UnionWith(extra);
-    LINREC_RETURN_IF_ERROR(
-        SemiNaiveExtend(rules, db, &closed, delta_begin, stats, cache,
-                        cancel));
-    return closed;
-  });
-}
-
 Status SemiNaiveExtend(const std::vector<LinearRule>& rules,
                        const Database& db, Relation* result,
                        RowId delta_begin, ClosureStats* stats,

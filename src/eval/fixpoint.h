@@ -4,9 +4,8 @@
 // Each engine is the one-member case of the joint round engine
 // (eval/joint.h JointRoundEvaluator): the recursive predicate is member 0,
 // and every round runs serially on the calling thread, emitting straight
-// into its target relation. SemiNaiveClosure copies its seed, and
-// SemiNaiveResume takes its closed part by value; both continue with
-// SemiNaiveExtend, which works in place.
+// into its target relation. SemiNaiveClosure copies its seed and continues
+// with SemiNaiveExtend, which works in place.
 // The rows of a result, and their order, depend only on the inputs — never
 // on a worker count or a thread schedule.
 //
@@ -41,27 +40,16 @@ Result<Relation> SemiNaiveClosure(const std::vector<LinearRule>& rules,
                                   IndexCache* cache = nullptr,
                                   const CancellationToken* cancel = nullptr);
 
-/// Semi-naive continuation: computes (Σ rules)* (closed ∪ extra) given that
-/// `closed` is already a fixpoint of the rules. Only the tuples of `extra`
-/// missing from `closed` seed the Δ, so the closed part is never re-derived.
-/// Sound because the operators are linear: each derivation consumes exactly
-/// one recursive tuple, and derivations from `closed` tuples land in
-/// `closed`. `closed` is taken by value: a caller done with it moves it in
-/// and nothing is copied.
-Result<Relation> SemiNaiveResume(const std::vector<LinearRule>& rules,
-                                 const Database& db, Relation closed,
-                                 const Relation& extra,
-                                 ClosureStats* stats = nullptr,
-                                 IndexCache* cache = nullptr,
-                                 const CancellationToken* cancel = nullptr);
-
 /// In-place semi-naive continuation — the primitive behind
-/// SemiNaiveClosure, SemiNaiveResume and the IVM delta engine (src/ivm).
+/// SemiNaiveClosure, DecomposedClosure and the IVM delta engine (src/ivm).
 /// `result` holds a closed prefix (rows [0, delta_begin), a fixpoint of
 /// the rules) with the new seed tuples already appended as rows
 /// [delta_begin, size()); the call extends `result` to the fixpoint of the
-/// union by running Δ rounds from exactly that appended range. Unlike
-/// SemiNaiveClosure and SemiNaiveResume nothing is copied: the
+/// union by running Δ rounds from exactly that appended range. Only the
+/// appended tuples seed the Δ, so the closed prefix is never re-derived —
+/// sound because the operators are linear: each derivation consumes
+/// exactly one recursive tuple, and derivations from closed tuples land in
+/// the closed prefix. Unlike SemiNaiveClosure nothing is copied: the
 /// caller owns the relation and — because every mutation is an append —
 /// can roll a failure back by truncating to the pre-call size
 /// (Relation::TruncateRows). On any error `result` holds a sound partial

@@ -13,8 +13,10 @@
 namespace linrec {
 namespace {
 
-/// Rules grouped per derived predicate (mirrors algebra/program_eval.cc —
-/// classification happens per strongly connected component).
+/// Rules grouped per derived predicate. Classification (base vs recursive)
+/// happens per strongly connected component, because a rule of a mutually
+/// recursive predicate is recursive exactly when its body reads a member of
+/// the same component — a property of the condensation, not the rule.
 struct PredicateRules {
   std::size_t arity = 0;
   std::vector<Rule> rules;
@@ -36,19 +38,27 @@ std::string JoinNames(const std::vector<std::string>& names) {
   return out;
 }
 
+/// Groups `rules` per head predicate and records the arity of every
+/// predicate they read or derive into `arity_of`. A predicate used at two
+/// arities anywhere in the rules, heads and bodies, is rejected naming both.
 Result<std::map<std::string, PredicateRules>> GroupRules(
-    const std::vector<Rule>& rules) {
+    const std::vector<Rule>& rules,
+    std::map<std::string, std::size_t>* arity_of) {
+  auto record = [arity_of](const Atom& atom) -> Status {
+    auto [it, inserted] = arity_of->emplace(atom.predicate, atom.arity());
+    if (!inserted && it->second != atom.arity()) {
+      return Status::InvalidArgument(
+          StrCat("predicate '", atom.predicate, "' used with arities ",
+                 it->second, " and ", atom.arity()));
+    }
+    return Status::OK();
+  };
   std::map<std::string, PredicateRules> grouped;
   for (const Rule& rule : rules) {
-    const std::string& pred = rule.head().predicate;
-    PredicateRules& group = grouped[pred];
-    if (group.rules.empty()) {
-      group.arity = rule.head().arity();
-    } else if (group.arity != rule.head().arity()) {
-      return Status::InvalidArgument(
-          StrCat("predicate '", pred, "' defined with arities ", group.arity,
-                 " and ", rule.head().arity()));
-    }
+    LINREC_RETURN_IF_ERROR(record(rule.head()));
+    for (const Atom& atom : rule.body()) LINREC_RETURN_IF_ERROR(record(atom));
+    PredicateRules& group = grouped[rule.head().predicate];
+    group.arity = rule.head().arity();
     group.rules.push_back(rule);
   }
   return grouped;
@@ -200,7 +210,8 @@ Result<CompiledProgram> CompileProgram(const std::vector<Rule>& rules,
                                        Planner& planner) {
   CompiledProgram out;
   out.digest = ProgramDigest(rules);
-  Result<std::map<std::string, PredicateRules>> grouped = GroupRules(rules);
+  Result<std::map<std::string, PredicateRules>> grouped =
+      GroupRules(rules, &out.arity_of);
   if (!grouped.ok()) return grouped.status();
 
   // Condense the predicate dependency graph (edge u → v: some rule of u
@@ -271,11 +282,19 @@ Status ProgramInstance::ValidateFact(const Atom& fact) const {
           StrCat("fact for '", fact.predicate, "' is not ground"));
     }
   }
-  if (program_ != nullptr && program_->unit_of.count(fact.predicate) > 0) {
-    return Status::InvalidArgument(StrCat(
-        "predicate '", fact.predicate,
-        "' is derived by the loaded program; facts may only name base "
-        "relations"));
+  if (program_ != nullptr) {
+    if (program_->unit_of.count(fact.predicate) > 0) {
+      return Status::InvalidArgument(StrCat(
+          "predicate '", fact.predicate,
+          "' is derived by the loaded program; facts may only name base "
+          "relations"));
+    }
+    auto used = program_->arity_of.find(fact.predicate);
+    if (used != program_->arity_of.end() && used->second != fact.arity()) {
+      return Status::InvalidArgument(
+          StrCat("fact for '", fact.predicate, "' has arity ", fact.arity(),
+                 ", the loaded program uses ", used->second));
+    }
   }
   if (const Relation* existing = facts_.Find(fact.predicate)) {
     if (existing->arity() != fact.arity()) {

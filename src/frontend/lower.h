@@ -104,6 +104,8 @@ struct CompiledProgram {
   /// Derived predicate → index into `units` / member index within it.
   std::map<std::string, std::size_t> unit_of;
   std::map<std::string, std::size_t> member_of;
+  /// Every predicate the rules read or derive → its one arity.
+  std::map<std::string, std::size_t> arity_of;
   /// Engine plan explanation per recursive unit, for EXPLAIN.
   std::vector<std::string> plan_explanations;
 };
@@ -114,9 +116,10 @@ struct CompiledProgram {
 /// entry and its prepared plans).
 std::string ProgramDigest(const std::vector<Rule>& rules);
 
-/// Lowers `rules` into a CompiledProgram through `planner`. Fails on
-/// inconsistent arities, non-linear recursion (self- or through a
-/// component), and anything Engine::Prepare rejects.
+/// Lowers `rules` into a CompiledProgram through `planner`. Fails on a
+/// predicate used at two arities anywhere in the rules (heads and bodies),
+/// non-linear recursion (self- or through a component), and anything
+/// Engine::Prepare rejects.
 Result<CompiledProgram> CompileProgram(const std::vector<Rule>& rules,
                                        Planner& planner);
 
@@ -159,7 +162,8 @@ class ProgramInstance {
 
   /// Adds one ground fact to the session's base relations. Invalidates
   /// every materialized derived predicate (the fixpoints may grow).
-  /// Rejects facts for predicates the program derives.
+  /// Rejects facts for predicates the program derives, and facts whose
+  /// arity differs from the loaded program's or the existing facts'.
   Status AddFact(const Atom& fact);
 
   /// Adds one ground fact and maintains every materialized view
@@ -232,7 +236,8 @@ class ProgramInstance {
 
  private:
   /// Shared validation of a ground fact (groundness, derived-predicate
-  /// rejection, arity against existing facts) — runs before any mutation.
+  /// rejection, arity against the loaded program and the existing facts) —
+  /// runs before any mutation.
   Status ValidateFact(const Atom& fact) const;
   /// Per-member one-step heads of the unit's BASE rules restricted to the
   /// updated predicates in `delta` (each run pins one body atom to its

@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "algebra/plan.h"
 #include "datalog/parser.h"
 #include "workload/databases.h"
-#include "workload/graphs.h"
 
 namespace linrec {
 namespace {
@@ -67,64 +65,7 @@ TEST(DecomposedClosureTest, SingleGroupIsDirect) {
   EXPECT_EQ(*direct, *single);
 }
 
-TEST(PlanTest, CommutingPairFullyDecomposes) {
-  SgFixture f;
-  auto plan = PlanDecomposition({f.r1, f.r2});
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_TRUE(plan->fully_decomposed);
-  EXPECT_EQ(plan->groups.size(), 2u);
-  EXPECT_EQ(plan->pair_tests, 1);
-}
-
-TEST(PlanTest, NonCommutingPairStaysTogether) {
-  LinearRule r1 = LR("p(X,Y) :- p(X,Z), q(Z,Y).");
-  LinearRule r2 = LR("p(X,Y) :- p(X,Z), rr(Z,Y).");
-  auto plan = PlanDecomposition({r1, r2});
-  ASSERT_TRUE(plan.ok());
-  EXPECT_FALSE(plan->fully_decomposed);
-  ASSERT_EQ(plan->groups.size(), 1u);
-  EXPECT_EQ(plan->groups[0].size(), 2u);
-}
-
-TEST(PlanTest, MixedTriple) {
-  // r1 commutes with r2 and r3 (free-1p split); r2 and r3 do not commute
-  // with each other (same general position, different predicates).
-  LinearRule r1 = LR("p(X,Y) :- p(Z,Y), up(X,Z).");
-  LinearRule r2 = LR("p(X,Y) :- p(X,Z), q(Z,Y).");
-  LinearRule r3 = LR("p(X,Y) :- p(X,Z), rr(Z,Y).");
-  auto plan = PlanDecomposition({r1, r2, r3});
-  ASSERT_TRUE(plan.ok());
-  ASSERT_EQ(plan->groups.size(), 2u);
-  // One singleton {r1}, one pair {r2, r3}.
-  std::size_t sizes[2] = {plan->groups[0].size(), plan->groups[1].size()};
-  EXPECT_EQ(sizes[0] + sizes[1], 3u);
-  EXPECT_TRUE((sizes[0] == 1 && sizes[1] == 2) ||
-              (sizes[0] == 2 && sizes[1] == 1));
-}
-
-TEST(PlanTest, EvaluateWithPlanMatchesDirect) {
-  LinearRule r1 = LR("p(X,Y) :- p(Z,Y), up(X,Z).");
-  LinearRule r2 = LR("p(X,Y) :- p(X,Z), q(Z,Y).");
-  LinearRule r3 = LR("p(X,Y) :- p(X,Z), rr(Z,Y).");
-  Database db;
-  db.GetOrCreate("up", 2) = RandomGraph(15, 25, 1);
-  db.GetOrCreate("q", 2) = RandomGraph(15, 25, 2);
-  db.GetOrCreate("rr", 2) = RandomGraph(15, 25, 3);
-  Relation q(2);
-  for (int i = 0; i < 15; i += 2) q.Insert({i, i});
-
-  std::vector<LinearRule> rules{r1, r2, r3};
-  auto plan = PlanDecomposition(rules);
-  ASSERT_TRUE(plan.ok());
-  auto direct = DirectClosure(rules, db, q);
-  auto planned = EvaluateWithPlan(rules, *plan, db, q);
-  ASSERT_TRUE(direct.ok());
-  ASSERT_TRUE(planned.ok());
-  EXPECT_EQ(*direct, *planned);
-}
-
-TEST(PlanTest, EmptyInputRejected) {
-  EXPECT_FALSE(PlanDecomposition({}).ok());
+TEST(DecomposedClosureTest, EmptyGroupsRejected) {
   Database db;
   Relation q(2);
   EXPECT_FALSE(DecomposedClosure({}, db, q).ok());

@@ -33,7 +33,8 @@ TEST(BridgesTest, TransitiveClosureHasOneBridgePerGeneralSide) {
 }
 
 TEST(BridgesTest, Figure2ThreeBridges) {
-  // Figure 2 of the paper (Q read as Q(u,x,y); see DESIGN.md):
+  // Figure 2 of the paper, with Q read as the ternary Q(u,x,y) the way the
+  // paper's narrow rule P(u,x,y) :- P(u,u,y), Q(u,x,y), S(x) writes it:
   // P(u,w,x,y,z) :- P(u,u,u,y,y), Q(u,x,y), R(w), S(x), T(z).
   LinearRule r =
       LR("p(U,W,X,Y,Z) :- p(U,U,U,Y,Y), q(U,X,Y), rr(W), s(X), t(Z).");

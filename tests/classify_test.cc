@@ -111,9 +111,9 @@ TEST(ClassifyTest, RayDepthTwo) {
 }
 
 TEST(ClassifyTest, Example51Figure1) {
-  // Reconstruction of Example 5.1 / Figure 1 (see DESIGN.md):
-  // z free 1-persistent; w, y link 1-persistent; u, v free 2-persistent;
-  // x general.
+  // Example 5.1 / Figure 1: a rule built so that its α-graph has the
+  // classes the example names — z free 1-persistent; w, y link
+  // 1-persistent; u, v free 2-persistent; x general.
   LinearRule r = LR("p(U,V,W,X,Y,Z) :- p(V,U,W,Y,Y,Z), q(W,X), rr(X,Y).");
   auto c = Classification::Compute(r);
   ASSERT_TRUE(c.ok());

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "algebra/closure.h"
 #include "common/parallel.h"
 #include "datalog/parser.h"
 #include "eval/fixpoint.h"
@@ -101,6 +102,34 @@ TEST(EnginePlanTest, NonCommutingPairFallsBackToSemiNaive) {
   EXPECT_EQ(via_engine->relation(), *direct);
 }
 
+TEST(EnginePlanTest, MixedTripleGroupsNonCommutingPairAndMatchesDirect) {
+  // r1 commutes with r2 and r3 (free-1p split); r2 and r3 do not commute
+  // with each other (same general position, different predicates), so the
+  // groups are {r1} and {r2, r3}.
+  LinearRule r1 = LR("p(X,Y) :- p(Z,Y), up(X,Z).");
+  LinearRule r2 = LR("p(X,Y) :- p(X,Z), q(Z,Y).");
+  LinearRule r3 = LR("p(X,Y) :- p(X,Z), rr(Z,Y).");
+  Engine engine;
+  engine.db().GetOrCreate("up", 2) = RandomGraph(15, 25, 1);
+  engine.db().GetOrCreate("q", 2) = RandomGraph(15, 25, 2);
+  engine.db().GetOrCreate("rr", 2) = RandomGraph(15, 25, 3);
+  Relation seed(2);
+  for (int i = 0; i < 15; i += 2) seed.Insert({i, i});
+
+  Query query = Query::Closure({r1, r2, r3}).From(seed);
+  auto plan = engine.Plan(query);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan->strategy, Strategy::kDecomposed);
+  const std::vector<std::vector<int>> groups = {{0}, {1, 2}};
+  EXPECT_EQ(plan->groups, groups);
+
+  auto via_engine = RunQuery(engine, query);
+  ASSERT_TRUE(via_engine.ok()) << via_engine.status();
+  auto direct = DirectClosure({r1, r2, r3}, engine.db(), seed);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(via_engine->relation(), *direct);
+}
+
 TEST(EnginePlanTest, PersistentSelectedColumnYieldsSeparable) {
   Engine engine(SameGenDb());
   Relation q = IdentitySeed(engine.db());
@@ -175,25 +204,40 @@ TEST(EnginePlanTest, FullPushdownWhenSelectionCommutesWithEveryRule) {
 }
 
 TEST(EnginePlanTest, UniformlyBoundedRuleYieldsPowerSum) {
-  // r^2 ≡ r (idempotent guard): A* = Σ_{m<2} A^m.
-  LinearRule r = LR("p(X) :- p(X), g(X).");
-  Engine engine;
-  engine.db().GetOrCreate("g", 1).Insert({1});
-  engine.db().GetOrCreate("g", 1).Insert({2});
-  Relation q(1);
-  q.Insert({1});
-  q.Insert({7});
-  Query query = Query::Closure({r}).From(q);
-  auto plan = engine.Plan(query);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_EQ(plan->strategy, Strategy::kPowerSum);
-  EXPECT_EQ(plan->power_bound, 1);
+  // A uniformly bounded operator, A^n ≤ A^k with k < n, closes as the
+  // power sum A* = Σ_{m<n} A^m.
+  auto check = [](const LinearRule& r, Engine& engine, const Relation& q,
+                  int power_bound) {
+    Query query = Query::Closure({r}).From(q);
+    auto plan = engine.Plan(query);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_EQ(plan->strategy, Strategy::kPowerSum);
+    EXPECT_EQ(plan->power_bound, power_bound);
 
-  auto via_engine = RunQuery(engine, query);
-  ASSERT_TRUE(via_engine.ok());
-  auto direct = SemiNaiveClosure({r}, engine.db(), q);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(via_engine->relation(), *direct);
+    auto via_engine = RunQuery(engine, query);
+    ASSERT_TRUE(via_engine.ok());
+    auto direct = SemiNaiveClosure({r}, engine.db(), q);
+    ASSERT_TRUE(direct.ok());
+    EXPECT_EQ(via_engine->relation(), *direct);
+  };
+  {
+    // r^2 ≡ r (idempotent guard): n = 2.
+    Engine engine;
+    engine.db().GetOrCreate("g", 1).Insert({1});
+    engine.db().GetOrCreate("g", 1).Insert({2});
+    Relation q(1);
+    q.Insert({1});
+    q.Insert({7});
+    check(LR("p(X) :- p(X), g(X)."), engine, q, 1);
+  }
+  {
+    // r^3 ≤ r: a third swap only re-derives what one swap derived.
+    Engine engine;
+    engine.db().GetOrCreate("e", 2) = RandomGraph(10, 30, 9);
+    Relation q(2);
+    for (int i = 0; i < 10; i += 2) q.Insert({i, (i + 3) % 10});
+    check(LR("p(X,Y) :- p(Y,X), e(X,Y)."), engine, q, 2);
+  }
 }
 
 TEST(EnginePlanTest, BoundedBridgeElidesRedundantPredicate) {
@@ -435,18 +479,6 @@ TEST(EnginePlanCacheTest, CachedPlanServesFreshSeeds) {
   auto direct = SemiNaiveClosure({Down(), Up()}, engine.db(), q2);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(out->relation(), *direct);
-}
-
-TEST(EnginePlanCacheTest, DisabledByOption) {
-  EngineOptions options;
-  options.enable_plan_cache = false;
-  Engine engine(SameGenDb(), options);
-  Relation q = IdentitySeed(engine.db());
-  ASSERT_TRUE(engine.Plan(Query::Closure({Down(), Up()}).From(q)).ok());
-  auto again = engine.Plan(Query::Closure({Down(), Up()}).From(q));
-  ASSERT_TRUE(again.ok());
-  EXPECT_FALSE(again->from_plan_cache);
-  EXPECT_EQ(engine.plan_cache_size(), 0u);
 }
 
 TEST(EngineParallelTest, ParallelWorkersMatchSequentialResult) {

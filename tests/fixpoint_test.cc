@@ -139,27 +139,15 @@ TEST(SemiNaiveTest, DuplicateAccountingWithPreloadedStats) {
     EXPECT_EQ(preloaded.duplicates, 7 + once.duplicates);
   }
 
-  // Resume and Extend from a closed half: their duplicates are their own
-  // derivations minus the rows they add.
+  // Extend from a closed half: its duplicates are its own derivations
+  // minus the rows it adds.
   Relation half(2);
   for (int i = 0; i < 10; ++i) half.Insert({i, i});
   Result<Relation> closed_half = SemiNaiveClosure({TC()}, db, half);
   ASSERT_TRUE(closed_half.ok());
-  ClosureStats resume = Preloaded();
-  Result<Relation> resumed =
-      SemiNaiveResume({TC()}, db, *closed_half, q, &resume);
-  ASSERT_TRUE(resumed.ok());
-  EXPECT_EQ(*resumed, *closed);
-  const std::size_t seeded = [&] {
-    Relation r = *closed_half;
-    r.UnionWith(q);
-    return r.size();
-  }();
-  EXPECT_EQ(resume.duplicates,
-            7 + (resume.derivations - 1000) - (closed->size() - seeded));
-
   Relation extended = *closed_half;
   extended.UnionWith(q);
+  const std::size_t seeded = extended.size();
   ClosureStats extend = Preloaded();
   ASSERT_TRUE(SemiNaiveExtend({TC()}, db, &extended,
                               static_cast<RowId>(closed_half->size()),

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "datalog/parser.h"
 
 namespace linrec {
@@ -47,6 +48,29 @@ void SetupChain(ProgramInstance& instance, Planner& planner, int n) {
     fact.terms = {Term::MakeConst(i), Term::MakeConst(i + 1)};
     ASSERT_TRUE(instance.AddFact(fact).ok());
   }
+}
+
+/// Compiles the rules of `text` into `instance` and adds its facts.
+void LoadProgram(ProgramInstance& instance, Planner& planner,
+                 const std::string& text) {
+  Result<Program> parsed = ParseProgram(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  Result<CompiledProgram> compiled = CompileProgram(parsed->rules, planner);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  instance.SetProgram(
+      std::make_shared<const CompiledProgram>(std::move(compiled).value()));
+  for (const Atom& fact : parsed->facts) {
+    ASSERT_TRUE(instance.AddFact(fact).ok()) << fact.predicate;
+  }
+}
+
+/// The rows `goal` answers over `instance`, sorted.
+std::vector<Tuple> Answer(ProgramInstance& instance, Planner& planner,
+                          const std::string& goal) {
+  Result<QueryResult> out = instance.EvalQuery(Goal(goal), planner);
+  EXPECT_TRUE(out.ok()) << goal << ": " << out.status();
+  if (!out.ok()) return {};
+  return out->relation().Sorted();
 }
 
 TEST(ProgramDigestTest, InvariantUnderRulePermutation) {
@@ -97,6 +121,11 @@ TEST(CompileProgramTest, MutualRecursionBecomesOneJointUnit) {
   EXPECT_EQ(compiled->units[0].members.size(), 2u);
   EXPECT_EQ(compiled->unit_of.at("odd"), compiled->unit_of.at("even"));
   EXPECT_NE(compiled->member_of.at("odd"), compiled->member_of.at("even"));
+  // The joint plan is explained once, for the whole component.
+  ASSERT_EQ(compiled->plan_explanations.size(), 1u);
+  const std::string& explain = compiled->plan_explanations.front();
+  EXPECT_EQ(explain.rfind("even, odd:\n", 0), 0u) << explain;
+  EXPECT_NE(explain.find("joint-semi-naive"), std::string::npos) << explain;
 }
 
 TEST(CompileProgramTest, RejectsNonLinearAndInconsistentArity) {
@@ -105,11 +134,43 @@ TEST(CompileProgramTest, RejectsNonLinearAndInconsistentArity) {
       Rules("p(X, Y) :- p(X, Z), p(Z, Y).\n"), planner);
   EXPECT_EQ(nonlinear.status().code(), StatusCode::kInvalidArgument);
 
-  Result<CompiledProgram> arity = CompileProgram(
-      Rules("p(X, Y) :- q(X, Y).\n"
-            "p(X) :- r(X).\n"),
+  // Non-linear recursion through a component names every member.
+  Result<CompiledProgram> component = CompileProgram(
+      Rules("a(X) :- b(X).\n"
+            "b(X) :- cc(X).\n"
+            "cc(X) :- a(X), b(X).\n"),
       planner);
-  EXPECT_EQ(arity.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(component.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(component.status().message().find("{a, b, cc}"),
+            std::string::npos)
+      << component.status();
+
+  // One arity per predicate across heads and bodies: the error names the
+  // predicate and both arities.
+  const struct {
+    const char* rules;
+    const char* predicate;
+    const char* arities;
+  } conflicts[] = {
+      {"p(X, Y) :- q(X, Y).\np(X) :- r(X).\n", "'p'", "2 and 1"},
+      {"tc(X, Y) :- e(X, Y).\ntc(X, Y) :- tc(X, Z), e(Z, Y).\n"
+       "q(X) :- tc(X).\n",
+       "'tc'", "2 and 1"},
+      {"tc(X, Y) :- e(X, Y).\ntc(X, Y) :- tc(X, Z), e(Z, Y, W).\n", "'e'",
+       "2 and 3"},
+  };
+  for (const auto& conflict : conflicts) {
+    Result<CompiledProgram> arity =
+        CompileProgram(Rules(conflict.rules), planner);
+    EXPECT_EQ(arity.status().code(), StatusCode::kInvalidArgument)
+        << conflict.rules;
+    EXPECT_NE(arity.status().message().find(conflict.predicate),
+              std::string::npos)
+        << arity.status();
+    EXPECT_NE(arity.status().message().find(conflict.arities),
+              std::string::npos)
+        << arity.status();
+  }
 }
 
 TEST(ProgramInstanceTest, EvaluatesAndCachesThenInvalidatesOnNewFact) {
@@ -162,6 +223,122 @@ TEST(ProgramInstanceTest, RejectsBadFactsAndUnknownGoals) {
   ProgramInstance empty;
   EXPECT_EQ(empty.EvalQuery(Goal("?- tc(X, Y)."), planner).status().code(),
             StatusCode::kInvalidArgument);  // no program loaded
+
+  // A fact at an arity the program does not use is rejected before any
+  // mutation, even before any fact of its predicate has arrived.
+  ProgramInstance rules_only;
+  SetupChain(rules_only, planner, 1);
+  Atom wide;
+  wide.predicate = "edge";
+  wide.terms = {Term::MakeConst(1), Term::MakeConst(2), Term::MakeConst(3)};
+  EXPECT_EQ(rules_only.AddFact(wide).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(rules_only.InsertFact(wide).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(rules_only.DeleteFact(wide).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(Answer(rules_only, planner, "?- tc(X, Y).").empty());
+}
+
+TEST(ProgramInstanceTest, AnswersProgramsUnitByUnit) {
+  // Linear mutual recursion, closed jointly: a ⊇ s ∪ b, b ⊇ a ⋈ g.
+  const char* kSeededPair =
+      "a(X) :- s(X).\na(X) :- b(X).\nb(X) :- a(X), g(X).\n"
+      "s(1). s(2). g(1).\n";
+  // Parity over a successor chain: the classic two-member component.
+  const char* kParity =
+      "even(X) :- zero(X).\n"
+      "even(X) :- odd(Y), succ(Y,X).\n"
+      "odd(X) :- even(Y), succ(Y,X).\n"
+      "zero(0). succ(0,1). succ(1,2). succ(2,3). succ(3,4). succ(4,5).\n";
+  const struct {
+    const char* program;
+    const char* goal;
+    std::vector<Tuple> rows;
+  } cases[] = {
+      // Base rule seeds the recursion.
+      {"path(X,Y) :- edge(X,Y).\n"
+       "path(X,Y) :- path(X,Z), edge(Z,Y).\n"
+       "edge(1,2). edge(2,3). edge(3,4).\n",
+       "?- path(X, Y).",
+       {{1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}}},
+      // A base predicate is answered from the facts.
+      {"path(X,Y) :- edge(X,Y).\nedge(1,2). edge(2,3).\n", "?- edge(X, Y).",
+       {{1, 2}, {2, 3}}},
+      // A body constant over a derived predicate, evaluated after it.
+      {"tc(X,Y) :- edge(X,Y).\n"
+       "tc(X,Y) :- tc(X,Z), edge(Z,Y).\n"
+       "reach(X) :- tc(0,X).\n"
+       "edge(0,1). edge(1,2).\n",
+       "?- reach(X).",
+       {{1}, {2}}},
+      // Same generation: two commuting recursive rules.
+      {"sg(X,Y) :- flat(X,Y).\n"
+       "sg(X,Y) :- sg(X,V), down(V,Y).\n"
+       "sg(X,Y) :- sg(U,Y), up(X,U).\n"
+       "flat(1,1). flat(2,2). down(1,3). down(2,4). up(3,1). up(4,2).\n",
+       "?- sg(X, Y).",
+       {{1, 1}, {1, 3}, {2, 2}, {2, 4}, {3, 1}, {3, 3}, {4, 2}, {4, 4}}},
+      // Equality atoms in base rules: X = Y filters, 1 = 2 derives nothing.
+      {"loop(X,Y) :- edge(X,Y), X = Y.\n"
+       "edge(1,1). edge(1,2). edge(3,3).\n",
+       "?- loop(X, Y).",
+       {{1, 1}, {3, 3}}},
+      {"p(X) :- g(X), 1 = 2.\ng(5).\n", "?- p(X).", {}},
+      // Mutual recursion without a base rule: the fixpoint is empty.
+      {"a(X) :- b(X).\nb(X) :- a(X), g(X).\ng(1).\n", "?- a(X).", {}},
+      {kSeededPair, "?- a(X).", {{1}, {2}}},
+      {kSeededPair, "?- b(X).", {{1}}},
+      {kParity, "?- even(X).", {{0}, {2}, {4}}},
+      {kParity, "?- odd(X).", {{1}, {3}, {5}}},
+  };
+  for (const auto& c : cases) {
+    Planner planner;
+    ProgramInstance instance;
+    LoadProgram(instance, planner, c.program);
+    EXPECT_EQ(Answer(instance, planner, c.goal), c.rows) << c.program;
+  }
+}
+
+TEST(ProgramInstanceTest, DeepDependencyChainAnswers) {
+  // A 10,000-predicate dependency chain: the condensation is iterative
+  // (common/scc.h), so its depth cannot overflow the stack.
+  constexpr int kDepth = 10000;
+  std::string text = "p0(X) :- e(X).\ne(1). e(2).\n";
+  for (int i = 1; i < kDepth; ++i) {
+    text += StrCat("p", i, "(X) :- p", i - 1, "(X).\n");
+  }
+  Planner planner;
+  ProgramInstance instance;
+  LoadProgram(instance, planner, text);
+  const std::vector<Tuple> rows = {{1}, {2}};
+  EXPECT_EQ(Answer(instance, planner, StrCat("?- p", kDepth - 1, "(X).")),
+            rows);
+}
+
+TEST(ProgramInstanceTest, DownstreamJoinSeesViewAfterInsertAndFact) {
+  // b joins the closed view a with itself. An INSERT extends a in place
+  // and a FACT rebuilds it; either way b must join the current a.
+  Planner planner;
+  ProgramInstance instance;
+  LoadProgram(instance, planner,
+              "a(X,Y) :- e1(X,Y).\n"
+              "a(X,Y) :- a(X,Z), e1(Z,Y).\n"
+              "b(X,Y) :- a(X,Z), a(Z,Y).\n"
+              "e1(1,2). e1(2,3).\n");
+  const std::vector<Tuple> before = {{1, 3}};
+  EXPECT_EQ(Answer(instance, planner, "?- b(X, Y)."), before);
+
+  Result<FactUpdateOutcome> inserted =
+      instance.InsertFact(Goal("?- e1(3, 4)."));
+  ASSERT_TRUE(inserted.ok()) << inserted.status();
+  EXPECT_TRUE(inserted->applied);
+  const std::vector<Tuple> after_insert = {{1, 3}, {1, 4}, {2, 4}};
+  EXPECT_EQ(Answer(instance, planner, "?- b(X, Y)."), after_insert);
+
+  ASSERT_TRUE(instance.AddFact(Goal("?- e1(4, 5).")).ok());
+  const std::vector<Tuple> after_fact = {{1, 3}, {1, 4}, {1, 5},
+                                         {2, 4}, {2, 5}, {3, 5}};
+  EXPECT_EQ(Answer(instance, planner, "?- b(X, Y)."), after_fact);
 }
 
 TEST(ProgramInstanceTest, SigmaFastPathMatchesMaterializedAnswer) {

@@ -16,7 +16,9 @@ LinearRule LR(const std::string& text) {
   return *lr;
 }
 
-// Figure 2 rule (Q read as Q(u,x,y); see DESIGN.md).
+// Figure 2 rule. Q is read as the ternary Q(u,x,y), the way the paper's own
+// narrow rule for the {Q, S} bridge writes it: P(u,x,y) :- P(u,u,y),
+// Q(u,x,y), S(x).
 const char* kFigure2 =
     "p(U,W,X,Y,Z) :- p(U,U,U,Y,Y), q(U,X,Y), rr(W), s(X), t(Z).";
 

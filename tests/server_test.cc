@@ -90,11 +90,16 @@ TEST(ServerTest, MalformedProgramRepliesErrorAndServerSurvives) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(IsErr(out.front(), "ParseError")) << out.front();
 
-  // Nonlinear rules are rejected at compile time, not at parse time.
-  out = Drive(server, *session,
-              {"LOAD", "p(X, Y) :- p(X, Z), p(Z, Y).", "END"});
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_TRUE(IsErr(out.front(), "InvalidArgument")) << out.front();
+  // Nonlinear rules, and a predicate used at two arities anywhere in the
+  // rules, are rejected at compile time, not at parse time.
+  for (const char* rule : {"p(X, Y) :- p(X, Z), p(Z, Y).", "q(X) :- tc(X).",
+                           "tc(X, Y) :- tc(X, Z), edge(Z, Y, W)."}) {
+    out = Drive(server, *session,
+                {"LOAD", "tc(X, Y) :- edge(X, Y).",
+                 "tc(X, Y) :- tc(X, Z), edge(Z, Y).", rule, "END"});
+    ASSERT_EQ(out.size(), 1u) << rule;
+    EXPECT_TRUE(IsErr(out.front(), "InvalidArgument")) << out.front();
+  }
 
   // The session (and server) keep serving after both failures.
   Load(server, *session, kTcProgram);
@@ -428,6 +433,28 @@ TEST(ServerTest, InsertValidationRejectsWithoutTouchingSessionState) {
   out = Drive(server, *session, {"STATS"});
   EXPECT_NE(std::find(out.begin(), out.end(), "ivm_applied=0"), out.end());
   EXPECT_NE(std::find(out.begin(), out.end(), "ivm_retracted=0"), out.end());
+}
+
+TEST(ServerTest, FactAtAnotherArityThanTheProgramIsRejected) {
+  // No edge fact has arrived yet, so only the loaded rules know edge's
+  // arity; a wider fact must not land and break every later goal.
+  Server server;
+  auto session = server.NewSession();
+  Load(server, *session,
+       "tc(X, Y) :- edge(X, Y).\ntc(X, Y) :- tc(X, Z), edge(Z, Y).\n");
+  std::vector<std::string> out = Drive(
+      server, *session, {"INSERT edge(1, 2, 3).", "FACT edge(1, 2, 3)."});
+  ASSERT_EQ(out.size(), 2u);
+  for (const std::string& reply : out) {
+    EXPECT_TRUE(IsErr(reply, "InvalidArgument")) << reply;
+  }
+
+  out = Drive(server, *session, {"INSERT edge(1, 2).", "?- tc(X, Y)."});
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out.front().rfind("OK insert applied=1", 0), 0u) << out.front();
+  const std::vector<std::string> answer = {"RESULT tc/2 rows=1 truncated=0",
+                                           "1 2", "."};
+  EXPECT_EQ(std::vector<std::string>(out.begin() + 1, out.end()), answer);
 }
 
 TEST(ServerTest, MetricsExportPrometheusTextFormat) {
