@@ -557,44 +557,36 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // --- scan_sigma: the σ columnar-scan kernel in isolation, SIMD vs the
-  // scalar reference (Relation::WhereEquals vs WhereEqualsScalar — in a
-  // -DLINREC_SIMD=OFF build both rows run the scalar kernel and the ratio
-  // is 1). Arity-2 pool, 1/64 selectivity so the strided mask sweep
+  // --- scan_sigma: the σ columnar scan (Relation::WhereEquals) in
+  // isolation. Arity-2 pool, 1/64 selectivity so the strided column sweep
   // dominates the matched-row copies. derivations := rows the sweep
-  // scanned, so derivations/sec is scan throughput and the SIMD/scalar
-  // row ratio is the kernel speedup.
+  // scanned, so derivations/sec is scan throughput. The row keeps its
+  // historical "scalar" strategy name so bench_diff.py matches it against
+  // earlier records.
   {
     const int n = 1 << 16;
     const int inner = 32;  // scans per timed repetition
     Relation rel(2);
     for (int i = 0; i < n; ++i) rel.Insert({i & 63, i});
     const Value needle = 7;
-    auto scan_row = [&](const char* strategy, bool simd_kernel) {
-      BenchResult r;
-      r.workload = "scan_sigma";
-      r.strategy = strategy;
-      r.n = n;
-      r.workers = 1;
-      r.reps = 5;
-      TimeInto(&r, [&]() -> double {
-        auto start = std::chrono::steady_clock::now();
-        std::size_t hits = 0;
-        for (int it = 0; it < inner; ++it) {
-          Relation out = simd_kernel ? rel.WhereEquals(0, needle)
-                                     : rel.WhereEqualsScalar(0, needle);
-          hits += out.size();
-        }
-        auto end = std::chrono::steady_clock::now();
-        r.derivations = static_cast<std::size_t>(n) * inner;
-        r.result_size = hits / inner;
-        return std::chrono::duration<double, std::milli>(end - start)
-            .count();
-      });
-      results.push_back(r);
-    };
-    scan_row("simd", true);
-    scan_row("scalar", false);
+    BenchResult r;
+    r.workload = "scan_sigma";
+    r.strategy = "scalar";
+    r.n = n;
+    r.workers = 1;
+    r.reps = 5;
+    TimeInto(&r, [&]() -> double {
+      auto start = std::chrono::steady_clock::now();
+      std::size_t hits = 0;
+      for (int it = 0; it < inner; ++it) {
+        hits += rel.WhereEquals(0, needle).size();
+      }
+      auto end = std::chrono::steady_clock::now();
+      r.derivations = static_cast<std::size_t>(n) * inner;
+      r.result_size = hits / inner;
+      return std::chrono::duration<double, std::milli>(end - start).count();
+    });
+    results.push_back(r);
   }
 
   // --- probe_chain: the join cursor's probe pipeline in isolation — one

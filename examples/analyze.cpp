@@ -11,6 +11,7 @@
 //   analyze program.dl
 //   echo 'p(X,Y) :- p(X,Z), e(Z,Y).' | analyze -
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -58,12 +59,20 @@ int main(int argc, char** argv) {
   std::cout << program->rules.size() << " rule(s), "
             << program->facts.size() << " fact(s)\n\n";
 
-  // Group linear recursive rules by head predicate.
+  // Group linear recursive rules by head predicate. A rule whose body never
+  // names its head predicate is a base rule: it seeds the closure rather
+  // than being one of its operators.
   std::map<std::string, std::vector<LinearRule>> by_predicate;
   for (const Rule& rule : program->rules) {
     auto lr = LinearRule::Make(rule);
     if (lr.ok()) {
       by_predicate[rule.head().predicate].push_back(*lr);
+    } else if (std::none_of(rule.body().begin(), rule.body().end(),
+                            [&](const Atom& atom) {
+                              return atom.predicate == rule.head().predicate;
+                            })) {
+      std::cout << "base rule (seeds the closure): " << ToString(rule)
+                << "\n";
     } else {
       std::cout << "skipping non-linear rule: " << ToString(rule) << "\n";
     }

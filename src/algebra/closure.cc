@@ -4,13 +4,6 @@
 
 namespace linrec {
 
-Result<Relation> DirectClosure(const std::vector<LinearRule>& rules,
-                               const Database& db, const Relation& q,
-                               ClosureStats* stats, IndexCache* cache,
-                               const CancellationToken* cancel) {
-  return SemiNaiveClosure(rules, db, q, stats, cache, cancel);
-}
-
 Result<Relation> DecomposedClosure(
     const std::vector<std::vector<LinearRule>>& groups, const Database& db,
     const Relation& q, ClosureStats* stats, IndexCache* cache,

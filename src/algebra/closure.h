@@ -1,7 +1,7 @@
 // Closure strategies over sums of linear operators (Section 3).
 //
-// DirectClosure computes (Σ_i A_i)* q by semi-naive evaluation of the whole
-// sum. DecomposedClosure evaluates an ordered product of group closures
+// The direct closure (Σ_i A_i)* q is SemiNaiveClosure (eval/fixpoint.h).
+// DecomposedClosure evaluates an ordered product of group closures
 // G_1* G_2* ... G_k* q — licensed when all pairs of operators across
 // different groups commute, in which case it equals the direct closure with
 // no more (and typically many fewer) duplicate derivations (Theorem 3.1).
@@ -19,15 +19,6 @@
 #include "eval/fixpoint.h"
 
 namespace linrec {
-
-/// (Σ rules)* q by semi-naive evaluation.
-/// Prefer Engine::Execute (engine/engine.h), which picks the strategy from
-/// the rules' analysis; this entry point remains for direct use.
-Result<Relation> DirectClosure(const std::vector<LinearRule>& rules,
-                               const Database& db, const Relation& q,
-                               ClosureStats* stats = nullptr,
-                               IndexCache* cache = nullptr,
-                               const CancellationToken* cancel = nullptr);
 
 /// groups[0]* groups[1]* ... groups[k-1]* q — the rightmost group closure is
 /// applied first, matching operator-product order. Callers are responsible

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "common/simd_kernels.h"
 #include "common/strings.h"
 #include "datalog/equality.h"
 #include "datalog/printer.h"
@@ -286,8 +285,6 @@ Status CompiledRule::Impl::Execute(const PartitionView* delta, Relation* out,
   std::size_t produced = 0;
   std::size_t rows_scanned = 0;   // candidate rows examined across depths
   std::size_t probes_issued = 0;  // index lookups resolved in enter()
-  std::size_t filter_blocks = 0;  // Δ-filter blocks walked (+ lane hits)
-  std::size_t filter_hits = 0;
   emit_rows.clear();
   emit_hashes.clear();
   auto flush_emits = [&]() {
@@ -372,20 +369,12 @@ Status CompiledRule::Impl::Execute(const PartitionView* delta, Relation* out,
       }
     };
 
-    // Constant positions of the partitioned first step, checked blockwise
-    // along the Δ slice (the full-scan path resolves them through an index
-    // instead). The check is a per-block equality mask — one vector compare
-    // per constant per simd::kLanes rows under LINREC_SIMD, the scalar
-    // reference kernel otherwise — cached across the consecutive rows of
-    // the block. All key parts of step 0 are constants: no variable is
-    // bound before the first step.
+    // Constant positions of the partitioned first step, checked row by
+    // row along the Δ slice (the full-scan path resolves them through an
+    // index instead). All key parts of step 0 are constants: no variable
+    // is bound before the first step.
     const bool filter_first =
         delta != nullptr && !steps[0].key_positions.empty();
-    const Value* filt_pool =
-        filter_first ? steps[0].relation->RowData(0) : nullptr;
-    const std::size_t filt_stride = steps[0].relation->arity();
-    std::size_t filt_base = static_cast<std::size_t>(-1);
-    unsigned filt_mask = 0;
 
     // In-cursor stop probe: one counter increment per candidate row, one
     // relaxed atomic load every kCancelStride of them, zero clock reads.
@@ -421,39 +410,9 @@ Status CompiledRule::Impl::Execute(const PartitionView* delta, Relation* out,
             __builtin_prefetch(step.relation->RowData(f.rows[ahead]));
           }
         }
-        if (depth == 0 && filter_first) {
-          const std::size_t r = static_cast<std::size_t>(row);
-          const std::size_t base = r & ~(simd::kLanes - 1);
-          if (base != filt_base) {
-            filt_base = base;
-            // Lanes past the relation's last row read padded pool storage
-            // (in-allocation, but uninitialized) — mask them out up front
-            // so the hit counters stay deterministic.
-            const std::size_t left = steps[0].relation->size() - base;
-            unsigned m = left >= simd::kLanes
-                             ? (1u << simd::kLanes) - 1u
-                             : (1u << left) - 1u;
-            const Value* block = filt_pool + base * filt_stride;
-            for (std::size_t k = 0;
-                 m != 0 && k < step.key_positions.size(); ++k) {
-              const Value* col =
-                  block + static_cast<std::size_t>(step.key_positions[k]);
-#if LINREC_SIMD
-              m &= simd::BlockEqMask(col, filt_stride,
-                                     step.key_parts[k].constant);
-#else
-              m &= simd::BlockEqMaskScalar(col, filt_stride,
-                                           step.key_parts[k].constant);
-#endif
-            }
-            filt_mask = m;
-            ++filter_blocks;
-            filter_hits += static_cast<std::size_t>(__builtin_popcount(m));
-          }
-          if (((filt_mask >> (r - base)) & 1u) == 0) continue;
-        }
         const Value* t = step.relation->RowData(row);
-        // Bind new variables, then verify intra-atom repeats.
+        // Bind new variables, then verify intra-atom repeats and, on the
+        // partitioned first step, the constant positions.
         for (const auto& [pos, var] : step.bind_positions) {
           binding[static_cast<std::size_t>(var)] =
               t[static_cast<std::size_t>(pos)];
@@ -464,6 +423,12 @@ Status CompiledRule::Impl::Execute(const PartitionView* delta, Relation* out,
               binding[static_cast<std::size_t>(var)]) {
             ok = false;
             break;
+          }
+        }
+        if (depth == 0 && filter_first) {
+          for (std::size_t k = 0; ok && k < step.key_positions.size(); ++k) {
+            ok = t[static_cast<std::size_t>(step.key_positions[k])] ==
+                 step.key_parts[k].constant;
           }
         }
         if (!ok) continue;
@@ -495,8 +460,6 @@ Status CompiledRule::Impl::Execute(const PartitionView* delta, Relation* out,
     stats->derivations += produced;
     stats->rows_scanned += rows_scanned;
     stats->probes_issued += probes_issued;
-    stats->simd_blocks += filter_blocks;
-    stats->simd_lane_hits += filter_hits;
   }
   return Status::OK();
 }

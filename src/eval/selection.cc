@@ -9,19 +9,11 @@ Relation ApplySelection(const Relation& input, const Selection& selection,
   assert(selection.position >= 0 &&
          static_cast<std::size_t>(selection.position) < input.arity());
   // Columnar: one strided sweep over the selected column collects the
-  // matching row ids (SIMD blocks under LINREC_SIMD — no other column is
-  // touched), the output is reserved exactly, and the matching rows are
-  // copied with their cached hashes. O(matches) allocations however large
-  // the input.
-  ScanCounters counters;
-  Relation out = input.WhereEquals(selection.position, selection.value,
-                                   stats != nullptr ? &counters : nullptr);
-  if (stats != nullptr) {
-    stats->rows_scanned += counters.rows;
-    stats->simd_blocks += counters.blocks;
-    stats->simd_lane_hits += counters.hits;
-  }
-  return out;
+  // matching row ids (no other column is touched), the output is reserved
+  // exactly, and the matching rows are copied with their cached hashes.
+  // O(matches) allocations however large the input.
+  return input.WhereEquals(selection.position, selection.value,
+                           stats != nullptr ? &stats->rows_scanned : nullptr);
 }
 
 }  // namespace linrec

@@ -15,8 +15,7 @@ struct Selection {
 };
 
 /// Applies the selection, returning the filtered relation. When `stats` is
-/// non-null, the scan's row/block/hit counts are added to its
-/// rows_scanned / simd_blocks / simd_lane_hits counters.
+/// non-null, the rows the scan examined are added to its rows_scanned.
 Relation ApplySelection(const Relation& input, const Selection& selection,
                         ClosureStats* stats = nullptr);
 

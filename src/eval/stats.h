@@ -34,13 +34,6 @@ struct ClosureStats {
   std::size_t rows_scanned = 0;
   /// Index probes issued by the join kernel (one per HashIndex::Lookup).
   std::size_t probes_issued = 0;
-  /// kLanes-row blocks walked by the columnar scan kernels (including
-  /// partial tails). Counted identically in SIMD and scalar builds, so
-  /// simd_lane_hits / (simd_blocks * simd::kLanes) is the scan-lane
-  /// utilization — how full the vector compares ran — in either build.
-  std::size_t simd_blocks = 0;
-  /// Matching rows those blocks produced.
-  std::size_t simd_lane_hits = 0;
   /// Wall-clock milliseconds.
   double millis = 0.0;
 
@@ -58,8 +51,6 @@ struct ClosureStats {
     result_size = other.result_size;
     rows_scanned += other.rows_scanned;
     probes_issued += other.probes_issued;
-    simd_blocks += other.simd_blocks;
-    simd_lane_hits += other.simd_lane_hits;
     millis += other.millis;
   }
 

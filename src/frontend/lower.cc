@@ -275,22 +275,23 @@ void ProgramInstance::SetProgram(
   RebuildEngine();
 }
 
-Status ProgramInstance::ValidateFact(const Atom& fact) const {
+Status ProgramInstance::ValidateFact(const Atom& fact,
+                                     const CompiledProgram* program) const {
   for (const Term& term : fact.terms) {
     if (!term.is_const()) {
       return Status::InvalidArgument(
           StrCat("fact for '", fact.predicate, "' is not ground"));
     }
   }
-  if (program_ != nullptr) {
-    if (program_->unit_of.count(fact.predicate) > 0) {
+  if (program != nullptr) {
+    if (program->unit_of.count(fact.predicate) > 0) {
       return Status::InvalidArgument(StrCat(
           "predicate '", fact.predicate,
           "' is derived by the loaded program; facts may only name base "
           "relations"));
     }
-    auto used = program_->arity_of.find(fact.predicate);
-    if (used != program_->arity_of.end() && used->second != fact.arity()) {
+    auto used = program->arity_of.find(fact.predicate);
+    if (used != program->arity_of.end() && used->second != fact.arity()) {
       return Status::InvalidArgument(
           StrCat("fact for '", fact.predicate, "' has arity ", fact.arity(),
                  ", the loaded program uses ", used->second));
@@ -306,8 +307,34 @@ Status ProgramInstance::ValidateFact(const Atom& fact) const {
   return Status::OK();
 }
 
+Status ProgramInstance::ValidateLoad(const CompiledProgram* program,
+                                     const std::vector<Atom>& facts) const {
+  if (program != nullptr) {
+    for (const auto& [pred, arity] : program->arity_of) {
+      const Relation* existing = facts_.Find(pred);
+      if (existing != nullptr && existing->arity() != arity) {
+        return Status::InvalidArgument(
+            StrCat("facts for '", pred, "' have arity ", existing->arity(),
+                   ", the loaded program uses ", arity));
+      }
+    }
+  }
+  std::map<std::string, std::size_t> arity_in_load;
+  for (const Atom& fact : facts) {
+    LINREC_RETURN_IF_ERROR(ValidateFact(fact, program));
+    auto [it, inserted] =
+        arity_in_load.try_emplace(fact.predicate, fact.arity());
+    if (!inserted && it->second != fact.arity()) {
+      return Status::InvalidArgument(
+          StrCat("facts for '", fact.predicate, "' have arity ", it->second,
+                 ", got ", fact.arity()));
+    }
+  }
+  return Status::OK();
+}
+
 Status ProgramInstance::AddFact(const Atom& fact) {
-  LINREC_RETURN_IF_ERROR(ValidateFact(fact));
+  LINREC_RETURN_IF_ERROR(ValidateFact(fact, program_.get()));
   Relation& rel = facts_.GetOrCreate(fact.predicate, fact.arity());
   std::vector<Value> row;
   row.reserve(fact.arity());
@@ -434,7 +461,7 @@ Result<std::vector<Relation>> ProgramInstance::SeedLosses(
 
 Result<FactUpdateOutcome> ProgramInstance::InsertFact(
     const Atom& fact, const CancellationToken* cancel, QueryBudget* budget) {
-  LINREC_RETURN_IF_ERROR(ValidateFact(fact));
+  LINREC_RETURN_IF_ERROR(ValidateFact(fact, program_.get()));
   FactUpdateOutcome out;
   std::vector<Value> row;
   row.reserve(fact.arity());
@@ -549,7 +576,7 @@ Result<FactUpdateOutcome> ProgramInstance::InsertFact(
 
 Result<FactUpdateOutcome> ProgramInstance::DeleteFact(
     const Atom& fact, const CancellationToken* cancel, QueryBudget* budget) {
-  LINREC_RETURN_IF_ERROR(ValidateFact(fact));
+  LINREC_RETURN_IF_ERROR(ValidateFact(fact, program_.get()));
   FactUpdateOutcome out;
   std::vector<Value> row;
   row.reserve(fact.arity());

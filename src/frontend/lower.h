@@ -166,6 +166,13 @@ class ProgramInstance {
   /// arity differs from the loaded program's or the existing facts'.
   Status AddFact(const Atom& fact);
 
+  /// Checks a LOAD before it changes anything: `program` is the program
+  /// the LOAD leaves installed. Each of `facts` is checked as AddFact
+  /// would against `program`, and against the other `facts`; the
+  /// session's existing facts are checked against `program`'s arities.
+  Status ValidateLoad(const CompiledProgram* program,
+                      const std::vector<Atom>& facts) const;
+
   /// Adds one ground fact and maintains every materialized view
   /// incrementally (Engine::Apply): the new tuple's one-step consequences
   /// seed a semi-naive continuation per affected view, in dependency
@@ -226,7 +233,7 @@ class ProgramInstance {
 
   /// Accumulated execution counters across every closure this session has
   /// run — derivations plus the kernel-level set (rows scanned, probes
-  /// issued, SIMD blocks / lane hits). Exported via linrecd STATS.
+  /// issued). Exported via linrecd STATS.
   const ClosureStats& totals() const { return totals_; }
 
   /// Lifetime IVM counters across InsertFact / DeleteFact calls.
@@ -236,9 +243,9 @@ class ProgramInstance {
 
  private:
   /// Shared validation of a ground fact (groundness, derived-predicate
-  /// rejection, arity against the loaded program and the existing facts) —
-  /// runs before any mutation.
-  Status ValidateFact(const Atom& fact) const;
+  /// rejection, arity against `program` — null when none is loaded — and
+  /// the existing facts) — runs before any mutation.
+  Status ValidateFact(const Atom& fact, const CompiledProgram* program) const;
   /// Per-member one-step heads of the unit's BASE rules restricted to the
   /// updated predicates in `delta` (each run pins one body atom to its
   /// delta relation; the rest read the full session database, or the

@@ -113,20 +113,30 @@ void Server::HandleLoadEnd(Session& session, std::vector<std::string>* out) {
     out->push_back(FormatError(parsed.status()));
     return;
   }
+  // The program the LOAD leaves installed: the compiled rules, or the
+  // session's current program when the LOAD brings facts only.
+  std::shared_ptr<const CompiledProgram> program =
+      session.instance().program();
   if (!parsed->rules.empty()) {
     const std::string digest = ProgramDigest(parsed->rules);
     Result<std::shared_ptr<const CompiledProgram>> compiled =
         registry_.GetOrCompile(digest, [&]() -> Result<CompiledProgram> {
-          Result<CompiledProgram> program =
-              CompileProgram(parsed->rules, planner_);
-          return program;
+          return CompileProgram(parsed->rules, planner_);
         });
     if (!compiled.ok()) {
       out->push_back(FormatError(compiled.status()));
       return;
     }
-    session.instance().SetProgram(std::move(compiled).value());
+    program = std::move(compiled).value();
   }
+  // Check the whole LOAD first, so a rejected one leaves the session as it
+  // was: no new program, no fact of it added.
+  Status valid = session.instance().ValidateLoad(program.get(), parsed->facts);
+  if (!valid.ok()) {
+    out->push_back(FormatError(valid));
+    return;
+  }
+  if (!parsed->rules.empty()) session.instance().SetProgram(std::move(program));
   for (const Atom& fact : parsed->facts) {
     Status added = session.instance().AddFact(fact);
     if (!added.ok()) {
@@ -424,13 +434,6 @@ void Server::HandleStats(Session& session, std::vector<std::string>* out) {
   const ClosureStats& totals = session.instance().totals();
   out->push_back(StrCat("session_rows_scanned=", totals.rows_scanned));
   out->push_back(StrCat("session_probes_issued=", totals.probes_issued));
-  out->push_back(StrCat("session_simd_blocks=", totals.simd_blocks));
-  out->push_back(StrCat("session_simd_lane_hits=", totals.simd_lane_hits));
-  // Scan-lane utilization as an integer percent: how full the kLanes-row
-  // vector compares ran, 0 when no block has been walked.
-  const std::size_t lanes = totals.simd_blocks * simd::kLanes;
-  out->push_back(StrCat("session_simd_lane_util_pct=",
-                        lanes == 0 ? 0 : totals.simd_lane_hits * 100 / lanes));
   out->push_back(".");
 }
 

@@ -4,7 +4,6 @@
 #include <atomic>
 
 #include "common/memory.h"
-#include "common/simd_kernels.h"
 
 namespace linrec {
 namespace {
@@ -60,7 +59,7 @@ bool Relation::InsertHashed(const Value* row, std::size_t hash) {
          "relation exceeds RowId capacity");
   // Growth happens before any mutation, so a denied charge (or injected
   // allocation fault) leaves the relation exactly as it was.
-  if (!PoolFits(pool_.size() + arity_)) GrowPool(pool_.size() + arity_);
+  if (pool_.size() + arity_ > pool_.capacity()) GrowPool(pool_.size() + arity_);
   if (hashes_.size() == hashes_.capacity()) GrowHashes(hashes_.size() + 1);
   RowId id = static_cast<RowId>(row_count_++);
   pool_.insert(pool_.end(), row, row + arity_);
@@ -93,10 +92,6 @@ RowId Relation::FindRow(const Value* row, std::size_t hash) const {
 void Relation::GrowPool(std::size_t needed_values) {
   std::size_t new_cap = std::max(needed_values, pool_.capacity() * 2);
   if (new_cap < 64) new_cap = 64;
-  // The scan kernels load the tail as one full block; the padding keeps
-  // that load inside the allocation and is charged like any other
-  // capacity.
-  new_cap = PaddedPoolCapacity(new_cap, arity_);
   ChargeBytesOrThrow((new_cap - pool_.capacity()) * sizeof(Value),
                      FaultSite::kPoolGrowth);
   pool_.reserve(new_cap);
@@ -139,7 +134,7 @@ void Relation::Reserve(std::size_t rows) {
   // Grow geometrically past the request: vector::reserve allocates exactly
   // what is asked, so a closure loop reserving `current + Δ` every round
   // would otherwise reallocate (and copy the whole pool) every round.
-  if (!PoolFits(rows * arity_)) GrowPool(rows * arity_);
+  if (rows * arity_ > pool_.capacity()) GrowPool(rows * arity_);
   if (rows > hashes_.capacity()) GrowHashes(rows);
   // Size the table so `rows` insertions stay under the 7/8 growth trigger.
   std::size_t needed = NextPow2(rows * 8 / 7 + 1);
@@ -159,8 +154,6 @@ void Relation::TruncateRows(std::size_t rows) {
   assert(rows <= row_count_ && "can only truncate, never extend");
   if (rows == row_count_) return;
   row_count_ = rows;
-  // resize() never shrinks capacity, so the padded-capacity invariant the
-  // scan kernels rely on (capacity = whole kPadRows blocks) still holds.
   pool_.resize(rows * arity_);
   hashes_.resize(rows);
   if (rows == 0) {
@@ -257,7 +250,6 @@ std::size_t Relation::EraseRows(const Relation& drop) {
                           erased);
     }
   }
-  // resize() never shrinks capacity: the padded-capacity invariant holds.
   pool_.resize(row_count_ * arity_);
   hashes_.resize(row_count_);
   if (row_count_ == 0) {
@@ -269,69 +261,27 @@ std::size_t Relation::EraseRows(const Relation& drop) {
   return before - row_count_;
 }
 
-// The σ scan, parameterized on the kernel. Both instantiations walk the
-// same kLanes-row blocks in the same order and drain each block's equality
-// mask low bit first, so SIMD and scalar results — rows, row order and
-// counters — are bit-identical.
-template <bool kSimd>
-Relation Relation::WhereEqualsKernel(int position, Value value,
-                                     ScanCounters* counters,
-                                     std::size_t row_limit) const {
+Relation Relation::WhereEquals(int position, Value value,
+                               std::size_t* rows_scanned,
+                               std::size_t row_limit) const {
   assert(position >= 0 && static_cast<std::size_t>(position) < arity_);
-  Relation out(arity_);
-  const std::size_t rows = row_count_;
-  if (rows == 0 || row_limit == 0) return out;
-  const std::size_t stride = arity_;
-  const Value* column = pool_.data() + position;
-  // Sweep: collect matching row ids block by block, stopping once
-  // `row_limit` rows match. The tail block is loaded full and masked down
-  // — safe because every pool keeps its pad block free (PoolFits).
+  // Sweep: collect matching row ids, stopping once `row_limit` rows match.
+  const std::size_t column = static_cast<std::size_t>(position);
   std::vector<RowId> ids;
-  std::size_t base = 0;
-  bool limit_reached = false;
-  for (; base < rows && !limit_reached; base += simd::kLanes) {
-    unsigned mask;
-#if LINREC_SIMD
-    if constexpr (kSimd) {
-      mask = simd::BlockEqMask(column + base * stride, stride, value);
-    } else
-#endif
-    {
-      mask = simd::BlockEqMaskScalar(column + base * stride, stride, value);
-    }
-    if (rows - base < simd::kLanes) mask &= (1u << (rows - base)) - 1u;
-    for (; mask != 0; mask &= mask - 1) {
-      ids.push_back(static_cast<RowId>(base + __builtin_ctz(mask)));
-      if (ids.size() == row_limit) {
-        limit_reached = true;
-        break;
-      }
+  std::size_t row = 0;
+  for (; row < row_count_ && ids.size() < row_limit; ++row) {
+    if (pool_[row * arity_ + column] == value) {
+      ids.push_back(static_cast<RowId>(row));
     }
   }
-  if (counters != nullptr) {
-    counters->rows += std::min(base, rows);
-    counters->blocks += base / simd::kLanes;
-    counters->hits += ids.size();
-  }
+  if (rows_scanned != nullptr) *rows_scanned += row;
   // Copy: reserve exactly, then insert the rows with their cached hashes
   // (rows of a relation are distinct, so every insert lands).
+  Relation out(arity_);
   if (ids.empty()) return out;
   out.Reserve(ids.size());
   for (RowId id : ids) out.InsertHashed(RowData(id), hashes_[id]);
   return out;
-}
-
-Relation Relation::WhereEquals(int position, Value value,
-                               ScanCounters* counters,
-                               std::size_t row_limit) const {
-  return WhereEqualsKernel<simd::kEnabled>(position, value, counters,
-                                           row_limit);
-}
-
-Relation Relation::WhereEqualsScalar(int position, Value value,
-                                     ScanCounters* counters,
-                                     std::size_t row_limit) const {
-  return WhereEqualsKernel<false>(position, value, counters, row_limit);
 }
 
 std::size_t Relation::UnionWith(const Relation& other) {

@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/simd.h"
 #include "storage/tuple.h"
 
 namespace linrec {
@@ -19,16 +18,6 @@ namespace linrec {
 using RowId = std::uint32_t;
 
 class Relation;
-
-/// What one columnar σ scan examined — accumulated into ClosureStats
-/// (rows_scanned / simd_blocks / simd_lane_hits) by callers that carry
-/// stats. Deterministic across SIMD and scalar builds: a "block" is a
-/// kLanes-row window whichever kernel walked it.
-struct ScanCounters {
-  std::size_t rows = 0;    // rows examined
-  std::size_t blocks = 0;  // kLanes-row blocks, including a partial tail
-  std::size_t hits = 0;    // matching rows
-};
 
 /// A borrowed contiguous row range [begin, end) of one Relation — the Δ a
 /// closure round hands to the join cursor (CompiledRule::RunPartition).
@@ -60,22 +49,15 @@ class Relation {
   explicit Relation(std::size_t arity) : arity_(arity) {}
 
   // Copy/move are member-wise; spelled out because the version stamp is
-  // atomic (for concurrent version() reads) and atomics are not copyable,
-  // and because the pool copy must re-establish the padding rule (a plain
-  // vector copy would give capacity == size, and the scan kernels'
-  // full-block tail loads rely on PoolFits; see PaddedPoolCapacity).
+  // atomic (for concurrent version() reads) and atomics are not copyable.
   Relation(const Relation& o)
       : arity_(o.arity_),
         version_(o.version_.load(std::memory_order_relaxed)),
         version_stale_(o.version_stale_.load(std::memory_order_relaxed)),
         row_count_(o.row_count_),
+        pool_(o.pool_),
         hashes_(o.hashes_),
-        slots_(o.slots_) {
-    if (!o.pool_.empty()) {
-      pool_.reserve(PaddedPoolCapacity(o.pool_.size(), arity_));
-      pool_.insert(pool_.end(), o.pool_.begin(), o.pool_.end());
-    }
-  }
+        slots_(o.slots_) {}
   Relation(Relation&& o) noexcept
       : arity_(o.arity_),
         version_(o.version_.load(std::memory_order_relaxed)),
@@ -197,25 +179,16 @@ class Relation {
   }
 
   /// σ_{position = value} as a columnar scan: one sweep of the selected
-  /// column of the flat pool (SIMD blocks of simd::kLanes rows when
-  /// LINREC_SIMD is on, the scalar reference kernel otherwise) collects the
-  /// ids of matching rows from blockwise equality masks; the output is then
-  /// reserved exactly and the rows copied with their cached hashes.
-  /// Allocates O(matches), not O(rows). The sweep stops once `row_limit`
-  /// rows match, so the result is the first min(matches, row_limit)
-  /// matching rows in row order. The scalar and SIMD paths examine the
-  /// same blocks in the same order, so results are bit-identical.
-  /// When `counters` is non-null the scan's counts are added to it: rows
-  /// and blocks the sweep walked, and the rows returned as hits.
+  /// column of the flat pool collects the ids of matching rows; the output
+  /// is then reserved exactly and the rows copied with their cached
+  /// hashes. Allocates O(matches), not O(rows). The sweep stops once
+  /// `row_limit` rows match, so the result is the first
+  /// min(matches, row_limit) matching rows in row order. When
+  /// `rows_scanned` is non-null, the rows the sweep examined are added to
+  /// it.
   Relation WhereEquals(int position, Value value,
-                       ScanCounters* counters = nullptr,
+                       std::size_t* rows_scanned = nullptr,
                        std::size_t row_limit = SIZE_MAX) const;
-  /// WhereEquals forced onto the scalar reference kernel in every build —
-  /// the baseline the scan_sigma microbench and the SIMD parity tests
-  /// compare against.
-  Relation WhereEqualsScalar(int position, Value value,
-                             ScanCounters* counters = nullptr,
-                             std::size_t row_limit = SIZE_MAX) const;
 
   bool Contains(const Tuple& t) const {
     assert(t.arity() == arity_);
@@ -318,31 +291,8 @@ class Relation {
   void Rehash(std::size_t slot_count);
   /// Budget-charged capacity growth (see ChargeBytesOrThrow in
   /// common/memory.h); may throw ResourceExhaustedError before mutating.
-  /// GrowPool sizes the new capacity with PaddedPoolCapacity.
   void GrowPool(std::size_t needed_values);
   void GrowHashes(std::size_t needed_rows);
-  /// The pool's padding rule: a pool holding `values` values keeps one
-  /// free pad block (simd::kPadRows rows) past them. The scan kernels load
-  /// the tail block in full — up to kLanes - 1 rows past the last row, and
-  /// the stride-2 de-interleave one value further — so the free block
-  /// keeps every such read inside the allocation. InsertHashed and Reserve
-  /// grow the pool whenever an append would break the rule, so no append
-  /// ever fills the pad block.
-  bool PoolFits(std::size_t values) const {
-    return values + simd::kPadRows * arity_ <= pool_.capacity();
-  }
-  /// The capacity GrowPool and the copy constructor give a pool of
-  /// `values` values: rounded up to whole pad blocks, plus one free block,
-  /// so the result always satisfies PoolFits(values).
-  static std::size_t PaddedPoolCapacity(std::size_t values,
-                                        std::size_t arity) {
-    if (arity == 0) return values;
-    const std::size_t block = simd::kPadRows * arity;
-    return (values + block - 1) / block * block + block;
-  }
-  template <bool kSimd>
-  Relation WhereEqualsKernel(int position, Value value, ScanCounters* counters,
-                             std::size_t row_limit) const;
 
   std::size_t arity_;
   /// Lazily drawn content stamp; see version(). Atomics make concurrent
@@ -351,10 +301,7 @@ class Relation {
   mutable std::atomic<std::uint64_t> version_{0};
   mutable std::atomic<bool> version_stale_{false};
   std::size_t row_count_ = 0;     // == pool_.size() / arity_ unless arity 0
-  /// Arity-strided row storage. The aligned allocator starts every pool on
-  /// a vector-width boundary, and PoolFits(size) always holds, so a
-  /// full-block load at the scan tail stays inside the allocation.
-  std::vector<Value, simd::PoolAllocator<Value>> pool_;
+  std::vector<Value> pool_;       // arity-strided row storage
   std::vector<std::size_t> hashes_;  // per-row hash (dedup probes, rehash)
   std::vector<RowId> slots_;      // open addressing: row id + 1; 0 = empty
 };

@@ -23,7 +23,7 @@ struct SgFixture {
 TEST(DecomposedClosureTest, EqualsDirectClosureForCommutingPair) {
   SgFixture f;
   ClosureStats direct_stats;
-  auto direct = DirectClosure({f.r1, f.r2}, f.w.db, f.w.q, &direct_stats);
+  auto direct = SemiNaiveClosure({f.r1, f.r2}, f.w.db, f.w.q, &direct_stats);
   ASSERT_TRUE(direct.ok()) << direct.status();
 
   ClosureStats decomposed_stats;
@@ -38,7 +38,7 @@ TEST(DecomposedClosureTest, Theorem31DuplicateBound) {
   // Theorem 3.1: B*C* produces no more duplicates than (B+C)*.
   SgFixture f;
   ClosureStats direct_stats;
-  auto direct = DirectClosure({f.r1, f.r2}, f.w.db, f.w.q, &direct_stats);
+  auto direct = SemiNaiveClosure({f.r1, f.r2}, f.w.db, f.w.q, &direct_stats);
   ASSERT_TRUE(direct.ok());
   ClosureStats decomposed_stats;
   auto decomposed = DecomposedClosure({{f.r1}, {f.r2}}, f.w.db, f.w.q,
@@ -58,7 +58,7 @@ TEST(DecomposedClosureTest, OrderIrrelevantForCommutingPair) {
 
 TEST(DecomposedClosureTest, SingleGroupIsDirect) {
   SgFixture f;
-  auto direct = DirectClosure({f.r1, f.r2}, f.w.db, f.w.q);
+  auto direct = SemiNaiveClosure({f.r1, f.r2}, f.w.db, f.w.q);
   auto single = DecomposedClosure({{f.r1, f.r2}}, f.w.db, f.w.q);
   ASSERT_TRUE(direct.ok());
   ASSERT_TRUE(single.ok());

@@ -125,7 +125,7 @@ TEST(EnginePlanTest, MixedTripleGroupsNonCommutingPairAndMatchesDirect) {
 
   auto via_engine = RunQuery(engine, query);
   ASSERT_TRUE(via_engine.ok()) << via_engine.status();
-  auto direct = DirectClosure({r1, r2, r3}, engine.db(), seed);
+  auto direct = SemiNaiveClosure({r1, r2, r3}, engine.db(), seed);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(via_engine->relation(), *direct);
 }

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "datalog/parser.h"
+#include "eval/index_cache.h"
 #include "eval/selection.h"
+#include "workload/graphs.h"
 
 namespace linrec {
 namespace {
@@ -87,6 +89,47 @@ TEST(ApplyRuleTest, ConstantsInBody) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->size(), 1u);  // only X=0 passes anchor(X,7)
   EXPECT_TRUE(out->Contains({0, 2}));
+}
+
+// The partitioned first step range-scans its Δ slice instead of probing an
+// index, so it checks its constant positions row by row: only Δ rows that
+// carry the constant may produce derivations.
+TEST(ApplyRuleTest, PartitionChecksDeltaConstantsRowByRow) {
+  auto rule = ParseLinearRule("p(0,Y) :- p(0,Z), e(Z,Y).");
+  ASSERT_TRUE(rule.ok());
+
+  const int n = 200;
+  Database db;
+  db.GetOrCreate("e", 2) = ChainGraph(n);
+  Relation delta(2);
+  for (Value i = 0; i < n; ++i) delta.Insert({i % 7, i});
+
+  ApplyOptions options;
+  options.overrides[rule->recursive_atom_index()] = &delta;
+  options.first_atom = rule->recursive_atom_index();
+  Result<CompiledRule> compiled = CompileRule(rule->rule(), db, options);
+  ASSERT_TRUE(compiled.ok());
+
+  IndexCache cache;
+  ClosureStats stats;
+  Relation out(2);
+  Status s =
+      compiled->RunPartition(delta.View(0, delta.size()), &out, &stats, &cache);
+  ASSERT_TRUE(s.ok()) << s;
+
+  std::vector<Tuple> expected;
+  for (TupleView row : delta) {
+    if (row[0] == 0 && row[1] + 1 < n) {
+      expected.push_back(Tuple({0, row[1] + 1}));
+    }
+  }
+  std::vector<Tuple> got;
+  for (TupleView row : out) got.push_back(row.ToTuple());
+  EXPECT_EQ(got, expected);
+  // Every Δ row is examined once; each that carries the constant probes e,
+  // whose chain bucket holds its one successor.
+  EXPECT_EQ(stats.rows_scanned, delta.size() + expected.size());
+  EXPECT_EQ(stats.probes_issued, expected.size());
 }
 
 TEST(ApplyRuleTest, MissingPredicateMeansEmpty) {

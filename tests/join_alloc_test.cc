@@ -4,7 +4,7 @@
 // closure allocate nothing beyond amortized capacity growth.
 //
 // Strategy: this binary replaces global operator new (the plain AND the
-// aligned overloads — the Relation pool allocates through
+// aligned overloads — an over-aligned type allocates through
 // std::align_val_t) with a counting wrapper, then measures the allocation
 // count of one warm ApplyRule call (indexes cached, output pre-reserved)
 // at two very different input sizes. The per-call compile phase allocates

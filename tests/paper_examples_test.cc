@@ -358,7 +358,7 @@ TEST(PaperTheorems, S41_MultiSelectionSeparability) {
   q.Insert({1, 0, 0, 0});
 
   // Left side: close the sum, then apply every selection.
-  Result<Relation> closed = DirectClosure(ops, db, q);
+  Result<Relation> closed = SemiNaiveClosure(ops, db, q);
   ASSERT_TRUE(closed.ok()) << closed.status();
   Relation left = ApplySelection(*closed, sigma0);
   for (const Selection& sigma : sigmas) left = ApplySelection(left, sigma);

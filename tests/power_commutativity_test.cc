@@ -67,7 +67,7 @@ TEST(AbsorptionTest, WitnessLicensesDecomposition) {
   Relation q(1);
   for (int i = 0; i < 10; ++i) q.Insert({pick(rng)});
 
-  auto direct = DirectClosure({b, c}, db, q);
+  auto direct = SemiNaiveClosure({b, c}, db, q);
   auto decomposed = DecomposedClosure({{b}, {c}}, db, q);
   ASSERT_TRUE(direct.ok());
   ASSERT_TRUE(decomposed.ok());

@@ -33,7 +33,7 @@ TEST_P(SeededClosureProperty, DecomposedEqualsDirectOnSameGeneration) {
 
   ClosureStats direct_stats;
   ClosureStats decomposed_stats;
-  auto direct = DirectClosure({r1, r2}, w.db, w.q, &direct_stats);
+  auto direct = SemiNaiveClosure({r1, r2}, w.db, w.q, &direct_stats);
   auto decomposed =
       DecomposedClosure({{r1}, {r2}}, w.db, w.q, &decomposed_stats);
   ASSERT_TRUE(direct.ok());

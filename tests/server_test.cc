@@ -457,6 +457,82 @@ TEST(ServerTest, FactAtAnotherArityThanTheProgramIsRejected) {
   EXPECT_EQ(std::vector<std::string>(out.begin() + 1, out.end()), answer);
 }
 
+/// The tc rules over e/2, as LOAD block lines.
+const std::vector<std::string> kTcRuleLines = {
+    "tc(X, Y) :- e(X, Y).", "tc(X, Y) :- tc(X, Z), e(Z, Y)."};
+
+/// A LOAD block of the tc rules followed by `facts`.
+std::vector<std::string> TcLoadBlock(const std::vector<std::string>& facts) {
+  std::vector<std::string> lines = {"LOAD"};
+  lines.insert(lines.end(), kTcRuleLines.begin(), kTcRuleLines.end());
+  lines.insert(lines.end(), facts.begin(), facts.end());
+  lines.push_back("END");
+  return lines;
+}
+
+/// A session with no program: a goal and EXPLAIN both say so.
+void ExpectNoProgram(Server& server, Session& session) {
+  for (const char* line : {"?- tc(X, Y).", "EXPLAIN"}) {
+    EXPECT_EQ(Drive(server, session, {line}),
+              std::vector<std::string>{
+                  "ERR InvalidArgument no program loaded"})
+        << line;
+  }
+}
+
+/// After a rejected LOAD, the tc rules load alone and find no e fact: no
+/// fact of the rejected LOAD landed.
+void ExpectNoEdges(Server& server, Session& session) {
+  EXPECT_EQ(Drive(server, session, TcLoadBlock({})),
+            std::vector<std::string>{"OK loaded rules=2 facts=0 queries=0"});
+  std::vector<std::string> out = Drive(server, session, {"?- tc(X, Y)."});
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out.front(), "RESULT tc/2 rows=0 truncated=0");
+}
+
+TEST(ServerTest, LoadWithADerivedFactChangesNothing) {
+  Server server;
+  auto session = server.NewSession();
+  std::vector<std::string> out = Drive(
+      server, *session, TcLoadBlock({"e(1, 2).", "tc(5, 6).", "e(2, 3)."}));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out.front().rfind(
+                "ERR InvalidArgument predicate 'tc' is derived", 0),
+            0u)
+      << out.front();
+  ExpectNoProgram(server, *session);
+  ExpectNoEdges(server, *session);
+}
+
+TEST(ServerTest, LoadWithAFactAtAnotherArityChangesNothing) {
+  Server server;
+  auto session = server.NewSession();
+  std::vector<std::string> out =
+      Drive(server, *session, TcLoadBlock({"e(1, 2).", "e(1, 2, 3)."}));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out.front(),
+            "ERR InvalidArgument fact for 'e' has arity 3, the loaded "
+            "program uses 2");
+  ExpectNoProgram(server, *session);
+  ExpectNoEdges(server, *session);
+}
+
+TEST(ServerTest, LoadOverEarlierFactsAtAnotherArityIsRejected) {
+  // The fact lands before any program; rules that read e at arity 2 must
+  // not load over it and break every later goal.
+  Server server;
+  auto session = server.NewSession();
+  std::vector<std::string> out =
+      Drive(server, *session, {"FACT e(1, 2, 3)."});
+  EXPECT_EQ(out, std::vector<std::string>{"OK fact"});
+  out = Drive(server, *session, TcLoadBlock({}));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out.front(),
+            "ERR InvalidArgument facts for 'e' have arity 3, the loaded "
+            "program uses 2");
+  ExpectNoProgram(server, *session);
+}
+
 TEST(ServerTest, MetricsExportPrometheusTextFormat) {
   Server server;
   auto session = server.NewSession();

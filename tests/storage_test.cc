@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -11,6 +12,44 @@
 
 namespace linrec {
 namespace {
+
+/// Rows in insertion order (the byte-level observable of a relation).
+std::vector<Tuple> RowsOf(const Relation& rel) {
+  std::vector<Tuple> out;
+  for (TupleView t : rel) out.push_back(t.ToTuple());
+  return out;
+}
+
+/// WhereEquals against a loop over the rows: the first `row_limit` rows
+/// whose `column` equals `v`, in row order, and rows_scanned counting the
+/// rows examined up to the row_limit-th match (every row when fewer
+/// match).
+void CheckWhereEquals(const Relation& rel, int column, Value v,
+                      std::size_t row_limit = SIZE_MAX) {
+  std::vector<Tuple> expected;
+  std::size_t examined = 0;
+  for (TupleView t : rel) {
+    if (expected.size() == row_limit) break;
+    ++examined;
+    if (t[static_cast<std::size_t>(column)] == v) {
+      expected.push_back(t.ToTuple());
+    }
+  }
+  std::size_t scanned = 0;
+  Relation out = rel.WhereEquals(column, v, &scanned, row_limit);
+  EXPECT_EQ(out.arity(), rel.arity());
+  EXPECT_EQ(RowsOf(out), expected)
+      << "column " << column << " value " << v << " limit " << row_limit;
+  EXPECT_EQ(scanned, examined)
+      << "column " << column << " value " << v << " limit " << row_limit;
+}
+
+/// Matches of `v` in `column` of `rel`.
+std::size_t CountMatches(const Relation& rel, int column, Value v) {
+  std::size_t matches = 0;
+  for (TupleView t : rel) matches += t[static_cast<std::size_t>(column)] == v;
+  return matches;
+}
 
 TEST(TupleTest, BasicAccess) {
   Tuple t{1, 2, 3};
@@ -245,6 +284,72 @@ TEST(RelationTest, WhereEqualsFiltersOneColumn) {
   Relation empty(3);
   EXPECT_TRUE(empty.WhereEquals(2, 0).empty());
   EXPECT_EQ(empty.WhereEquals(2, 0).arity(), 3u);
+  CheckWhereEquals(r, 0, 3);
+  CheckWhereEquals(r, 1, -1);
+  CheckWhereEquals(empty, 2, 0);
+  // Arity 1: the column is the whole row, so at most one row matches.
+  Relation unary(1);
+  for (Value i = 0; i < 37; ++i) unary.Insert({i});
+  CheckWhereEquals(unary, 0, 17);
+  CheckWhereEquals(unary, 0, 100);
+  // Short relations, 1 to 13 rows.
+  for (Value rows : {1, 2, 3, 7, 9, 13}) {
+    Relation rel(2);
+    for (Value i = 0; i < rows; ++i) rel.Insert({i % 2, i});
+    CheckWhereEquals(rel, 0, 0);
+  }
+  // Every row matches.
+  Relation all(3);
+  for (Value i = 0; i < 53; ++i) all.Insert({7, i, i * 2});
+  CheckWhereEquals(all, 0, 7);
+}
+
+TEST(RelationTest, WhereEqualsOnRandomRelationsAndRowLimits) {
+  std::mt19937 rng(20260808);
+  for (int iter = 0; iter < 100; ++iter) {
+    const std::size_t arity = 1 + rng() % 5;
+    const std::size_t rows = rng() % 201;
+    Relation rel(arity);
+    std::vector<Value> row(arity);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < arity; ++c) {
+        row[c] = static_cast<Value>(rng() % 8);  // small domain: duplicates
+      }
+      rel.InsertRow(row.data());
+    }
+    const int column = static_cast<int>(rng() % arity);
+    const Value needle = static_cast<Value>(rng() % 8);
+    const std::size_t m = CountMatches(rel, column, needle);
+    for (std::size_t limit : {std::size_t{0}, std::size_t{1},
+                              m == 0 ? 0 : m - 1, m, m + 1,
+                              std::size_t{SIZE_MAX}}) {
+      CheckWhereEquals(rel, column, needle, limit);
+    }
+  }
+}
+
+// Growing row by row crosses every pool capacity boundary; a scan after
+// each append must read exactly the rows present (under ASan, nothing
+// past the allocation).
+TEST(RelationTest, WhereEqualsAfterRowByRowGrowth) {
+  for (std::size_t arity = 1; arity <= 4; ++arity) {
+    Relation rel(arity);
+    std::vector<Value> row(arity);
+    for (std::size_t n = 0; n < 200; ++n) {
+      row[0] = static_cast<Value>(n);  // distinct rows
+      for (std::size_t c = 1; c < arity; ++c) {
+        row[c] = static_cast<Value>(n % (c + 2));
+      }
+      ASSERT_TRUE(rel.InsertRow(row.data()));
+      for (std::size_t c = 0; c < arity; ++c) {
+        const int column = static_cast<int>(c);
+        const Value needle = rel.RowData(0)[c];
+        CheckWhereEquals(rel, column, needle);
+        CheckWhereEquals(rel, column, needle,
+                         (CountMatches(rel, column, needle) + 1) / 2);
+      }
+    }
+  }
 }
 
 TEST(RelationTest, PartitionViewCoversRowRanges) {
@@ -287,13 +392,6 @@ TEST(DatabaseTest, NamesSorted) {
   auto names = db.Names();
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "alpha");
-}
-
-/// Rows in insertion order (the byte-level observable of a relation).
-std::vector<Tuple> RowsOf(const Relation& rel) {
-  std::vector<Tuple> out;
-  for (TupleView t : rel) out.push_back(t.ToTuple());
-  return out;
 }
 
 /// EraseRows against a reference: the survivors in order, every survivor

@@ -313,50 +313,6 @@ TEST(WorkerCountParity, IvmApplyRetractSequence) {
   }
 }
 
-TEST(StrategyEquivalence, SimdAndScalarScansAgreeOnEveryStrategysClosure) {
-  // The σ scan must be kernel-independent on every strategy's output: the
-  // vectorized WhereEquals and the scalar reference kernel see the same
-  // pool layout the closure produced and must pick the same rows in the
-  // same order. (The cross-build half of the guarantee — a LINREC_SIMD=OFF
-  // binary producing identical closures — is this same suite under the CI
-  // simd-off job.)
-  SameGenerationWorkload w =
-      MakeSameGeneration(/*layers=*/4, /*width=*/8, /*fanout=*/2, /*seed=*/9);
-  std::vector<LinearRule> rules = SameGenerationRules();
-
-  auto check = [](const Relation& closure) {
-    ASSERT_GT(closure.size(), 0u);
-    const Value probe = closure.Row(0)[0];
-    for (Value v : {probe, Value{-1}}) {
-      Relation simd = closure.WhereEquals(0, v);
-      Relation scalar = closure.WhereEqualsScalar(0, v);
-      ASSERT_EQ(simd.size(), scalar.size());
-      for (std::size_t r = 0; r < simd.size(); ++r) {
-        ASSERT_TRUE(simd.Row(static_cast<RowId>(r)) ==
-                    scalar.Row(static_cast<RowId>(r)))
-            << "row " << r << " differs between kernels";
-      }
-    }
-  };
-
-  auto naive = NaiveClosure(rules, w.db, w.q);
-  ASSERT_TRUE(naive.ok()) << naive.status();
-  check(*naive);
-
-  auto semi = SemiNaiveClosure(rules, w.db, w.q);
-  ASSERT_TRUE(semi.ok()) << semi.status();
-  check(*semi);
-
-  auto power = PowerSum(rules, w.db, w.q, /*max_power=*/64);
-  ASSERT_TRUE(power.ok()) << power.status();
-  check(*power);
-
-  std::vector<std::vector<LinearRule>> groups = {{rules[0]}, {rules[1]}};
-  auto decomposed = DecomposedClosure(groups, w.db, w.q);
-  ASSERT_TRUE(decomposed.ok()) << decomposed.status();
-  check(*decomposed);
-}
-
 TEST(StrategyEquivalence, SemiNaiveExtendMatchesFromScratch) {
   // Extending a closed part by extra seeds appended past it must equal
   // closing the union from scratch.
