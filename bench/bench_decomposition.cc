@@ -1,7 +1,7 @@
 // E2 — Section 3.1: the decomposed computation B*C* is cheaper in wall time
 // than the direct (B+C)*, with the gap growing with data size. Driven
 // through linrec::Engine: the planner discovers the split by itself
-// (Plan() picks kDecomposed from the cached commutativity matrix), and the
+// (Prepare() picks kDecomposed from the cached commutativity matrix), and the
 // compiled plan is reused across iterations.
 
 #include <benchmark/benchmark.h>
@@ -94,14 +94,14 @@ void BM_ColdPlan(benchmark::State& state) {
   // Planning only, from a cold cache: the pairwise syntactic tests plus
   // boundedness/redundancy probes. The one-off cost the engine pays before
   // its first execution of a rule set.
-  Relation q(2);
-  q.Insert({0, 0});
   std::vector<LinearRule> rules = SameGenerationRules();
   for (auto _ : state) {
     Engine engine;
-    auto plan = engine.Plan(Query::Closure(rules).From(q));
-    if (!plan.ok()) state.SkipWithError(plan.status().ToString().c_str());
-    benchmark::DoNotOptimize(plan);
+    auto prepared = engine.Prepare(Query::Closure(rules));
+    if (!prepared.ok()) {
+      state.SkipWithError(prepared.status().ToString().c_str());
+    }
+    benchmark::DoNotOptimize(prepared);
   }
 }
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Bench regression gate: fail when derivations/sec drops too far.
+"""Bench regression gate: fail when derivations/sec drops too far, or an
+exact counter changes.
 
 Usage: bench_diff.py PREVIOUS.json CURRENT.json [--max-drop 0.20]
 
@@ -23,6 +24,13 @@ observed at 0.54-1.0x across identical binaries). The effective threshold
 for a row is max(--max-drop, either side's noise_margin) — the gate never
 tightens below the CLI threshold, and a workload's own noise never reads
 as a regression.
+
+Every row both records carry — parallel rows included, whatever the host —
+also passes an exact-counter gate. Both counts are deterministic, so no
+noise margin applies: the row fails when its `result_size` differs from
+the previous record (the query computed something else), or when its
+`derivations` rose (the paper's yardstick: the same answer now costs more
+derivations). Fewer derivations pass.
 
 Besides the per-row throughput gate, the `meta` block's
 `plan_cache_hit_rate` (the one-shot σ-sweep's hits / lookups; present
@@ -76,6 +84,31 @@ def index_rows(rows, with_workers):
             continue
         table[key] = row
     return table
+
+
+def counter_changes(prev, curr):
+    """Exact-counter regressions over the rows both records carry.
+
+    Returns (key, what, previous, current) per failing count: a changed
+    `result_size`, or `derivations` that rose. A count missing from
+    either row is not compared.
+    """
+    changes = []
+    for key in sorted(prev, key=str):
+        if key not in curr:
+            continue
+        p, c = prev[key], curr[key]
+        if "result_size" in p and "result_size" in c and (
+            p["result_size"] != c["result_size"]
+        ):
+            changes.append((key, "result_size changed", p["result_size"],
+                            c["result_size"]))
+        if "derivations" in p and "derivations" in c and (
+            c["derivations"] > p["derivations"]
+        ):
+            changes.append((key, "derivations rose", p["derivations"],
+                            c["derivations"]))
+    return changes
 
 
 def main():
@@ -153,6 +186,11 @@ def main():
         if key not in prev:
             print(f"NEW  {key}: no previous record")
 
+    changes = counter_changes(prev, curr)
+    compared = sum(1 for key in prev if key in curr)
+    print(f"\nexact counters: {compared} row(s) compared, "
+          f"{len(changes)} regression(s)")
+
     # Planner observability gate: absolute plan-cache hit-rate drop (only
     # when both records carry the metric — v2 and older have no meta rate).
     prev_rate = (prev_doc.get("meta") or {}).get("plan_cache_hit_rate")
@@ -182,6 +220,14 @@ def main():
             file=sys.stderr,
         )
 
+    if changes:
+        print(
+            f"\nFAIL: {len(changes)} exact counter(s) regressed:",
+            file=sys.stderr,
+        )
+        for key, what, p, c in changes:
+            print(f"  {key}: {what}: {p} -> {c}", file=sys.stderr)
+
     if failures:
         print(
             f"\nFAIL: {len(failures)} workload(s) dropped beyond their "
@@ -194,9 +240,10 @@ def main():
                 f"threshold {max_drop:.0%})",
                 file=sys.stderr)
         return 1
-    if hit_rate_failure:
+    if hit_rate_failure or changes:
         return 1
-    print("\nOK: no workload regressed beyond the threshold")
+    print("\nOK: no workload regressed beyond the threshold, and no exact "
+          "counter regressed")
     return 0
 
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Self-test for bench_diff.py: exercises the gate's decision logic on
 synthetic records — the default threshold, the per-row noise_margin
-widening, single-core-host parallel-row skipping, and the hit-rate gate —
-by invoking bench_diff.py as a subprocess exactly the way CI does.
+widening, single-core-host parallel-row skipping, the hit-rate gate, and
+the exact-counter gate — by invoking bench_diff.py as a subprocess exactly
+the way CI does.
 
 Run: bench_diff_selftest.py (no arguments; registered as a ctest target).
 Exit status: 0 = all cases behave, 1 = some case failed.
@@ -26,11 +27,11 @@ def record(rows, meta=None):
 
 
 def row(workload, dps, workers=1, noise_margin=None, strategy="semi_naive",
-        n=100):
+        n=100, derivations=1000, result_size=10):
     r = {"workload": workload, "strategy": strategy, "n": n,
          "workers": workers, "reps": 3, "wall_ms_mean": 1.0,
-         "wall_ms_min": 1.0, "derivations": 1000,
-         "derivations_per_sec": dps, "result_size": 10}
+         "wall_ms_min": 1.0, "derivations": derivations,
+         "derivations_per_sec": dps, "result_size": result_size}
     if noise_margin is not None:
         r["noise_margin"] = noise_margin
     return r
@@ -107,6 +108,30 @@ def main():
         record([row("tc_chain", 1000.0)],
                meta={"plan_cache_hit_rate": 0.10}))
     case("hit-rate collapse fails", rc, 1, out)
+
+    # Exact counters: a changed result size fails, even with throughput
+    # steady.
+    rc, out = run_diff(record([row("tc_chain", 1000.0, result_size=10)]),
+                       record([row("tc_chain", 1000.0, result_size=11)]))
+    case("changed result_size fails", rc, 1, out)
+
+    # More derivations for the same row fail...
+    rc, out = run_diff(record([row("tc_chain", 1000.0, derivations=1000)]),
+                       record([row("tc_chain", 1000.0, derivations=1001)]))
+    case("derivations rise fails", rc, 1, out)
+
+    # ...and fewer pass: the paper's yardstick, lower is better.
+    rc, out = run_diff(record([row("tc_chain", 1000.0, derivations=1000)]),
+                       record([row("tc_chain", 1000.0, derivations=900)]))
+    case("derivations drop passes", rc, 0, out)
+
+    # The counter gate covers parallel rows a single-core host skips for
+    # throughput.
+    rc, out = run_diff(
+        record([row("tc_chain", 1000.0, workers=4, result_size=10)],
+               meta={"single_core_host": True}),
+        record([row("tc_chain", 1000.0, workers=4, result_size=12)]))
+    case("counters gated on skipped parallel rows", rc, 1, out)
 
     if failures:
         print("bench_diff self-test FAILED:", file=sys.stderr)

@@ -112,8 +112,9 @@ BenchResult Run(const std::string& workload, const std::string& strategy,
   return r;
 }
 
+/// Prepares `query` and times `reps` executions of it from `seed`.
 BenchResult RunQuery(const std::string& workload, int n, Engine& engine,
-                     const Query& query, int reps) {
+                     const Query& query, Relation seed, int reps) {
   Result<PreparedQuery> prepared = engine.Prepare(query);
   if (!prepared.ok()) {
     std::fprintf(stderr, "FATAL planning %s: %s\n", workload.c_str(),
@@ -121,7 +122,7 @@ BenchResult RunQuery(const std::string& workload, int n, Engine& engine,
     std::exit(1);
   }
   BoundQuery bound = prepared->Bind();
-  if (query.has_seed()) bound.BindSeed(query.shared_seed());
+  bound.BindSeed(std::move(seed));
   return Run(workload, StrategyName(prepared->plan().strategy), n, engine,
              bound, prepared->plan().parallel_workers, reps);
 }
@@ -226,8 +227,9 @@ int Main(int argc, char** argv) {
       EngineOptions options;
       options.parallel_workers = workers;
       Engine engine(std::move(db), options);
-      Query q = Query::Closure({TC("e")}).From(SelfLoops(n, 1));
-      results.push_back(RunQuery("tc_chain", n, engine, q, 3));
+      results.push_back(RunQuery("tc_chain", n, engine,
+                                 Query::Closure({TC("e")}), SelfLoops(n, 1),
+                                 3));
     }
     // Naive is O(rounds × full relation): keep it small.
     Database db2;
@@ -235,10 +237,9 @@ int Main(int argc, char** argv) {
     EngineOptions serial;
     serial.parallel_workers = 1;
     Engine engine2(std::move(db2), serial);
-    Query naive_small =
-        Query::Closure({TC("e")}).From(SelfLoops(96, 1)).Force(
-            Strategy::kNaive);
-    results.push_back(RunQuery("tc_chain", 96, engine2, naive_small, 3));
+    Query naive_small = Query::Closure({TC("e")}).Force(Strategy::kNaive);
+    results.push_back(
+        RunQuery("tc_chain", 96, engine2, naive_small, SelfLoops(96, 1), 3));
   }
 
   // --- Governed transitive closure: tc_chain with a (never-denying)
@@ -254,8 +255,8 @@ int Main(int argc, char** argv) {
       EngineOptions options;
       options.parallel_workers = workers;
       Engine engine(std::move(db), options);
-      Query q = Query::Closure({TC("e")}).From(SelfLoops(n, 1));
-      Result<PreparedQuery> prepared = engine.Prepare(q);
+      Result<PreparedQuery> prepared =
+          engine.Prepare(Query::Closure({TC("e")}));
       if (!prepared.ok()) {
         std::fprintf(stderr, "FATAL planning governed_tc_chain: %s\n",
                      prepared.status().ToString().c_str());
@@ -264,7 +265,7 @@ int Main(int argc, char** argv) {
       MemoryBudget global(/*limit_bytes=*/std::size_t{1} << 40);
       QueryBudget budget(/*limit_bytes=*/std::size_t{1} << 40, &global);
       BoundQuery bound =
-          prepared->Bind().BindSeed(q.shared_seed()).WithBudget(&budget);
+          prepared->Bind().BindSeed(SelfLoops(n, 1)).WithBudget(&budget);
       results.push_back(Run("governed_tc_chain",
                             StrategyName(prepared->plan().strategy), n,
                             engine, bound,
@@ -281,8 +282,9 @@ int Main(int argc, char** argv) {
       EngineOptions options;
       options.parallel_workers = workers;
       Engine engine(std::move(db), options);
-      Query q = Query::Closure({TC("e")}).From(SelfLoops(n, 8));
-      results.push_back(RunQuery("tc_random", n, engine, q, 3));
+      results.push_back(RunQuery("tc_random", n, engine,
+                                 Query::Closure({TC("e")}), SelfLoops(n, 8),
+                                 3));
       // The random-graph closure is the suite's noisiest workload:
       // identical binaries have measured 0.54-1.0x run to run (dedup-heavy
       // rounds, allocator- and cache-layout-sensitive). Let the diff gate
@@ -299,8 +301,9 @@ int Main(int argc, char** argv) {
     EngineOptions serial;
     serial.parallel_workers = 1;
     Engine engine(std::move(db), serial);
-    Query q = Query::Closure({TC("e")}).From(SelfLoops(side * side, 1));
-    results.push_back(RunQuery("tc_grid", side, engine, q, 3));
+    results.push_back(RunQuery("tc_grid", side, engine,
+                               Query::Closure({TC("e")}),
+                               SelfLoops(side * side, 1), 3));
   }
 
   // --- Mutual recursion: alternating-edge reachability, the joint SCC
@@ -317,9 +320,8 @@ int Main(int argc, char** argv) {
     EngineOptions serial;
     serial.parallel_workers = 1;
     Engine engine(std::move(w->db), serial);
-    Query query =
-        Query::JointClosure(w->members, w->rules).FromSeeds(w->seeds);
-    Result<PreparedQuery> prepared = engine.Prepare(query);
+    Result<PreparedQuery> prepared =
+        engine.Prepare(Query::JointClosure(w->members, w->rules));
     if (!prepared.ok()) {
       std::fprintf(stderr, "FATAL planning mutual_alt_reach: %s\n",
                    prepared.status().ToString().c_str());
@@ -358,14 +360,13 @@ int Main(int argc, char** argv) {
     EngineOptions serial;
     serial.parallel_workers = 1;
     Engine engine(std::move(w.db), serial);
-    Relation seed = w.q;
-    Query auto_q = Query::Closure(SameGenerationRules()).From(seed);
+    results.push_back(RunQuery("same_gen_decomposed", width, engine,
+                               Query::Closure(SameGenerationRules()), w.q,
+                               3));
+    Query direct =
+        Query::Closure(SameGenerationRules()).Force(Strategy::kSemiNaive);
     results.push_back(
-        RunQuery("same_gen_decomposed", width, engine, auto_q, 3));
-    Query direct = Query::Closure(SameGenerationRules())
-                       .From(seed)
-                       .Force(Strategy::kSemiNaive);
-    results.push_back(RunQuery("same_gen_direct", width, engine, direct, 3));
+        RunQuery("same_gen_direct", width, engine, direct, w.q, 3));
   }
 
   // --- The full serving path: LOAD + query through the linrecd front
@@ -643,14 +644,14 @@ int Main(int argc, char** argv) {
 
   // --- σ-sweep over one prepared plan: N selection constants against the
   // separable same-generation query. Three calling conventions on the same
-  // work: the one-shot API (Plan + Execute per constant — each a plan-cache
-  // hit after the first, since the digest excludes the σ value), the
-  // prepared API run serially (plan once, bind N times), and the prepared
-  // API batched onto the shared worker pool (queries concurrent, rounds
-  // serial, one shared read-side IndexCache). The one-shot engine's
-  // hit/miss counters feed the JSON meta block: a planner change that
-  // leaks the σ value back into the digest collapses the hit rate, which
-  // bench_diff.py gates. ---
+  // work: the one-shot API (Prepare + Execute per constant — each a
+  // plan-cache hit after the first, since the digest excludes the σ
+  // value), the prepared API run serially (plan once, bind N times), and
+  // the prepared API batched onto the shared worker pool (queries
+  // concurrent, rounds serial, one shared read-side IndexCache). The
+  // one-shot engine's hit/miss counters feed the JSON meta block: a
+  // planner change that leaks the σ value back into the digest collapses
+  // the hit rate, which bench_diff.py gates. ---
   std::size_t sweep_cache_hits = 0;
   std::size_t sweep_cache_misses = 0;
   {
@@ -684,14 +685,14 @@ int Main(int argc, char** argv) {
         for (Value v : constants) {
           Result<PreparedQuery> prepared =
               one_shot.Prepare(Query::Closure(SameGenerationRules())
-                                   .Select(Selection{sigma0.position, v}));
+                                   .SelectPosition(sigma0.position));
           if (!prepared.ok()) {
             std::fprintf(stderr, "FATAL batch_sigma_sweep/one_shot: %s\n",
                          prepared.status().ToString().c_str());
             std::exit(1);
           }
           Result<QueryResult> out =
-              one_shot.Execute(prepared->Bind().BindSeed(one_shot_seed));
+              one_shot.Execute(prepared->Bind(v).BindSeed(one_shot_seed));
           if (!out.ok()) {
             std::fprintf(stderr, "FATAL batch_sigma_sweep/one_shot: %s\n",
                          out.status().ToString().c_str());

@@ -115,13 +115,13 @@ void BM_ColdRedundancyPlan(benchmark::State& state) {
   // One-off planning cost from a cold cache: Theorem 6.3 bridge analysis,
   // the torsion search, and the Lemma 6.3-6.5 factorization.
   auto rule = ParseLinearRule(kRule);
-  Relation q(2);
-  q.Insert({0, 0});
   for (auto _ : state) {
     Engine engine;
-    auto plan = engine.Plan(Query::Closure({*rule}).From(q));
-    if (!plan.ok()) state.SkipWithError(plan.status().ToString().c_str());
-    benchmark::DoNotOptimize(plan);
+    auto prepared = engine.Prepare(Query::Closure({*rule}));
+    if (!prepared.ok()) {
+      state.SkipWithError(prepared.status().ToString().c_str());
+    }
+    benchmark::DoNotOptimize(prepared);
   }
 }
 

@@ -46,20 +46,20 @@ void BM_ClosureThenSelect(benchmark::State& state) {
   Fixture f = MakeFixture(static_cast<int>(state.range(0)));
   Engine engine(std::move(f.w.db));
   auto prepared = engine.Prepare(Query::Closure(SameGenerationRules())
-                                     .Select(f.sigma)
+                                     .SelectPosition(f.sigma.position)
                                      .Force(Strategy::kSemiNaive));
   if (!prepared.ok()) {
     state.SkipWithError(prepared.status().ToString().c_str());
     return;
   }
-  RunBound(state, prepared->Bind().BindSeed(f.w.q), engine);
+  RunBound(state, prepared->Bind(f.sigma.value).BindSeed(f.w.q), engine);
 }
 
 void BM_SeparableAlgorithm(benchmark::State& state) {
   Fixture f = MakeFixture(static_cast<int>(state.range(0)));
   Engine engine(std::move(f.w.db));
-  auto prepared = engine.Prepare(
-      Query::Closure(SameGenerationRules()).Select(f.sigma));
+  auto prepared = engine.Prepare(Query::Closure(SameGenerationRules())
+                                     .SelectPosition(f.sigma.position));
   if (!prepared.ok()) {
     state.SkipWithError(prepared.status().ToString().c_str());
     return;
@@ -68,7 +68,7 @@ void BM_SeparableAlgorithm(benchmark::State& state) {
     state.SkipWithError("planner did not choose kSeparable");
     return;
   }
-  RunBound(state, prepared->Bind().BindSeed(f.w.q), engine);
+  RunBound(state, prepared->Bind(f.sigma.value).BindSeed(f.w.q), engine);
 }
 
 // Selectivity sweep: fraction of seed nodes matching σ, emulated by seeding
@@ -85,15 +85,14 @@ void BM_SeparableSelectivity(benchmark::State& state) {
     q.Insert({i < matching ? key : t[0], t[1]});
     ++i;
   }
-  Selection sigma{0, key};
   Engine engine(std::move(w.db));
-  auto prepared =
-      engine.Prepare(Query::Closure(SameGenerationRules()).Select(sigma));
+  auto prepared = engine.Prepare(
+      Query::Closure(SameGenerationRules()).SelectPosition(0));
   if (!prepared.ok()) {
     state.SkipWithError(prepared.status().ToString().c_str());
     return;
   }
-  BoundQuery bound = prepared->Bind().BindSeed(q);
+  BoundQuery bound = prepared->Bind(key).BindSeed(q);
   for (auto _ : state) {
     auto out = engine.Execute(bound);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());

@@ -1,7 +1,7 @@
 // Recursively redundant predicates (Section 6.2): the engine detects them
 // with the Theorem 6.3 analyzer, factors A^L = B C^L (Lemmas 6.3-6.5), and
 // elides the redundant predicate from the unbounded tail (Theorem 4.2) —
-// all during Plan(); the caller only states the query.
+// all during Prepare(); the caller only states the query.
 //
 // Scenario: Example 6.1's market program with an expensive endorsement
 // check:

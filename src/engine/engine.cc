@@ -18,16 +18,14 @@
 namespace linrec {
 namespace {
 
-/// Plan-cache key: query *structure* only — the printed rules (text
-/// determines semantics), the σ position, and any forced strategy. The σ
-/// *value* is deliberately excluded: planning is positional (Theorem 4.1's
+/// Plan-cache key: the query's structure — the printed rules (text
+/// determines semantics), the σ position, and any forced strategy. A query
+/// carries no σ value and no seed (planning is positional: Theorem 4.1's
 /// preconditions read the selected column, never the constant), so one
-/// cached plan serves a whole σ-sweep — keying on the value made every
-/// sweep step a cache miss. The seed is excluded for the same reason:
-/// planning never reads it beyond validation, so one cached plan serves
-/// every seed. Joint queries key on the member list plus the rule texts
-/// (validation pins each rule's recursive atom to its unique member atom,
-/// so the text determines the joint structure).
+/// cached plan serves a whole σ-sweep and every seed. Joint queries key on
+/// the member list plus the rule texts (validation pins each rule's
+/// recursive atom to its unique member atom, so the text determines the
+/// joint structure).
 std::string QueryDigest(const Query& query) {
   std::string digest;
   if (query.is_joint()) {
@@ -128,7 +126,7 @@ Status Engine::ComputeGroups(ExecutionPlan* plan) {
 }
 
 Result<bool> Engine::TrySeparable(ExecutionPlan* plan) {
-  const Selection& sigma = *plan->selection;
+  const int position = *plan->sigma_position;
   std::vector<int> outer;
   std::vector<int> inner;
   std::vector<std::string> notes;
@@ -138,12 +136,12 @@ Result<bool> Engine::TrySeparable(ExecutionPlan* plan) {
     bool commutes = false;
     if ((*info)->classes.has_value()) {
       const Classification& classes = *(*info)->classes;
-      VarId x = classes.HeadVarAt(sigma.position);
+      VarId x = classes.HeadVarAt(position);
       const VarClass& vc = classes.Of(x);
       // σ commutes with the operator iff the selected column's head
       // variable is 1-persistent: its value passes through unchanged.
       commutes = vc.persistent && vc.period == 1;
-      notes.push_back(StrCat("σ on position ", sigma.position,
+      notes.push_back(StrCat("σ on position ", position,
                              (commutes ? " commutes with rule "
                                        : " does not commute with rule "),
                              i, ": head variable is ", vc.Describe()));
@@ -156,7 +154,7 @@ Result<bool> Engine::TrySeparable(ExecutionPlan* plan) {
   }
   if (outer.empty()) {
     plan->justification.push_back(
-        StrCat("separable rejected: σ on position ", sigma.position,
+        StrCat("separable rejected: σ on position ", position,
                " commutes with no rule (needs a 1-persistent column, "
                "Theorem 4.1)"));
     return false;
@@ -292,7 +290,7 @@ Status Engine::PlanForced(Strategy forced, ExecutionPlan* plan) {
       plan->strategy = Strategy::kDecomposed;
       return Status::OK();
     case Strategy::kSeparable: {
-      if (!plan->selection.has_value()) {
+      if (!plan->sigma_position.has_value()) {
         return Status::InvalidArgument(
             "forced separable strategy requires a selection");
       }
@@ -330,7 +328,8 @@ Status Engine::PlanForced(Strategy forced, ExecutionPlan* plan) {
   return Status::Internal("unhandled forced strategy");
 }
 
-Result<ExecutionPlan> Engine::PlanParameterized(const Query& query) {
+Result<PreparedQuery> Engine::Prepare(const Query& query) {
+  LINREC_RETURN_IF_ERROR(query.Validate());
   std::string digest;
   const bool cache_on = options_.plan_cache_capacity > 0;
   if (cache_on) {
@@ -338,11 +337,10 @@ Result<ExecutionPlan> Engine::PlanParameterized(const Query& query) {
     auto it = plan_cache_.find(digest);
     if (it != plan_cache_.end()) {
       ++plan_cache_hits_;
-      // Cached plans are seedless and σ-parameterized; the caller
-      // re-attaches this query's seed(s) and σ value.
       ExecutionPlan plan = it->second;
       plan.from_plan_cache = true;
-      return plan;
+      return PreparedQuery(
+          std::make_shared<const ExecutionPlan>(std::move(plan)));
     }
     ++plan_cache_misses_;
   }
@@ -360,26 +358,22 @@ Result<ExecutionPlan> Engine::PlanParameterized(const Query& query) {
         "(one Δ row-range per member)"));
   } else {
     plan.rules = query.rules();
-    if (query.sigma_position().has_value()) {
-      // Planning reads only the position (every σ-commutation test is
-      // positional), so the plan is compiled as a σ template: value 0 is a
-      // placeholder until a Bind substitutes the execution's constant.
-      plan.selection = Selection{*query.sigma_position(), 0};
-      plan.sigma_parameterized = true;
-    }
+    // Planning reads only the position (every σ-commutation test is
+    // positional); the value binds per execution.
+    plan.sigma_position = query.sigma_position();
 
     if (query.forced_strategy().has_value()) {
       LINREC_RETURN_IF_ERROR(PlanForced(*query.forced_strategy(), &plan));
     } else {
       bool planned_separable = false;
-      if (plan.selection.has_value()) {
+      if (plan.sigma_position.has_value()) {
         Result<bool> separable = TrySeparable(&plan);
         if (!separable.ok()) return separable.status();
         planned_separable = *separable;
       }
       if (!planned_separable) {
         LINREC_RETURN_IF_ERROR(ChooseClosureStrategy(&plan));
-        if (plan.selection.has_value() && !plan.selection_pushed) {
+        if (plan.sigma_position.has_value() && !plan.selection_pushed) {
           plan.justification.push_back(
               "selection does not push through the closure; filtering the "
               "final result");
@@ -400,48 +394,10 @@ Result<ExecutionPlan> Engine::PlanParameterized(const Query& query) {
     plan_cache_order_.push_back(digest);
     plan_cache_.emplace(std::move(digest), plan);
   }
-  return plan;
+  return PreparedQuery(std::make_shared<const ExecutionPlan>(std::move(plan)));
 }
 
-Result<ExecutionPlan> Engine::Plan(const Query& query) {
-  Status valid = query.Validate();
-  if (!valid.ok()) return valid;
-  Result<ExecutionPlan> planned = PlanParameterized(query);
-  if (!planned.ok()) return planned;
-  ExecutionPlan plan = std::move(*planned);
-  plan.seed = query.shared_seed();
-  if (query.is_joint()) plan.joint_seeds = query.shared_seeds();
-  if (query.sigma_value().has_value()) {
-    plan.selection->value = *query.sigma_value();
-    plan.sigma_parameterized = false;
-  }
-  return plan;
-}
-
-Result<PreparedQuery> Engine::Prepare(const Query& query) {
-  // Structure-only validation: a prepared query is seedless by design
-  // (seeds bind per execution), though a seed given anyway is checked.
-  Status valid = query.ValidateStructure();
-  if (!valid.ok()) return valid;
-  Result<ExecutionPlan> planned = PlanParameterized(query);
-  if (!planned.ok()) return planned.status();
-  return PreparedQuery(
-      std::make_shared<const ExecutionPlan>(std::move(*planned)),
-      query.sigma_position(), query.sigma_value());
-}
-
-Engine::ExecutionBinding Engine::BindingOf(const BoundQuery& bound) {
-  ExecutionBinding binding;
-  binding.seed = bound.seed().get();
-  binding.seeds = bound.seeds().get();
-  binding.selection = bound.selection();
-  binding.cancel = bound.cancel();
-  binding.budget = bound.budget();
-  return binding;
-}
-
-Result<QueryResult> Engine::Run(const ExecutionPlan& plan,
-                                const ExecutionBinding& binding,
+Result<QueryResult> Engine::Run(const BoundQuery& bound,
                                 IndexCache* cache) const {
   // Install this execution's budget: storage growth below charges the
   // thread-local current budget. Without a binding budget, any budget
@@ -449,69 +405,31 @@ Result<QueryResult> Engine::Run(const ExecutionPlan& plan,
   // around a whole goal) stays active. The guard converts a denial into a
   // typed ResourceExhausted.
   ScopedQueryBudget budget_scope(
-      binding.budget != nullptr ? binding.budget : CurrentQueryBudget());
+      bound.budget() != nullptr ? bound.budget() : CurrentQueryBudget());
   return GuardAllocFailures([&]() -> Result<QueryResult> {
-    return RunImpl(plan, binding, cache);
+    return RunImpl(bound, cache);
   });
 }
 
-Result<QueryResult> Engine::RunImpl(const ExecutionPlan& plan,
-                                    const ExecutionBinding& binding,
+Result<QueryResult> Engine::RunImpl(const BoundQuery& bound,
                                     IndexCache* cache) const {
-  const CancellationToken* cancel = binding.cancel;
+  const ExecutionPlan& plan = *bound.plan();
+  const CancellationToken* cancel = bound.cancel();
 
   if (plan.strategy == Strategy::kJointSemiNaive) {
-    const std::vector<Relation>* seeds =
-        binding.seeds != nullptr ? binding.seeds : plan.joint_seeds.get();
-    if (seeds == nullptr) {
-      return Status::InvalidArgument("joint plan has no seed relations");
-    }
-    if (seeds->size() != plan.members.size()) {
-      return Status::InvalidArgument(
-          StrCat("joint plan has ", seeds->size(), " seeds for ",
-                 plan.members.size(), " members"));
-    }
     QueryResult result;
     result.joint = true;
     Result<std::vector<Relation>> out =
-        JointSemiNaiveClosure(plan.members, plan.joint_rules, db_, *seeds,
-                              &result.stats, cache, cancel);
+        JointSemiNaiveClosure(plan.members, plan.joint_rules, db_,
+                              *bound.seeds(), &result.stats, cache, cancel);
     if (!out.ok()) return out.status();
     result.relations = std::move(out).value();
     return result;
   }
 
-  if (plan.rules.empty()) {
-    return Status::InvalidArgument("plan has no rules");
-  }
-  const Relation* seed_ptr =
-      binding.seed != nullptr ? binding.seed : plan.seed.get();
-  if (seed_ptr == nullptr) {
-    return Status::InvalidArgument("plan has no seed relation");
-  }
-  // The binding's σ value (when present) overrides the plan's selection —
-  // parameterized plans store a value-free placeholder.
-  std::optional<Selection> selection = plan.selection;
-  if (binding.selection.has_value()) {
-    selection = binding.selection;
-  } else if (plan.sigma_parameterized) {
-    return Status::InvalidArgument(
-        "the plan's σ parameter is unbound; bind a value "
-        "(PreparedQuery::Bind) before executing");
-  }
-  if (selection.has_value()) {
-    // Engine-boundary validation: bindings normally arrive through
-    // Prepare/Bind (whose validation covers this), but a hand-built plan
-    // with an out-of-range σ position would otherwise reach
-    // Relation::WhereEquals as undefined behavior in NDEBUG builds.
-    const int arity = static_cast<int>(plan.rules.front().arity());
-    if (selection->position < 0 || selection->position >= arity) {
-      return Status::InvalidArgument(
-          StrCat("selection position ", selection->position,
-                 " out of range for arity ", arity));
-    }
-  }
-  const Relation& seed = *seed_ptr;
+  // The binding's σ, engaged iff the plan has a σ position.
+  const std::optional<Selection>& selection = bound.selection();
+  const Relation& seed = *bound.seed();
   QueryResult result;
   ClosureStats& s = result.stats;
   Result<Relation> out = Status::Internal("strategy not executed");
@@ -538,10 +456,9 @@ Result<QueryResult> Engine::RunImpl(const ExecutionPlan& plan,
       break;
     }
     case Strategy::kSeparable: {
-      if (!selection.has_value() || plan.outer.empty()) {
+      if (plan.outer.empty()) {
         return Status::InvalidArgument(
-            "separable plan requires a selection and a nonempty outer "
-            "group");
+            "separable plan requires a nonempty outer group");
       }
       // A*( σ( B* q ) ) — Theorem 4.1. Preconditions were verified by
       // TrySeparable during planning; the σ value flows in here, at
@@ -579,7 +496,7 @@ Result<QueryResult> Engine::Execute(const BoundQuery& bound) {
   LINREC_RETURN_IF_ERROR(bound.Validate());
   // The shared plan is used in place: the seed, σ value and cancellation
   // token flow through the binding, so executing never copies the plan.
-  Result<QueryResult> result = Run(*bound.plan(), BindingOf(bound), &cache_);
+  Result<QueryResult> result = Run(bound, &cache_);
   // Evict on the failure path too: an aborted execution (cancelled, budget
   // denied) may have left indexes over its already-destroyed temporaries in
   // the cache, and the next query would read dangling addresses.
@@ -599,11 +516,9 @@ std::vector<Result<QueryResult>> Engine::ExecuteBatchEach(
   if (batch.empty()) return slots;
 
   // Validate serially up front; an invalid slot fails alone, its
-  // neighbours still run. Bindings are pointers into the BoundQuery — the
-  // shared prepared plan is used in place, so N slots over one
-  // PreparedQuery share a single plan object (no per-slot deep copy, no
-  // per-slot digest hashing).
-  std::vector<ExecutionBinding> bindings(batch.size());
+  // neighbours still run. Each slot runs its BoundQuery in place — the
+  // shared prepared plan too, so N slots over one PreparedQuery share a
+  // single plan object (no per-slot deep copy, no per-slot digest hashing).
   std::vector<char> runnable(batch.size(), 0);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     Status valid = batch[i].Validate();
@@ -611,7 +526,6 @@ std::vector<Result<QueryResult>> Engine::ExecuteBatchEach(
       slots[i] = std::move(valid);
       continue;
     }
-    bindings[i] = BindingOf(batch[i]);
     runnable[i] = 1;
   }
 
@@ -639,7 +553,7 @@ std::vector<Result<QueryResult>> Engine::ExecuteBatchEach(
     // The per-query temporary tier dies right here, at the end of the
     // query; the shared tier is swept once, below.
     TieredIndexCache cache(&cache_, &shared_relations);
-    slots[i] = Run(*batch[i].plan(), bindings[i], &cache);
+    slots[i] = Run(batch[i], &cache);
   };
 
   const int lanes = static_cast<int>(

@@ -23,8 +23,10 @@
 //   //   engine.ExecuteBatch({prepared->Bind(v1).BindSeed(q),
 //   //                        prepared->Bind(v2).BindSeed(q)});
 //
-// Plans are cached on query *structure* (rules, σ position, forced
-// strategy — never the σ value or the seed), so sweeping selection
+// A Query, its PreparedQuery and its ExecutionPlan describe structure
+// only; the seed(s), the σ value, the cancellation token and the budget of
+// one execution live on the BoundQuery alone. Plans are cached on that
+// structure (rules, σ position, forced strategy), so sweeping selection
 // constants over one prepared query plans exactly once.
 //
 // Execution dispatches each plan to one free strategy function:
@@ -34,8 +36,8 @@
 // JointSemiNaiveClosure (eval/joint.h). They stay public because the tests
 // call them directly (SeparableClosure is the checked twin of
 // SeparableClosureUnchecked) as the reference a plan's result is checked
-// against. The IVM delta engine (src/ivm) extends views in place with
-// SemiNaiveExtend.
+// against. The IVM delta engine (src/ivm) extends every view in place with
+// JointSemiNaiveExtend, a single-predicate view as a one-member component.
 
 #pragma once
 
@@ -91,18 +93,14 @@ class Engine {
   Result<CommutativityReport> Commutes(const LinearRule& r1,
                                        const LinearRule& r2);
 
-  /// Compiles `query` into an ExecutionPlan, choosing the strategy from
-  /// the cached analysis (or honoring Query::Force after checking its
-  /// preconditions).
-  Result<ExecutionPlan> Plan(const Query& query);
-
-  /// Compiles `query`'s structure into a reusable PreparedQuery: a
-  /// seedless, σ-parameterized plan (the cache digest covers rules, σ
-  /// position and forced strategy — not the σ value, not the seed).
-  /// Bind(value)/BindSeed stamp out per-execution BoundQuery handles; one
-  /// Prepare followed by N binds performs exactly one planning pass.
-  /// Queries with Select(σ) prepare with that value as the Bind() default;
-  /// queries with SelectPosition(p) must Bind(value) per execution.
+  /// Compiles `query` into a reusable PreparedQuery, choosing the
+  /// strategy from the cached analysis (or honoring Query::Force after
+  /// checking its preconditions); prepared->plan() is the plan to inspect
+  /// or Explain(). The plan cache is keyed on the query's structure —
+  /// rules, σ position and forced strategy — so a repeated Prepare of one
+  /// structure is a hit. Bind(value)/BindSeed(s) stamp out per-execution
+  /// BoundQuery handles; one Prepare followed by N binds performs exactly
+  /// one planning pass.
   Result<PreparedQuery> Prepare(const Query& query);
 
   /// Runs one bound query, returning its relations (one, or one per joint
@@ -195,45 +193,21 @@ class Engine {
   const AnalysisCache& analysis_cache() const { return analysis_; }
 
   /// Plan-cache observability: queries answered from the cache vs planned
-  /// from scratch (hits + misses == Plan() calls while the cache is on).
+  /// from scratch (hits + misses == Prepare() calls while the cache is on).
   std::size_t plan_cache_hits() const { return plan_cache_hits_; }
   std::size_t plan_cache_misses() const { return plan_cache_misses_; }
   std::size_t plan_cache_size() const { return plan_cache_.size(); }
 
  private:
-  /// The shared planning core behind Plan and Prepare: returns a seedless,
-  /// σ-parameterized plan for the query's *structure*, serving it from /
-  /// inserting it into the plan cache (digest: rules, σ position, forced
-  /// strategy, member list — never the σ value or the seed).
-  Result<ExecutionPlan> PlanParameterized(const Query& query);
-  /// One execution's bindings over a shared plan: the seed(s), the σ value,
-  /// the cancellation token and the memory budget live here — never in the
-  /// (cached, shared) ExecutionPlan — so N batch slots over one
-  /// PreparedQuery share a single plan object instead of deep-copying it
-  /// per slot.
-  struct ExecutionBinding {
-    const Relation* seed = nullptr;
-    const std::vector<Relation>* seeds = nullptr;
-    /// Engaged when the binding carries a σ value (parameterized plans
-    /// require it; it overrides the plan's placeholder selection).
-    std::optional<Selection> selection;
-    const CancellationToken* cancel = nullptr;
-    /// Charged by this execution's relation growth; null = ungoverned.
-    QueryBudget* budget = nullptr;
-  };
-  static ExecutionBinding BindingOf(const BoundQuery& bound);
   /// The single execution path behind every public entry point: runs
-  /// `plan` (single-predicate or joint) with this `binding` against db_
+  /// `bound` (already validated by BoundQuery::Validate) against db_
   /// through `cache`, filling one QueryResult with this execution's stats.
   /// Const — it mutates no engine state, so batch lanes may call it
   /// concurrently with distinct caches. Installs the binding's budget for
   /// its duration and converts an escaped budget denial / bad_alloc into
   /// Status::ResourceExhausted (RunImpl is the unguarded body).
-  Result<QueryResult> Run(const ExecutionPlan& plan,
-                          const ExecutionBinding& binding,
-                          IndexCache* cache) const;
-  Result<QueryResult> RunImpl(const ExecutionPlan& plan,
-                              const ExecutionBinding& binding,
+  Result<QueryResult> Run(const BoundQuery& bound, IndexCache* cache) const;
+  Result<QueryResult> RunImpl(const BoundQuery& bound,
                               IndexCache* cache) const;
   /// Fills groups via union-find over the memoized non-commuting pairs,
   /// appending per-pair verdicts to the plan's justification.
@@ -258,8 +232,8 @@ class Engine {
   /// touch one tier with a statically checkable discipline.
   SharedIndexCache cache_;
   ClosureStats stats_;
-  /// Compiled plans keyed on the query digest, stored seedless (the seed is
-  /// re-attached per query, so caching never pins a caller's relation).
+  /// Compiled plans keyed on the query digest (plans hold no seed, so
+  /// caching never pins a caller's relation).
   std::unordered_map<std::string, ExecutionPlan> plan_cache_;
   /// Digests in insertion order; at capacity the front (oldest entry) is
   /// evicted, one entry per insert.

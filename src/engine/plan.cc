@@ -92,14 +92,8 @@ std::string ExecutionPlan::Explain() const {
           "is serial\n";
   }
 
-  if (selection.has_value()) {
-    os << "selection: σ_{pos " << selection->position << " = ";
-    if (sigma_parameterized) {
-      os << "<bind parameter>";
-    } else {
-      os << selection->value;
-    }
-    os << "} — "
+  if (sigma_position.has_value()) {
+    os << "selection: σ_{pos " << *sigma_position << " = <bind parameter>} — "
        << (selection_pushed ? "pushed into the strategy"
                             : "applied to the final result")
        << "\n";
@@ -118,18 +112,6 @@ std::string ExecutionPlan::Explain() const {
     for (const std::string& reason : justification) {
       os << "  - " << reason << "\n";
     }
-  }
-  if (seed != nullptr) {
-    os << "seed: " << seed->size() << " tuple(s), arity " << seed->arity()
-       << "\n";
-  }
-  if (joint_seeds != nullptr) {
-    os << "seeds:";
-    for (std::size_t m = 0; m < joint_seeds->size() && m < members.size();
-         ++m) {
-      os << " " << members[m] << "=" << (*joint_seeds)[m].size();
-    }
-    os << "\n";
   }
   return os.str();
 }

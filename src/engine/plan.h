@@ -1,13 +1,13 @@
 // ExecutionPlan: the compiled, explainable strategy choice for one Query.
 //
-// A plan is self-contained — it carries the rules, the seed, the strategy
-// and every parameter the executor needs — so it can be inspected
-// (Explain()), cached, or executed repeatedly against the engine's
+// A plan describes structure only — the rules, the strategy and every
+// parameter the executor needs — and never a seed or a σ constant, which
+// bind per execution on the BoundQuery. So one plan can be inspected
+// (Explain()), cached, and executed repeatedly against the engine's
 // (possibly updated) database.
 
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -15,9 +15,7 @@
 #include "datalog/rule.h"
 #include "engine/strategy.h"
 #include "eval/joint.h"
-#include "eval/selection.h"
 #include "redundancy/factorize.h"
-#include "storage/relation.h"
 
 namespace linrec {
 
@@ -32,17 +30,10 @@ struct ExecutionPlan {
   /// and of the rest (the inner closure B; may be empty for full pushdown).
   std::vector<int> outer;
   std::vector<int> inner;
-  /// The query's selection, if any.
-  std::optional<Selection> selection;
-  /// True while `selection->value` is an unbound placeholder: the plan was
-  /// compiled against the σ *position* only (planning never reads the
-  /// value — Theorem 4.1's preconditions are positional), so one plan
-  /// serves every selection constant. Prepared/cached plans stay in this
-  /// state; binding a value (PreparedQuery::Bind, or re-attaching the
-  /// query's σ on a plan-cache hit) clears the flag. Executing a plan with
-  /// the flag still set is an error — the σ value must flow in at execute
-  /// time, never be baked in at plan time.
-  bool sigma_parameterized = false;
+  /// The query's σ position, if any. Planning never reads the σ value —
+  /// Theorem 4.1's preconditions are positional — so the value is a bind
+  /// parameter and one plan serves every selection constant.
+  std::optional<int> sigma_position;
   /// True when the strategy evaluates the selection internally
   /// (kSeparable); false ⇒ σ filters the final result.
   bool selection_pushed = false;
@@ -62,18 +53,13 @@ struct ExecutionPlan {
   /// Theorem-level reasons for the choice, in planning order.
   std::vector<std::string> justification;
   /// True when this plan was served from the engine's plan cache (same
-  /// rule-set digest, selection and forced strategy as a prior query).
+  /// rule-set digest, σ position and forced strategy as a prior query).
   bool from_plan_cache = false;
-  /// The initial relation q, shared immutably with the originating Query
-  /// (planning never copies the relation).
-  std::shared_ptr<const Relation> seed;
   /// kJointSemiNaive: the member predicate names of the strongly connected
-  /// component, the joint rules over them (eval/joint.h), and the
-  /// per-member seeds (shared with the Query like `seed`). Executing a
+  /// component and the joint rules over them (eval/joint.h). Executing a
   /// joint BoundQuery yields a QueryResult with one relation per member.
   std::vector<std::string> members;
   std::vector<JointRule> joint_rules;
-  std::shared_ptr<const std::vector<Relation>> joint_seeds;
 
   /// Rules at `indices`, in order.
   std::vector<LinearRule> RulesOf(const std::vector<int>& indices) const;

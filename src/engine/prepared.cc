@@ -4,30 +4,26 @@
 
 namespace linrec {
 
-BoundQuery PreparedQuery::Bind(Value sigma_value) const {
+BoundQuery PreparedQuery::Bind(Value value) const {
   BoundQuery bound;
   bound.plan_ = plan_;
-  if (!sigma_position_.has_value()) {
+  if (!plan_->sigma_position.has_value()) {
     bound.error_ = Status::InvalidArgument(
         "Bind(value): the prepared query has no σ parameter (prepare with "
-        "Select/SelectPosition to declare one)");
+        "SelectPosition to declare one)");
     return bound;
   }
-  bound.selection_ = Selection{*sigma_position_, sigma_value};
+  bound.selection_ = Selection{*plan_->sigma_position, value};
   return bound;
 }
 
 BoundQuery PreparedQuery::Bind() const {
   BoundQuery bound;
   bound.plan_ = plan_;
-  if (sigma_position_.has_value()) {
-    if (!default_sigma_value_.has_value()) {
-      bound.error_ = Status::InvalidArgument(
-          "Bind(): the σ parameter has no default value; bind one with "
-          "Bind(value)");
-      return bound;
-    }
-    bound.selection_ = Selection{*sigma_position_, *default_sigma_value_};
+  if (plan_->sigma_position.has_value()) {
+    bound.error_ = Status::InvalidArgument(
+        "Bind(): the prepared query has a σ parameter; bind its value with "
+        "Bind(value)");
   }
   return bound;
 }
@@ -93,23 +89,7 @@ Status BoundQuery::Validate() const {
                                           " does not match rule arity ",
                                           arity));
   }
-  if (plan_->sigma_parameterized && !selection_.has_value()) {
-    return Status::InvalidArgument(
-        "the plan's σ parameter is unbound; bind a value "
-        "(PreparedQuery::Bind) before executing");
-  }
   return Status::OK();
-}
-
-ExecutionPlan BoundQuery::ToPlan() const {
-  ExecutionPlan plan = *plan_;
-  plan.seed = seed_;
-  plan.joint_seeds = seeds_;
-  if (selection_.has_value()) {
-    plan.selection = selection_;
-    plan.sigma_parameterized = false;
-  }
-  return plan;
 }
 
 }  // namespace linrec

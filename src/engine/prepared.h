@@ -1,12 +1,14 @@
 // Prepared queries: compile once, bind and run many times.
 //
 // Engine::Prepare compiles a Query's *structure* — rules, σ position,
-// forced strategy — into a seedless, σ-parameterized ExecutionPlan and
-// hands back a PreparedQuery owning it. Bind calls stamp out lightweight
-// BoundQuery handles (a shared pointer to the plan plus the per-execution
-// σ value and seed relations); Engine::Execute(BoundQuery) runs one,
-// Engine::ExecuteBatch runs many concurrently on the shared worker pool.
-// Planning happens exactly once however many values are swept:
+// forced strategy — into an ExecutionPlan with no seed and no σ value,
+// and hands back a PreparedQuery owning it. Bind calls stamp out
+// lightweight BoundQuery handles: the shared plan plus the inputs of one
+// execution — the σ value, the seed relation(s), the cancellation token
+// and the memory budget. The BoundQuery is the only carrier of those
+// inputs. Engine::Execute(BoundQuery) runs one, Engine::ExecuteBatch runs
+// many concurrently on the shared worker pool. Planning happens exactly
+// once however many values are swept:
 //
 //   auto prepared = engine.Prepare(
 //       Query::Closure({r1, r2}).SelectPosition(0));
@@ -30,6 +32,7 @@
 #include "common/memory.h"
 #include "common/status.h"
 #include "engine/plan.h"
+#include "eval/selection.h"
 #include "eval/stats.h"
 #include "storage/relation.h"
 
@@ -65,55 +68,43 @@ struct QueryResult {
 
 class BoundQuery;
 
-/// A compiled, reusable query: the seedless, σ-parameterized plan plus the
-/// binding surface. Immutable and cheaply copyable (the plan is shared);
-/// safe to Bind from concurrently.
+/// A compiled, reusable query: the plan plus the binding surface.
+/// Immutable and cheaply copyable (the plan is shared); safe to Bind from
+/// concurrently.
 class PreparedQuery {
  public:
-  /// The underlying parameterized plan (seedless; σ value unbound when
-  /// has_sigma_param()). Explain() works as usual.
+  /// The underlying plan (no seed, no σ value). Explain() works as usual.
   const ExecutionPlan& plan() const { return *plan_; }
   bool is_joint() const {
     return plan_->strategy == Strategy::kJointSemiNaive;
   }
   /// True iff the plan carries a σ whose value is bound per execution.
-  bool has_sigma_param() const { return sigma_position_.has_value(); }
-  /// The σ position fixed at Prepare time, if any.
-  const std::optional<int>& sigma_position() const { return sigma_position_; }
+  bool has_sigma_param() const { return plan_->sigma_position.has_value(); }
 
-  /// Binds the σ parameter to `sigma_value`. Requires has_sigma_param();
+  /// Binds the σ parameter to `value`. Requires has_sigma_param();
   /// misuse is deferred to BoundQuery::Validate / Engine::Execute (fluent
   /// chains cannot return a Status).
-  BoundQuery Bind(Value sigma_value) const;
+  BoundQuery Bind(Value value) const;
 
-  /// Binds nothing: valid when the prepared query has no σ, and also when
-  /// the Query handed to Prepare carried a *bound* σ (its value becomes the
-  /// default binding, so migrating callers keep their one-line flow).
+  /// Binds nothing: valid only when the prepared query has no σ.
   BoundQuery Bind() const;
 
  private:
   friend class Engine;
-  PreparedQuery(std::shared_ptr<const ExecutionPlan> plan,
-                std::optional<int> sigma_position,
-                std::optional<Value> default_sigma_value)
-      : plan_(std::move(plan)),
-        sigma_position_(sigma_position),
-        default_sigma_value_(default_sigma_value) {}
+  explicit PreparedQuery(std::shared_ptr<const ExecutionPlan> plan)
+      : plan_(std::move(plan)) {}
 
   std::shared_ptr<const ExecutionPlan> plan_;
-  std::optional<int> sigma_position_;
-  /// Engaged when Prepare was given a bound σ: Bind() with no argument
-  /// reuses it.
-  std::optional<Value> default_sigma_value_;
 };
 
 /// One executable instance of a PreparedQuery: the shared plan plus this
-/// execution's σ value and seed relation(s). Lightweight — copying a
-/// BoundQuery copies two shared pointers and a Selection, never a relation.
+/// execution's σ value, seed relation(s), cancellation token and budget.
+/// Lightweight — copying a BoundQuery copies shared pointers and a
+/// Selection, never a relation.
 class BoundQuery {
  public:
   /// Sets the initial relation q of a single-predicate execution. The
-  /// relation is shared immutably, like Query::From.
+  /// relation is shared immutably, so N bindings can share one seed.
   BoundQuery& BindSeed(Relation seed);
   BoundQuery& BindSeed(std::shared_ptr<const Relation> seed);
 
@@ -142,8 +133,8 @@ class BoundQuery {
   }
 
   const std::shared_ptr<const ExecutionPlan>& plan() const { return plan_; }
-  /// The fully bound selection, if the prepared query had a σ parameter or
-  /// default value.
+  /// The fully bound selection: engaged iff the prepared query has a σ
+  /// parameter (Validate fails otherwise).
   const std::optional<Selection>& selection() const { return selection_; }
   const std::shared_ptr<const Relation>& seed() const { return seed_; }
   const std::shared_ptr<const std::vector<Relation>>& seeds() const {
@@ -153,15 +144,11 @@ class BoundQuery {
   QueryBudget* budget() const { return budget_; }
 
   /// Checks the binding is complete and coherent: a plan is attached, any
-  /// deferred Bind misuse surfaces here, σ is bound iff the plan is
-  /// parameterized, the right seed shape is attached and its arity matches
-  /// the plan. Engine::Execute/ExecuteBatch call this first.
+  /// deferred Bind misuse (a σ value bound or missing against the plan's
+  /// σ parameter, the wrong seed shape) surfaces here, and the seed(s)
+  /// match the plan's arity or member count. Engine::Execute/ExecuteBatch
+  /// call this first; execution re-checks none of it.
   Status Validate() const;
-
-  /// Materializes the executable plan: a copy of the prepared plan with
-  /// this binding's seed(s) attached and the σ value substituted
-  /// (clearing ExecutionPlan::sigma_parameterized). Requires Validate().
-  ExecutionPlan ToPlan() const;
 
  private:
   friend class PreparedQuery;
@@ -172,7 +159,8 @@ class BoundQuery {
   const CancellationToken* cancel_ = nullptr;
   QueryBudget* budget_ = nullptr;
   /// First misuse of the fluent surface (Bind(v) without a σ parameter,
-  /// BindSeed on a joint plan, ...), reported by Validate.
+  /// Bind() with one, BindSeed on a joint plan, ...), reported by
+  /// Validate.
   Status error_ = Status::OK();
 };
 

@@ -18,25 +18,8 @@ Query Query::JointClosure(std::vector<std::string> members,
   return query;
 }
 
-Query& Query::Select(Selection sigma) {
-  selection_ = sigma;
-  sigma_param_ = false;
-  return *this;
-}
-
 Query& Query::SelectPosition(int position) {
-  selection_ = Selection{position, 0};
-  sigma_param_ = true;
-  return *this;
-}
-
-Query& Query::From(Relation seed) {
-  seed_ = std::make_shared<const Relation>(std::move(seed));
-  return *this;
-}
-
-Query& Query::FromSeeds(std::vector<Relation> seeds) {
-  seeds_ = std::make_shared<const std::vector<Relation>>(std::move(seeds));
+  sigma_position_ = position;
   return *this;
 }
 
@@ -45,37 +28,24 @@ Query& Query::Force(Strategy strategy) {
   return *this;
 }
 
-Status Query::Validate() const { return ValidateImpl(/*require_seed=*/true); }
-
-Status Query::ValidateStructure() const {
-  return ValidateImpl(/*require_seed=*/false);
-}
-
-Status Query::ValidateImpl(bool require_seed) const {
+Status Query::Validate() const {
   if (is_joint()) {
     // Query-level structural checks; the per-rule/member checks are the
-    // shared joint boundary validation (eval/joint.h ValidateJointRules).
-    if (selection_.has_value() || forced_.has_value() || !rules_.empty() ||
-        seed_ != nullptr) {
+    // shared joint boundary validation (eval/joint.h).
+    if (sigma_position_.has_value() || forced_.has_value() ||
+        !rules_.empty()) {
       return Status::InvalidArgument(
-          "joint queries do not support Select, Force, From or single-"
+          "joint queries do not support SelectPosition, Force or single-"
           "predicate rules");
     }
     if (joint_rules_.empty()) {
       return Status::InvalidArgument("joint query has no rules");
     }
-    if (seeds_ == nullptr) {
-      if (require_seed) {
-        return Status::InvalidArgument(
-            "joint query has no initial relations (FromSeeds)");
-      }
-      return ValidateJointRuleStructure(members_, joint_rules_);
-    }
-    return ValidateJointRules(members_, joint_rules_, *seeds_);
+    return ValidateJointRuleStructure(members_, joint_rules_);
   }
-  if (seeds_ != nullptr || !joint_rules_.empty()) {
+  if (!joint_rules_.empty()) {
     return Status::InvalidArgument(
-        "FromSeeds and joint rules require a Query::JointClosure");
+        "joint rules require the members of a Query::JointClosure");
   }
   if (rules_.empty()) {
     return Status::InvalidArgument("query has no rules");
@@ -89,20 +59,11 @@ Status Query::ValidateImpl(bool require_seed) const {
                  rule.recursive_predicate(), "/", rule.arity()));
     }
   }
-  if (seed_ == nullptr) {
-    if (require_seed) {
-      return Status::InvalidArgument("query has no initial relation (From)");
-    }
-  } else if (seed_->arity() != arity) {
-    return Status::InvalidArgument(StrCat("seed arity ", seed_->arity(),
-                                          " does not match rule arity ",
-                                          arity));
-  }
-  if (selection_.has_value() &&
-      (selection_->position < 0 ||
-       selection_->position >= static_cast<int>(arity))) {
+  if (sigma_position_.has_value() &&
+      (*sigma_position_ < 0 ||
+       *sigma_position_ >= static_cast<int>(arity))) {
     return Status::InvalidArgument(
-        StrCat("selection position ", selection_->position,
+        StrCat("selection position ", *sigma_position_,
                " out of range for arity ", arity));
   }
   return Status::OK();

@@ -1,7 +1,8 @@
-// Fluent query description: σ (Σ_i rules_i)* q.
+// Fluent query description: σ (Σ_i rules_i)* q, by structure only.
 //
-// A Query says *what* to compute; Engine::Plan decides *how* from the
-// rules' cached analysis. Typical use:
+// A Query says *what* to compute; Engine::Prepare decides *how* from the
+// rules' cached analysis. The seed q and the σ constant are inputs of one
+// execution, bound on the BoundQuery. Typical use:
 //
 //   Engine engine(std::move(db));
 //   auto prepared = engine.Prepare(
@@ -11,7 +12,6 @@
 
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -20,8 +20,6 @@
 #include "datalog/rule.h"
 #include "engine/strategy.h"
 #include "eval/joint.h"
-#include "eval/selection.h"
-#include "storage/relation.h"
 
 namespace linrec {
 
@@ -33,101 +31,50 @@ class Query {
 
   /// Starts a joint query: the least relations P_0..P_{M-1} (one per
   /// member predicate of a strongly connected component) jointly closed
-  /// under mutually recursive linear rules. Seed with FromSeeds (or bind
-  /// seeds per execution with BoundQuery::BindSeeds). Selections and Force
-  /// are not supported on joint queries.
+  /// under mutually recursive linear rules. Seeds bind per execution with
+  /// BoundQuery::BindSeeds. Selections and Force are not supported on
+  /// joint queries.
   static Query JointClosure(std::vector<std::string> members,
                             std::vector<JointRule> rules);
 
-  /// Applies σ_{position=value} to the closure. The planner pushes the
-  /// selection through the closure when Theorem 4.1 licenses it, and
-  /// filters the final result otherwise.
-  Query& Select(Selection sigma);
-
-  /// Declares a σ bind parameter: the selection *position* (the structural
-  /// part the planner reads) without a value. The value is bound per
-  /// execution via PreparedQuery::Bind — the prepared form of a σ-sweep
-  /// (Theorem 4.1's workload) plans once and binds many times. A query with
-  /// an unbound σ can be Prepared but not Executed directly.
+  /// Declares σ_{position=value} on the closure with the value as a bind
+  /// parameter: the planner reads only the position, and the value binds
+  /// per execution via PreparedQuery::Bind — the prepared form of a
+  /// σ-sweep (Theorem 4.1's workload) plans once and binds many times.
+  /// The planner pushes the selection through the closure when Theorem 4.1
+  /// licenses it, and filters the final result otherwise.
   Query& SelectPosition(int position);
 
-  /// Sets the initial relation q (the paper's P ⊇ q seed). Required for
-  /// single-predicate closures.
-  Query& From(Relation seed);
-
-  /// Sets the per-member initial relations of a joint query (one per
-  /// member, in member order). Required for joint closures.
-  Query& FromSeeds(std::vector<Relation> seeds);
-
   /// Overrides automatic strategy selection (e.g. Strategy::kNaive as an
-  /// experiment baseline). Plan() fails if the forced strategy's
+  /// experiment baseline). Prepare fails if the forced strategy's
   /// preconditions do not hold.
   Query& Force(Strategy strategy);
 
   const std::vector<LinearRule>& rules() const { return rules_; }
-  /// The selection, if any. When has_sigma_param() the value field is a
-  /// placeholder (0) — only the position is meaningful.
-  const std::optional<Selection>& selection() const { return selection_; }
-  /// True iff σ was declared as a bind parameter (SelectPosition): the
-  /// position is fixed, the value arrives at Bind time.
-  bool has_sigma_param() const { return sigma_param_; }
-  /// The σ position, if a selection (bound or parameterized) is present.
-  std::optional<int> sigma_position() const {
-    return selection_.has_value() ? std::optional<int>(selection_->position)
-                                  : std::nullopt;
-  }
-  /// The σ value, if a *bound* selection is present (empty for a σ
-  /// parameter).
-  std::optional<Value> sigma_value() const {
-    return selection_.has_value() && !sigma_param_
-               ? std::optional<Value>(selection_->value)
-               : std::nullopt;
-  }
-  /// Requires has_seed().
-  const Relation& seed() const { return *seed_; }
-  bool has_seed() const { return seed_ != nullptr; }
-  /// The seed is shared (immutable) between the query and its plans, so
-  /// planning never copies the relation.
-  const std::shared_ptr<const Relation>& shared_seed() const { return seed_; }
+  /// The σ position, if SelectPosition declared one.
+  const std::optional<int>& sigma_position() const { return sigma_position_; }
   const std::optional<Strategy>& forced_strategy() const { return forced_; }
 
   /// True iff this is a joint (multi-predicate) query.
   bool is_joint() const { return !members_.empty(); }
   const std::vector<std::string>& members() const { return members_; }
   const std::vector<JointRule>& joint_rules() const { return joint_rules_; }
-  bool has_seeds() const { return seeds_ != nullptr; }
-  /// Requires has_seeds(). Shared (immutable) between the query and its
-  /// plans, like the single-predicate seed.
-  const std::shared_ptr<const std::vector<Relation>>& shared_seeds() const {
-    return seeds_;
-  }
 
   /// Structural checks: at least one rule, all rules over one head
-  /// predicate/arity, a seed of that arity, selection position in range.
-  /// Joint queries check instead: distinct members, one seed per member,
-  /// every rule headed by its member with exactly one member atom in the
-  /// body (the recursive atom), arities consistent; selections and forced
-  /// strategies are rejected.
+  /// predicate/arity, σ position in range. Joint queries check instead:
+  /// distinct members, every rule headed by its member with exactly one
+  /// member atom in the body (the recursive atom); selections and forced
+  /// strategies are rejected. Seeds are checked per execution by
+  /// BoundQuery::Validate.
   Status Validate() const;
 
-  /// Validate minus the seed-presence requirement: what Engine::Prepare
-  /// checks. A prepared query is seedless by design — seeds arrive per
-  /// execution via BoundQuery::BindSeed(s) — but a seed given anyway (the
-  /// migration path: Prepare(old_query)) is still checked for arity.
-  Status ValidateStructure() const;
-
  private:
-  Status ValidateImpl(bool require_seed) const;
   std::vector<LinearRule> rules_;
-  std::optional<Selection> selection_;
-  /// True ⇒ selection_->value is a placeholder (σ declared by position only).
-  bool sigma_param_ = false;
-  std::shared_ptr<const Relation> seed_;
+  std::optional<int> sigma_position_;
   std::optional<Strategy> forced_;
   // Joint-query state (is_joint() == !members_.empty()).
   std::vector<std::string> members_;
   std::vector<JointRule> joint_rules_;
-  std::shared_ptr<const std::vector<Relation>> seeds_;
 };
 
 }  // namespace linrec

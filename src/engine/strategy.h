@@ -1,4 +1,4 @@
-// Strategy tags for the execution plans compiled by Engine::Plan.
+// Strategy tags for the execution plans compiled by Engine::Prepare.
 //
 // Each tag names one of the paper's evaluation strategies; the planner
 // chooses among them from the rules' cached analysis (engine/engine.h).

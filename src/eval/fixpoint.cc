@@ -30,8 +30,8 @@ Status ValidateRules(const std::vector<LinearRule>& rules, const Relation& q) {
   return Status::OK();
 }
 
-/// `rules` as the rules of a one-member joint closure: member 0 is the
-/// recursive predicate, both head and recursive atom.
+}  // namespace
+
 std::vector<JointRule> AsJointRules(const std::vector<LinearRule>& rules) {
   std::vector<JointRule> out;
   out.reserve(rules.size());
@@ -40,8 +40,6 @@ std::vector<JointRule> AsJointRules(const std::vector<LinearRule>& rules) {
   }
   return out;
 }
-
-}  // namespace
 
 Result<Relation> SemiNaiveClosure(const std::vector<LinearRule>& rules,
                                   const Database& db, const Relation& q,

@@ -21,10 +21,15 @@
 #include "common/status.h"
 #include "datalog/rule.h"
 #include "eval/apply.h"
+#include "eval/joint.h"
 #include "eval/stats.h"
 #include "storage/database.h"
 
 namespace linrec {
+
+/// `rules` as the rules of a one-member joint closure (eval/joint.h):
+/// member 0 is the recursive predicate, both head and recursive atom.
+std::vector<JointRule> AsJointRules(const std::vector<LinearRule>& rules);
 
 /// Computes (Σ_i rules[i])* q — the least relation P ⊇ q closed under every
 /// rule — by semi-naive evaluation [Bancilhon 85]: each round applies every
@@ -41,7 +46,7 @@ Result<Relation> SemiNaiveClosure(const std::vector<LinearRule>& rules,
                                   const CancellationToken* cancel = nullptr);
 
 /// In-place semi-naive continuation — the primitive behind
-/// SemiNaiveClosure, DecomposedClosure and the IVM delta engine (src/ivm).
+/// SemiNaiveClosure and DecomposedClosure.
 /// `result` holds a closed prefix (rows [0, delta_begin), a fixpoint of
 /// the rules) with the new seed tuples already appended as rows
 /// [delta_begin, size()); the call extends `result` to the fixpoint of the

@@ -47,23 +47,22 @@ struct JointRule {
   int recursive_member = -1;
 };
 
-/// The joint boundary validation, shared by Query::Validate and the
-/// closure entry points below: members distinct (and not the reserved
-/// equality predicate), one seed per member, every rule structurally
-/// valid and headed by its member with its recursive atom reading
-/// `members[recursive_member]`, head/recursive arities matching the
-/// seeds, and — the linearity invariant — exactly one body atom naming
-/// any member (a second member atom would resolve against `db`, where
-/// members are absent, and silently compute a wrong fixpoint).
+/// The joint boundary validation of the closure entry points below:
+/// members distinct (and not the reserved equality predicate), one seed
+/// per member, every rule structurally valid and headed by its member
+/// with its recursive atom reading `members[recursive_member]`,
+/// head/recursive arities matching the seeds, and — the linearity
+/// invariant — exactly one body atom naming any member (a second member
+/// atom would resolve against `db`, where members are absent, and
+/// silently compute a wrong fixpoint).
 Status ValidateJointRules(const std::vector<std::string>& members,
                           const std::vector<JointRule>& rules,
                           const std::vector<Relation>& seeds);
 
 /// Structure-only variant: everything ValidateJointRules checks except the
-/// seed count and seed-arity consistency. Used for prepared joint queries
-/// (Engine::Prepare), whose seeds arrive per execution via
-/// BoundQuery::BindSeeds — the closure entry points re-run the full
-/// validation against the actual seeds.
+/// seed count and seed-arity consistency. Query::Validate runs it, since
+/// seeds arrive per execution via BoundQuery::BindSeeds — the closure
+/// entry points re-run the full validation against the actual seeds.
 Status ValidateJointRuleStructure(const std::vector<std::string>& members,
                                   const std::vector<JointRule>& rules);
 
@@ -144,7 +143,8 @@ Result<std::vector<Relation>> JointSemiNaiveClosure(
     IndexCache* cache = nullptr, const CancellationToken* cancel = nullptr);
 
 /// In-place joint continuation — the multi-member counterpart of
-/// SemiNaiveExtend (eval/fixpoint.h), used by the IVM delta engine.
+/// SemiNaiveExtend (eval/fixpoint.h), with which the IVM delta engine
+/// extends every view (a single-predicate view as one member).
 /// `rels` borrows one relation per member whose rows [0, delta_begin[m])
 /// form a jointly closed prefix (a fixpoint of the rules) and whose rows
 /// [delta_begin[m], size) are freshly appended seed/delta tuples; the call

@@ -318,6 +318,18 @@ Status ProgramInstance::ValidateLoad(const CompiledProgram* program,
                    ", the loaded program uses ", arity));
       }
     }
+    // Facts the session already holds for a derived predicate would seed
+    // its closure; AddFact rejects them once the program is loaded, so the
+    // LOAD must too. A relation DELETE has emptied holds none.
+    for (const auto& [pred, unit] : program->unit_of) {
+      const Relation* existing = facts_.Find(pred);
+      if (existing != nullptr && !existing->empty()) {
+        return Status::InvalidArgument(
+            StrCat("predicate '", pred,
+                   "' is derived by the loaded program; the session holds "
+                   "facts for it"));
+      }
+    }
   }
   std::map<std::string, std::size_t> arity_in_load;
   for (const Atom& fact : facts) {

@@ -169,7 +169,8 @@ class ProgramInstance {
   /// Checks a LOAD before it changes anything: `program` is the program
   /// the LOAD leaves installed. Each of `facts` is checked as AddFact
   /// would against `program`, and against the other `facts`; the
-  /// session's existing facts are checked against `program`'s arities.
+  /// session's existing facts are checked against `program`'s arities,
+  /// and none may name a predicate `program` derives.
   Status ValidateLoad(const CompiledProgram* program,
                       const std::vector<Atom>& facts) const;
 

@@ -1,23 +1,25 @@
 // The IVM delta engine: Engine::Materialize / Apply / Retract.
 //
+// Every view is maintained as a joint component: a single-predicate view
+// is the one-member component of its head predicate.
+//
 // Apply is the insert half: the closed view plus freshly appended tuples
-// is handed to the in-place semi-naive continuation (SemiNaiveExtend /
-// JointSemiNaiveExtend), which runs Δ rounds from exactly the appended
-// row ranges. The one-step consequences of new PARAMETER tuples are
-// produced first by "delta rules" — the rule with one body atom pinned
-// to the delta relation and the recursive atom pinned to the closed view
-// — so a parameter insert seeds the continuation the same way a seed
-// insert does. Every mutation on this path is an append; failure
-// rollback is Relation::TruncateRows back to the recorded sizes, which
-// restores the exact pre-call bytes (and cannot itself fail: same-size
-// rehash never charges the budget).
+// is handed to the in-place semi-naive continuation (JointSemiNaiveExtend),
+// which runs Δ rounds from exactly the appended row ranges. The one-step
+// consequences of new PARAMETER tuples are produced first by "delta
+// rules" — the rule with one body atom pinned to the delta relation and
+// the recursive atom pinned to the closed view — so a parameter insert
+// seeds the continuation the same way a seed insert does. Every mutation
+// on this path is an append; failure rollback is Relation::TruncateRows
+// back to the recorded sizes, which restores the exact pre-call bytes (and
+// cannot itself fail: same-size rehash never charges the budget).
 //
 // Retract is the delete half — delete-and-rederive (DRed):
 //   1. Over-delete: close the set of DIRECTLY damaged tuples (deleted
 //      seed tuples, plus heads of derivations consuming a deleted
 //      parameter tuple) under the rules — linearity makes "derivable
 //      from a suspect" the same linear closure the view itself uses, so
-//      the suspect set D is computed by SemiNaiveClosure over the
+//      the suspect set D is computed by JointSemiNaiveClosure over the
 //      suspects.
 //   2. Re-derive, goal-directed: every tuple outside D is sound. A tuple
 //      of D survives iff it is still a seed tuple or has a derivation
@@ -58,10 +60,26 @@ namespace linrec {
 
 namespace {
 
+/// A view's closure as one joint component: a joint plan's members and
+/// rules, or the one-member component of a single-predicate plan's head
+/// predicate. Apply and Retract maintain every view through this shape.
+struct Component {
+  std::vector<std::string> members;
+  std::vector<JointRule> rules;
+};
+
+Component ComponentOf(const ExecutionPlan& plan) {
+  if (plan.strategy == Strategy::kJointSemiNaive) {
+    return {plan.members, plan.joint_rules};
+  }
+  return {{plan.rules.front().recursive_predicate()},
+          AsJointRules(plan.rules)};
+}
+
 /// Uniform shape for the delta runs: every rule as (rule, head member,
 /// recursive atom, recursive member), equality atoms statically
 /// eliminated (elimination shifts atom indices, so the recursive atom is
-/// re-identified afterwards). Single-predicate plans use member 0.
+/// re-identified afterwards).
 struct DeltaRule {
   Rule rule;
   int head_member = 0;
@@ -69,29 +87,11 @@ struct DeltaRule {
   int recursive_member = 0;
 };
 
-Result<std::vector<DeltaRule>> DeltaRulesOf(
-    const std::vector<LinearRule>& rules) {
+Result<std::vector<DeltaRule>> DeltaRulesOf(const Component& component) {
+  const std::vector<std::string>& members = component.members;
   std::vector<DeltaRule> out;
-  out.reserve(rules.size());
-  for (const LinearRule& lr : rules) {
-    if (!HasEqualities(lr.rule())) {
-      out.push_back({lr.rule(), 0, lr.recursive_atom_index(), 0});
-      continue;
-    }
-    Result<std::optional<LinearRule>> e = EliminateEqualitiesLinear(lr);
-    if (!e.ok()) return e.status();
-    if (!e->has_value()) continue;  // unsatisfiable: derives nothing
-    out.push_back({(*e)->rule(), 0, (*e)->recursive_atom_index(), 0});
-  }
-  return out;
-}
-
-Result<std::vector<DeltaRule>> DeltaRulesOf(
-    const std::vector<std::string>& members,
-    const std::vector<JointRule>& rules) {
-  std::vector<DeltaRule> out;
-  out.reserve(rules.size());
-  for (const JointRule& jr : rules) {
+  out.reserve(component.rules.size());
+  for (const JointRule& jr : component.rules) {
     Rule rule = jr.rule;
     if (HasEqualities(rule)) {
       Result<std::optional<Rule>> e = EliminateEqualities(rule);
@@ -110,7 +110,8 @@ Result<std::vector<DeltaRule>> DeltaRulesOf(
       }
     }
     // Exactly one member atom per body (ValidateJointRuleStructure held at
-    // plan time), and elimination never drops a non-equality atom.
+    // plan time, LinearRule::Make for a single predicate), and elimination
+    // never drops a non-equality atom.
     if (rec_atom < 0) {
       return Status::Internal(StrCat("joint rule lost its member atom"));
     }
@@ -126,7 +127,7 @@ Result<MaterializedView> Engine::Materialize(const BoundQuery& bound,
                                              ClosureStats* stats) {
   LINREC_RETURN_IF_ERROR(bound.Validate());
   const std::shared_ptr<const ExecutionPlan>& plan = bound.plan();
-  if (bound.selection().has_value() || plan->selection.has_value()) {
+  if (plan->sigma_position.has_value()) {
     return Status::InvalidArgument(
         "cannot materialize a view over a selected (σ) query: the filtered "
         "relation is not closed under the rules, so it cannot be maintained "
@@ -158,7 +159,6 @@ Result<MaterializedView> Engine::Materialize(const BoundQuery& bound,
 
   MaterializedView view;
   view.plan_ = plan;
-  view.joint_ = joint;
   view.names_ = std::move(names);
   if (joint) {
     view.seeds_ = *bound.seeds();
@@ -180,7 +180,6 @@ Result<ApplyOutcome> Engine::Apply(MaterializedView& view,
   if (view.plan_ == nullptr) {
     return Status::InvalidArgument("Apply on a default-constructed view");
   }
-  const ExecutionPlan& plan = view.plan();
   const std::size_t members = view.member_count();
 
   // Resolve and validate everything before the first mutation.
@@ -219,9 +218,8 @@ Result<ApplyOutcome> Engine::Apply(MaterializedView& view,
                  " != database arity ", existing->arity()));
     }
   }
-  Result<std::vector<DeltaRule>> delta_rules =
-      view.joint_ ? DeltaRulesOf(plan.members, plan.joint_rules)
-                  : DeltaRulesOf(plan.rules);
+  const Component component = ComponentOf(view.plan());
+  Result<std::vector<DeltaRule>> delta_rules = DeltaRulesOf(component);
   if (!delta_rules.ok()) return delta_rules.status();
 
   // Checkpoint: every relation this call may touch is append-only, so the
@@ -290,23 +288,17 @@ Result<ApplyOutcome> Engine::Apply(MaterializedView& view,
           "injected fault at ivm_apply (before the resume)");
     }
 
-    // 4. Resume the fixpoint in place from the appended rows only.
-    if (!view.joint_) {
-      LINREC_RETURN_IF_ERROR(SemiNaiveExtend(
-          plan.rules, db_, closed[0], outcome.appended[0].first,
-          &outcome.stats, &cache_, cancel));
-    } else {
-      // The members are extended where they live, as database entries
-      // (safe: the linearity invariant means no rule body reads a member
-      // through the database).
-      std::vector<RowId> begin(members);
-      for (std::size_t m = 0; m < members; ++m) {
-        begin[m] = outcome.appended[m].first;
-      }
-      LINREC_RETURN_IF_ERROR(JointSemiNaiveExtend(
-          plan.members, plan.joint_rules, db_, closed, begin, &outcome.stats,
-          &cache_, cancel));
+    // 4. Resume the fixpoint in place from the appended rows only. The
+    // members are extended where they live, as database entries (safe: the
+    // linearity invariant means no rule body reads a member through the
+    // database).
+    std::vector<RowId> begin(members);
+    for (std::size_t m = 0; m < members; ++m) {
+      begin[m] = outcome.appended[m].first;
     }
+    LINREC_RETURN_IF_ERROR(JointSemiNaiveExtend(
+        component.members, component.rules, db_, closed, begin,
+        &outcome.stats, &cache_, cancel));
 
     if (FaultFires(FaultSite::kIvmApply)) {
       return Status::Internal("injected fault at ivm_apply (at commit)");
@@ -347,7 +339,6 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
   if (view.plan_ == nullptr) {
     return Status::InvalidArgument("Retract on a default-constructed view");
   }
-  const ExecutionPlan& plan = view.plan();
   const std::size_t members = view.member_count();
 
   std::vector<Relation*> closed(members, nullptr);
@@ -385,9 +376,8 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
                  " != database arity ", existing->arity()));
     }
   }
-  Result<std::vector<DeltaRule>> delta_rules =
-      view.joint_ ? DeltaRulesOf(plan.members, plan.joint_rules)
-                  : DeltaRulesOf(plan.rules);
+  const Component component = ComponentOf(view.plan());
+  Result<std::vector<DeltaRule>> delta_rules = DeltaRulesOf(component);
   if (!delta_rules.ok()) return delta_rules.status();
 
   // Parameter relations this call erased rows from, with their pre-call
@@ -492,20 +482,11 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
         // — so this is the view's own closure seeded with them). Every
         // tuple outside D keeps a derivation that avoids the deleted
         // tuples. D is closed forward over the post-delete database.
-        std::vector<Relation> suspects;
-        if (!view.joint_) {
-          Result<Relation> d =
-              SemiNaiveClosure(plan.rules, db_, suspects0[0], &out.stats,
-                               &cache_, cancel);
-          if (!d.ok()) return d.status();
-          suspects.push_back(*std::move(d));
-        } else {
-          Result<std::vector<Relation>> d = JointSemiNaiveClosure(
-              plan.members, plan.joint_rules, db_, suspects0, &out.stats,
-              &cache_, cancel);
-          if (!d.ok()) return d.status();
-          suspects = *std::move(d);
-        }
+        Result<std::vector<Relation>> closed_suspects = JointSemiNaiveClosure(
+            component.members, component.rules, db_, suspects0, &out.stats,
+            &cache_, cancel);
+        if (!closed_suspects.ok()) return closed_suspects.status();
+        const std::vector<Relation> suspects = *std::move(closed_suspects);
         bool have_suspects = false;
         for (const Relation& s : suspects) have_suspects |= !s.empty();
 
@@ -545,24 +526,14 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
           // result R stays inside D (D is closed forward), and the new
           // view is exactly closed \ (D \ R): any tuple of the new closure
           // lying in D has a chain whose first D-tuple is in the frontier.
-          std::vector<Relation> rederived;
-          if (!view.joint_) {
-            Result<Relation> r =
-                SemiNaiveClosure(plan.rules, db_, frontier[0], &out.stats,
-                                 &cache_, cancel);
-            if (!r.ok()) return r.status();
-            rederived.push_back(*std::move(r));
-          } else {
-            Result<std::vector<Relation>> r = JointSemiNaiveClosure(
-                plan.members, plan.joint_rules, db_, frontier, &out.stats,
-                &cache_, cancel);
-            if (!r.ok()) return r.status();
-            rederived = *std::move(r);
-          }
+          Result<std::vector<Relation>> rederived = JointSemiNaiveClosure(
+              component.members, component.rules, db_, frontier, &out.stats,
+              &cache_, cancel);
+          if (!rederived.ok()) return rederived.status();
           for (std::size_t m = 0; m < members; ++m) {
-            out.rederived += rederived[m].size();
+            out.rederived += (*rederived)[m].size();
             for (TupleView t : suspects[m]) {
-              if (!rederived[m].Contains(t)) out.removed[m].Insert(t);
+              if (!(*rederived)[m].Contains(t)) out.removed[m].Insert(t);
             }
             out.removed_count += out.removed[m].size();
           }

@@ -9,7 +9,7 @@
 //
 //   * DeltaInsert — new seed tuples and/or new parameter tuples. Apply
 //     extends the closure semi-naively from exactly the new tuples
-//     (eval/fixpoint.h SemiNaiveExtend): the closed part is never
+//     (eval/joint.h JointSemiNaiveExtend): the closed part is never
 //     re-derived, and every mutation is an append, so a failed Apply
 //     rolls back by truncation to the exact pre-call bytes.
 //
@@ -110,7 +110,9 @@ class MaterializedView {
   /// non-joint view has exactly one).
   const std::vector<std::string>& names() const { return names_; }
   std::size_t member_count() const { return names_.size(); }
-  bool joint() const { return joint_; }
+  bool joint() const {
+    return plan_ != nullptr && plan_->strategy == Strategy::kJointSemiNaive;
+  }
 
   /// The maintained seed of member `m` (what a from-scratch evaluation
   /// of the plan would be given today).
@@ -145,7 +147,6 @@ class MaterializedView {
   friend class Engine;
 
   std::shared_ptr<const ExecutionPlan> plan_;
-  bool joint_ = false;
   std::vector<std::string> names_;
   std::vector<Relation> seeds_;
   std::uint64_t applies_ = 0;

@@ -9,11 +9,16 @@
 namespace linrec {
 namespace {
 
-/// Parses one FACT / "?-" clause through the full program parser.
-Result<Program> ParseClauseLine(const std::string& text) {
+/// Parses the one ground atom clause of a FACT / INSERT / DELETE line.
+Result<Atom> ParseFactLine(const std::string& text, const char* verb) {
   Result<Program> parsed = ParseProgram(text);
   if (!parsed.ok()) return parsed.status();
-  return parsed;
+  if (parsed->facts.size() != 1 || !parsed->rules.empty() ||
+      !parsed->queries.empty()) {
+    return Status::InvalidArgument(
+        StrCat(verb, " expects exactly one ground atom clause"));
+  }
+  return std::move(parsed->facts.front());
 }
 
 }  // namespace
@@ -53,18 +58,12 @@ Server::Action Server::HandleLine(Session& session, const std::string& line,
           Status::InvalidArgument("END outside a LOAD block")));
       return Action::kContinue;
     case RequestKind::kFact: {
-      Result<Program> parsed = ParseClauseLine(request->text);
-      if (!parsed.ok()) {
-        out->push_back(FormatError(parsed.status()));
+      Result<Atom> fact = ParseFactLine(request->text, "FACT");
+      if (!fact.ok()) {
+        out->push_back(FormatError(fact.status()));
         return Action::kContinue;
       }
-      if (parsed->facts.size() != 1 || !parsed->rules.empty() ||
-          !parsed->queries.empty()) {
-        out->push_back(FormatError(Status::InvalidArgument(
-            "FACT expects exactly one ground atom clause")));
-        return Action::kContinue;
-      }
-      Status added = session.instance().AddFact(parsed->facts.front());
+      Status added = session.instance().AddFact(*fact);
       out->push_back(added.ok() ? "OK fact" : FormatError(added));
       return Action::kContinue;
     }
@@ -152,35 +151,40 @@ void Server::HandleLoadEnd(Session& session, std::vector<std::string>* out) {
   }
 }
 
-std::vector<Result<QueryResult>> Server::EvaluateGoals(
-    Session& session, const std::vector<Atom>& goals) {
-  if (goals.empty()) return {};
+Status Server::Admit(std::size_t units) {
+  const long n = static_cast<long>(units);
   // Overload shedding: while the global ledger sits in its pressure band,
   // new work is turned away with a retry hint instead of being admitted
   // only to die on a budget denial mid-round. The message leads with the
   // hint so the reply reads "ERR Unavailable retry_after_ms=<N> ...".
   if (memory_budget_.under_pressure()) {
-    queries_shed_.fetch_add(static_cast<long>(goals.size()));
-    const Status shed = Status::Unavailable(
+    queries_shed_.fetch_add(n);
+    return Status::Unavailable(
         StrCat("retry_after_ms=", limits_.retry_after_ms,
                " server under memory pressure (", memory_budget_.used(), "/",
                memory_budget_.limit(), " bytes in use)"));
-    return std::vector<Result<QueryResult>>(goals.size(),
-                                            Result<QueryResult>(shed));
   }
-  // Admission: the whole batch is admitted or rejected atomically against
-  // the global pending bound.
-  const long admitted = pending_.fetch_add(static_cast<long>(goals.size())) +
-                        static_cast<long>(goals.size());
+  // Admission: all units are admitted or rejected atomically against the
+  // global pending bound.
+  const long admitted = pending_.fetch_add(n) + n;
   if (admitted > static_cast<long>(limits_.max_pending)) {
-    pending_.fetch_sub(static_cast<long>(goals.size()));
-    queries_rejected_.fetch_add(static_cast<long>(goals.size()));
-    const Status rejected = Status::Unavailable(
+    pending_.fetch_sub(n);
+    queries_rejected_.fetch_add(n);
+    return Status::Unavailable(
         StrCat("retry_after_ms=", limits_.retry_after_ms,
                " server at capacity (", limits_.max_pending,
                " queries in flight)"));
+  }
+  return Status::OK();
+}
+
+std::vector<Result<QueryResult>> Server::EvaluateGoals(
+    Session& session, const std::vector<Atom>& goals) {
+  if (goals.empty()) return {};
+  const Status admitted = Admit(goals.size());
+  if (!admitted.ok()) {
     return std::vector<Result<QueryResult>>(goals.size(),
-                                            Result<QueryResult>(rejected));
+                                            Result<QueryResult>(admitted));
   }
 
   // Arm per-goal deadlines. Tokens live here (stable addresses) for the
@@ -255,7 +259,7 @@ void Server::SubmitQueryLines(Session& session,
   std::vector<Atom> goals;
   std::vector<std::size_t> goal_line;  // batch slot -> line index
   for (std::size_t i = 0; i < lines.size(); ++i) {
-    Result<Program> parsed = ParseClauseLine(lines[i]);
+    Result<Program> parsed = ParseProgram(lines[i]);
     if (!parsed.ok()) {
       parse_errors[i] = parsed.status();
       continue;
@@ -310,38 +314,18 @@ void Server::HandleFactUpdate(Session& session, const std::string& text,
   // touches nothing — no fact lands, no view moves. (Groundness and arity
   // are re-checked by InsertFact/DeleteFact before their first mutation,
   // so that path is just as safe.)
-  Result<Program> parsed = ParseClauseLine(text);
-  if (!parsed.ok()) {
-    out->push_back(FormatError(parsed.status()));
+  Result<Atom> fact = ParseFactLine(text, verb);
+  if (!fact.ok()) {
+    out->push_back(FormatError(fact.status()));
     return;
   }
-  if (parsed->facts.size() != 1 || !parsed->rules.empty() ||
-      !parsed->queries.empty()) {
-    out->push_back(FormatError(Status::InvalidArgument(
-        StrCat(verb, " expects exactly one ground atom clause"))));
-    return;
-  }
-  const Atom& fact = parsed->facts.front();
 
   // Maintenance is resource-governed exactly like a query: shed under
   // memory pressure, admitted against the pending bound, deadline-watched,
   // charged to the session and global budgets.
-  if (memory_budget_.under_pressure()) {
-    queries_shed_.fetch_add(1);
-    out->push_back(FormatError(Status::Unavailable(
-        StrCat("retry_after_ms=", limits_.retry_after_ms,
-               " server under memory pressure (", memory_budget_.used(), "/",
-               memory_budget_.limit(), " bytes in use)"))));
-    return;
-  }
-  const long admitted = pending_.fetch_add(1) + 1;
-  if (admitted > static_cast<long>(limits_.max_pending)) {
-    pending_.fetch_sub(1);
-    queries_rejected_.fetch_add(1);
-    out->push_back(FormatError(Status::Unavailable(
-        StrCat("retry_after_ms=", limits_.retry_after_ms,
-               " server at capacity (", limits_.max_pending,
-               " queries in flight)"))));
+  const Status admitted = Admit(1);
+  if (!admitted.ok()) {
+    out->push_back(FormatError(admitted));
     return;
   }
 
@@ -363,8 +347,8 @@ void Server::HandleFactUpdate(Session& session, const std::string& text,
   }
 
   Result<FactUpdateOutcome> outcome =
-      insert ? session.instance().InsertFact(fact, cancel, budget.get())
-             : session.instance().DeleteFact(fact, cancel, budget.get());
+      insert ? session.instance().InsertFact(*fact, cancel, budget.get())
+             : session.instance().DeleteFact(*fact, cancel, budget.get());
   if (watched) watchdog_.Unwatch(watch_handle);
   pending_.fetch_sub(1);
   if (!outcome.ok()) {

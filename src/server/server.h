@@ -104,6 +104,12 @@ class Server {
 
  private:
   void HandleLoadEnd(Session& session, std::vector<std::string>* out);
+  /// Admission control shared by goals and fact updates: sheds `units`
+  /// under memory pressure, and admits them against the pending bound as
+  /// a whole or not at all. OK means the caller holds `units` pending
+  /// slots and releases them when done; otherwise an Unavailable status
+  /// that leads with the retry hint.
+  Status Admit(std::size_t units);
   /// The shared evaluation core: admission control, per-goal deadline
   /// tokens, EvalQueries. One Result per goal (Unavailable on rejection).
   std::vector<Result<QueryResult>> EvaluateGoals(Session& session,

@@ -68,8 +68,9 @@ Result<std::pair<LinearRule, LinearRule>> MakeProfiledPair(
 
 /// A mutually recursive workload: member predicates (sorted), the joint
 /// rules over them, the parameter database and the per-member seeds —
-/// ready for Query::JointClosure(members, rules).FromSeeds(seeds) or a
-/// direct JointSemiNaiveClosure call.
+/// ready for Engine::Prepare(Query::JointClosure(members, rules)) followed
+/// by Bind().BindSeeds(seeds) and Execute, or a direct
+/// JointSemiNaiveClosure call.
 struct JointWorkload {
   std::vector<std::string> members;
   std::vector<JointRule> rules;

@@ -1,10 +1,12 @@
-// Golden tests for Engine plan selection and plan/legacy execution
+// Golden tests for Engine plan selection and plan/reference execution
 // equivalence: the planner must pick each of the paper's strategies
 // exactly when its theorem licenses it.
 
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "algebra/closure.h"
 #include "common/parallel.h"
@@ -24,18 +26,16 @@ LinearRule LR(const std::string& text) {
   return *lr;
 }
 
-/// Prepared-path execution of a fully specified query (seed and σ, if any,
-/// attached to the Query): Prepare, re-bind the query's own seed(s), run.
-Result<QueryResult> RunQuery(Engine& engine, const Query& query) {
+/// Prepares `query`, binds `seed` and — when the query declares a σ
+/// position — the σ value `sigma`, and runs it.
+Result<QueryResult> RunQuery(Engine& engine, const Query& query,
+                             const Relation& seed,
+                             std::optional<Value> sigma = std::nullopt) {
   Result<PreparedQuery> prepared = engine.Prepare(query);
   if (!prepared.ok()) return prepared.status();
-  BoundQuery bound = prepared->Bind();
-  if (query.is_joint()) {
-    if (query.has_seeds()) bound.BindSeeds(query.shared_seeds());
-  } else if (query.has_seed()) {
-    bound.BindSeed(query.shared_seed());
-  }
-  return engine.Execute(bound);
+  BoundQuery bound =
+      sigma.has_value() ? prepared->Bind(*sigma) : prepared->Bind();
+  return engine.Execute(bound.BindSeed(seed));
 }
 
 /// Same-generation pair (Example 5.2): the two operators commute.
@@ -64,14 +64,14 @@ Relation IdentitySeed(const Database& db) {
 TEST(EnginePlanTest, CommutingPairYieldsDecomposed) {
   Engine engine(SameGenDb());
   Relation q = IdentitySeed(engine.db());
-  Query query = Query::Closure({Down(), Up()}).From(q);
-  auto plan = engine.Plan(query);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_EQ(plan->strategy, Strategy::kDecomposed);
-  EXPECT_EQ(plan->groups.size(), 2u);
+  Query query = Query::Closure({Down(), Up()});
+  auto prepared = engine.Prepare(query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  EXPECT_EQ(prepared->plan().strategy, Strategy::kDecomposed);
+  EXPECT_EQ(prepared->plan().groups.size(), 2u);
 
   // Engine result equals the direct semi-naive closure of the sum.
-  auto via_engine = RunQuery(engine, query);
+  auto via_engine = RunQuery(engine, query, q);
   ASSERT_TRUE(via_engine.ok()) << via_engine.status();
   auto direct = SemiNaiveClosure({Down(), Up()}, engine.db(), q);
   ASSERT_TRUE(direct.ok());
@@ -89,13 +89,13 @@ TEST(EnginePlanTest, NonCommutingPairFallsBackToSemiNaive) {
   Relation seed(2);
   seed.Insert({0, 0});
 
-  Query query = Query::Closure({r1, r2}).From(seed);
-  auto plan = engine.Plan(query);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_EQ(plan->strategy, Strategy::kSemiNaive);
-  EXPECT_TRUE(plan->groups.empty());
+  Query query = Query::Closure({r1, r2});
+  auto prepared = engine.Prepare(query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  EXPECT_EQ(prepared->plan().strategy, Strategy::kSemiNaive);
+  EXPECT_TRUE(prepared->plan().groups.empty());
 
-  auto via_engine = RunQuery(engine, query);
+  auto via_engine = RunQuery(engine, query, seed);
   ASSERT_TRUE(via_engine.ok());
   auto direct = SemiNaiveClosure({r1, r2}, engine.db(), seed);
   ASSERT_TRUE(direct.ok());
@@ -116,14 +116,14 @@ TEST(EnginePlanTest, MixedTripleGroupsNonCommutingPairAndMatchesDirect) {
   Relation seed(2);
   for (int i = 0; i < 15; i += 2) seed.Insert({i, i});
 
-  Query query = Query::Closure({r1, r2, r3}).From(seed);
-  auto plan = engine.Plan(query);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_EQ(plan->strategy, Strategy::kDecomposed);
+  Query query = Query::Closure({r1, r2, r3});
+  auto prepared = engine.Prepare(query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  EXPECT_EQ(prepared->plan().strategy, Strategy::kDecomposed);
   const std::vector<std::vector<int>> groups = {{0}, {1, 2}};
-  EXPECT_EQ(plan->groups, groups);
+  EXPECT_EQ(prepared->plan().groups, groups);
 
-  auto via_engine = RunQuery(engine, query);
+  auto via_engine = RunQuery(engine, query, seed);
   ASSERT_TRUE(via_engine.ok()) << via_engine.status();
   auto direct = SemiNaiveClosure({r1, r2, r3}, engine.db(), seed);
   ASSERT_TRUE(direct.ok());
@@ -136,17 +136,18 @@ TEST(EnginePlanTest, PersistentSelectedColumnYieldsSeparable) {
   // Position 0 is 1-persistent in Down() and not in Up(): A = {down rule},
   // B = {up rule}, and the pair commutes (Theorem 4.1).
   Selection sigma{0, q.Sorted().front()[0]};
-  Query query = Query::Closure({Down(), Up()}).Select(sigma).From(q);
-  auto plan = engine.Plan(query);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_EQ(plan->strategy, Strategy::kSeparable);
-  EXPECT_TRUE(plan->selection_pushed);
-  ASSERT_EQ(plan->outer.size(), 1u);
-  ASSERT_EQ(plan->inner.size(), 1u);
-  EXPECT_EQ(plan->outer[0], 0);
-  EXPECT_EQ(plan->inner[0], 1);
+  Query query = Query::Closure({Down(), Up()}).SelectPosition(0);
+  auto prepared = engine.Prepare(query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  const ExecutionPlan& plan = prepared->plan();
+  EXPECT_EQ(plan.strategy, Strategy::kSeparable);
+  EXPECT_TRUE(plan.selection_pushed);
+  ASSERT_EQ(plan.outer.size(), 1u);
+  ASSERT_EQ(plan.inner.size(), 1u);
+  EXPECT_EQ(plan.outer[0], 0);
+  EXPECT_EQ(plan.inner[0], 1);
 
-  auto via_engine = RunQuery(engine, query);
+  auto via_engine = RunQuery(engine, query, q, sigma.value);
   ASSERT_TRUE(via_engine.ok());
   auto direct =
       SeparableClosure({Down()}, {Up()}, sigma, engine.db(), q);
@@ -168,13 +169,13 @@ TEST(EnginePlanTest, SelectionOnGeneralColumnIsPostFiltered) {
   Relation q(2);
   q.Insert({0, 0});
   Selection sigma{1, 3};
-  Query query = Query::Closure({r1, r2}).Select(sigma).From(q);
-  auto plan = engine.Plan(query);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_NE(plan->strategy, Strategy::kSeparable);
-  EXPECT_FALSE(plan->selection_pushed);
+  Query query = Query::Closure({r1, r2}).SelectPosition(1);
+  auto prepared = engine.Prepare(query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  EXPECT_NE(prepared->plan().strategy, Strategy::kSeparable);
+  EXPECT_FALSE(prepared->plan().selection_pushed);
 
-  auto via_engine = RunQuery(engine, query);
+  auto via_engine = RunQuery(engine, query, q, sigma.value);
   ASSERT_TRUE(via_engine.ok());
   auto closure = SemiNaiveClosure({r1, r2}, engine.db(), q);
   ASSERT_TRUE(closure.ok());
@@ -190,13 +191,13 @@ TEST(EnginePlanTest, FullPushdownWhenSelectionCommutesWithEveryRule) {
   Relation q(2);
   for (int i = 0; i < 6; ++i) q.Insert({i, i});
   Selection sigma{0, 2};
-  Query query = Query::Closure({tc}).Select(sigma).From(q);
-  auto plan = engine.Plan(query);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_EQ(plan->strategy, Strategy::kSeparable);
-  EXPECT_TRUE(plan->inner.empty());
+  Query query = Query::Closure({tc}).SelectPosition(0);
+  auto prepared = engine.Prepare(query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  EXPECT_EQ(prepared->plan().strategy, Strategy::kSeparable);
+  EXPECT_TRUE(prepared->plan().inner.empty());
 
-  auto via_engine = RunQuery(engine, query);
+  auto via_engine = RunQuery(engine, query, q, sigma.value);
   ASSERT_TRUE(via_engine.ok());
   auto closure = SemiNaiveClosure({tc}, engine.db(), q);
   ASSERT_TRUE(closure.ok());
@@ -208,13 +209,13 @@ TEST(EnginePlanTest, UniformlyBoundedRuleYieldsPowerSum) {
   // power sum A* = Σ_{m<n} A^m.
   auto check = [](const LinearRule& r, Engine& engine, const Relation& q,
                   int power_bound) {
-    Query query = Query::Closure({r}).From(q);
-    auto plan = engine.Plan(query);
-    ASSERT_TRUE(plan.ok()) << plan.status();
-    EXPECT_EQ(plan->strategy, Strategy::kPowerSum);
-    EXPECT_EQ(plan->power_bound, power_bound);
+    Query query = Query::Closure({r});
+    auto prepared = engine.Prepare(query);
+    ASSERT_TRUE(prepared.ok()) << prepared.status();
+    EXPECT_EQ(prepared->plan().strategy, Strategy::kPowerSum);
+    EXPECT_EQ(prepared->plan().power_bound, power_bound);
 
-    auto via_engine = RunQuery(engine, query);
+    auto via_engine = RunQuery(engine, query, q);
     ASSERT_TRUE(via_engine.ok());
     auto direct = SemiNaiveClosure({r}, engine.db(), q);
     ASSERT_TRUE(direct.ok());
@@ -249,15 +250,16 @@ TEST(EnginePlanTest, BoundedBridgeElidesRedundantPredicate) {
                                             /*fanout=*/4,
                                             /*initial_buys=*/15, /*seed=*/3);
   Engine engine(std::move(w.db));
-  Query query = Query::Closure({rule}).From(w.q);
-  auto plan = engine.Plan(query);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_EQ(plan->strategy, Strategy::kSemiNaive);
-  ASSERT_TRUE(plan->factorization.has_value());
-  ASSERT_EQ(plan->elided_predicates.size(), 1u);
-  EXPECT_EQ(plan->elided_predicates[0], "endorses");
+  Query query = Query::Closure({rule});
+  auto prepared = engine.Prepare(query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  const ExecutionPlan& plan = prepared->plan();
+  EXPECT_EQ(plan.strategy, Strategy::kSemiNaive);
+  ASSERT_TRUE(plan.factorization.has_value());
+  ASSERT_EQ(plan.elided_predicates.size(), 1u);
+  EXPECT_EQ(plan.elided_predicates[0], "endorses");
 
-  auto via_engine = RunQuery(engine, query);
+  auto via_engine = RunQuery(engine, query, w.q);
   ASSERT_TRUE(via_engine.ok()) << via_engine.status();
   auto direct = SemiNaiveClosure({rule}, engine.db(), w.q);
   ASSERT_TRUE(direct.ok());
@@ -266,10 +268,9 @@ TEST(EnginePlanTest, BoundedBridgeElidesRedundantPredicate) {
 
 TEST(EnginePlanTest, ExplainNamesStrategyAndTheorem) {
   Engine engine(SameGenDb());
-  Relation q = IdentitySeed(engine.db());
-  auto plan = engine.Plan(Query::Closure({Down(), Up()}).From(q));
-  ASSERT_TRUE(plan.ok());
-  std::string text = plan->Explain();
+  auto prepared = engine.Prepare(Query::Closure({Down(), Up()}));
+  ASSERT_TRUE(prepared.ok());
+  std::string text = prepared->plan().Explain();
   EXPECT_NE(text.find("decomposed"), std::string::npos) << text;
   EXPECT_NE(text.find("Theorem 3.1"), std::string::npos) << text;
   EXPECT_NE(text.find("commute"), std::string::npos) << text;
@@ -277,26 +278,24 @@ TEST(EnginePlanTest, ExplainNamesStrategyAndTheorem) {
 
 TEST(EnginePlanTest, ExplainReportsParallelMode) {
   LinearRule tc = LR("p(X,Y) :- p(X,Z), e(Z,Y).");
-  Relation q(2);
-  q.Insert({0, 0});
 
   EngineOptions serial_options;
   serial_options.parallel_workers = 1;
   Engine serial_engine(Database{}, serial_options);
-  auto serial_plan = serial_engine.Plan(Query::Closure({tc}).From(q));
-  ASSERT_TRUE(serial_plan.ok());
-  EXPECT_EQ(serial_plan->parallel_workers, 1);
-  EXPECT_NE(serial_plan->Explain().find("parallel: serial"),
+  auto serial = serial_engine.Prepare(Query::Closure({tc}));
+  ASSERT_TRUE(serial.ok());
+  EXPECT_EQ(serial->plan().parallel_workers, 1);
+  EXPECT_NE(serial->plan().Explain().find("parallel: serial"),
             std::string::npos)
-      << serial_plan->Explain();
+      << serial->plan().Explain();
 
   EngineOptions parallel_options;
   parallel_options.parallel_workers = 8;
   Engine parallel_engine(Database{}, parallel_options);
-  auto parallel_plan = parallel_engine.Plan(Query::Closure({tc}).From(q));
-  ASSERT_TRUE(parallel_plan.ok());
-  EXPECT_EQ(parallel_plan->parallel_workers, 8);
-  std::string text = parallel_plan->Explain();
+  auto parallel = parallel_engine.Prepare(Query::Closure({tc}));
+  ASSERT_TRUE(parallel.ok());
+  EXPECT_EQ(parallel->plan().parallel_workers, 8);
+  std::string text = parallel->plan().Explain();
   EXPECT_NE(text.find("8 workers"), std::string::npos) << text;
   // The worker count sizes only batch slots: queries and rounds stay
   // serial.
@@ -307,16 +306,16 @@ TEST(EnginePlanTest, ExplainReportsParallelMode) {
   // A decomposed plan spends it the same way: its group closures run in
   // product order on the query's own thread.
   Engine decomposed_engine(SameGenDb(), parallel_options);
-  Relation identity = IdentitySeed(decomposed_engine.db());
-  auto decomposed_plan =
-      decomposed_engine.Plan(Query::Closure({Down(), Up()}).From(identity));
-  ASSERT_TRUE(decomposed_plan.ok());
-  ASSERT_EQ(decomposed_plan->strategy, Strategy::kDecomposed);
+  auto decomposed =
+      decomposed_engine.Prepare(Query::Closure({Down(), Up()}));
+  ASSERT_TRUE(decomposed.ok());
+  ASSERT_EQ(decomposed->plan().strategy, Strategy::kDecomposed);
   auto parallel_line = [](const std::string& explain) {
     const std::size_t begin = explain.find("parallel:");
     return explain.substr(begin, explain.find('\n', begin) - begin);
   };
-  EXPECT_EQ(parallel_line(decomposed_plan->Explain()), parallel_line(text));
+  EXPECT_EQ(parallel_line(decomposed->plan().Explain()),
+            parallel_line(text));
 }
 
 TEST(EngineOptionsTest, ZeroWorkersMeansHardwareConcurrencyNotSerial) {
@@ -331,11 +330,9 @@ TEST(EngineOptionsTest, ZeroWorkersMeansHardwareConcurrencyNotSerial) {
   EXPECT_EQ(defaults.parallel_workers, 0);  // auto, not serial
   Engine engine;
   LinearRule tc = LR("p(X,Y) :- p(X,Z), e(Z,Y).");
-  Relation q(2);
-  q.Insert({0, 0});
-  auto plan = engine.Plan(Query::Closure({tc}).From(q));
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->parallel_workers, ResolveWorkers(0));
+  auto prepared = engine.Prepare(Query::Closure({tc}));
+  ASSERT_TRUE(prepared.ok());
+  EXPECT_EQ(prepared->plan().parallel_workers, ResolveWorkers(0));
 }
 
 TEST(EngineForceTest, ForcedNaiveMatchesSemiNaive) {
@@ -345,9 +342,9 @@ TEST(EngineForceTest, ForcedNaiveMatchesSemiNaive) {
   Relation q(2);
   for (int i = 0; i < 5; ++i) q.Insert({i, i});
   auto naive =
-      RunQuery(engine, Query::Closure({tc}).From(q).Force(Strategy::kNaive));
+      RunQuery(engine, Query::Closure({tc}).Force(Strategy::kNaive), q);
   ASSERT_TRUE(naive.ok());
-  auto semi = RunQuery(engine, Query::Closure({tc}).From(q));
+  auto semi = RunQuery(engine, Query::Closure({tc}), q);
   ASSERT_TRUE(semi.ok());
   EXPECT_EQ(naive->relation(), semi->relation());
 }
@@ -356,12 +353,10 @@ TEST(EngineForceTest, ForcedPowerSumRequiresBound) {
   Engine engine;
   engine.db().GetOrCreate("e", 2) = ChainGraph(5);
   LinearRule tc = LR("p(X,Y) :- p(X,Z), e(Z,Y).");
-  Relation q(2);
-  q.Insert({0, 0});
-  auto plan =
-      engine.Plan(Query::Closure({tc}).From(q).Force(Strategy::kPowerSum));
-  EXPECT_FALSE(plan.ok());
-  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  auto prepared =
+      engine.Prepare(Query::Closure({tc}).Force(Strategy::kPowerSum));
+  EXPECT_FALSE(prepared.ok());
+  EXPECT_EQ(prepared.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EngineCacheTest, AnalysisIsMemoized) {
@@ -388,9 +383,9 @@ TEST(EngineCacheTest, StatsAccumulateAcrossQueries) {
   LinearRule tc = LR("p(X,Y) :- p(X,Z), e(Z,Y).");
   Relation q(2);
   q.Insert({0, 0});
-  ASSERT_TRUE(RunQuery(engine, Query::Closure({tc}).From(q)).ok());
+  ASSERT_TRUE(RunQuery(engine, Query::Closure({tc}), q).ok());
   std::size_t after_one = engine.stats().derivations;
-  ASSERT_TRUE(RunQuery(engine, Query::Closure({tc}).From(q)).ok());
+  ASSERT_TRUE(RunQuery(engine, Query::Closure({tc}), q).ok());
   EXPECT_GT(engine.stats().derivations, after_one);
   engine.ResetStats();
   EXPECT_EQ(engine.stats().derivations, 0u);
@@ -404,10 +399,10 @@ TEST(EngineCacheTest, IndexCacheDoesNotAccumulateTemporaries) {
   LinearRule tc = LR("p(X,Y) :- p(X,Z), e(Z,Y).");
   Relation q(2);
   q.Insert({0, 0});
-  ASSERT_TRUE(RunQuery(engine, Query::Closure({tc}).From(q)).ok());
+  ASSERT_TRUE(RunQuery(engine, Query::Closure({tc}), q).ok());
   std::size_t after_one = engine.index_cache().entry_count();
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(RunQuery(engine, Query::Closure({tc}).From(q)).ok());
+    ASSERT_TRUE(RunQuery(engine, Query::Closure({tc}), q).ok());
   }
   EXPECT_EQ(engine.index_cache().entry_count(), after_one);
 }
@@ -415,66 +410,59 @@ TEST(EngineCacheTest, IndexCacheDoesNotAccumulateTemporaries) {
 TEST(EnginePlanCacheTest, RepeatQueriesSkipPlanning) {
   Engine engine(SameGenDb());
   Relation q = IdentitySeed(engine.db());
-  auto first = engine.Plan(Query::Closure({Down(), Up()}).From(q));
+  auto first = engine.Prepare(Query::Closure({Down(), Up()}));
   ASSERT_TRUE(first.ok()) << first.status();
-  EXPECT_FALSE(first->from_plan_cache);
+  EXPECT_FALSE(first->plan().from_plan_cache);
   EXPECT_EQ(engine.plan_cache_misses(), 1u);
   EXPECT_EQ(engine.plan_cache_hits(), 0u);
 
-  auto second = engine.Plan(Query::Closure({Down(), Up()}).From(q));
+  auto second = engine.Prepare(Query::Closure({Down(), Up()}));
   ASSERT_TRUE(second.ok()) << second.status();
-  EXPECT_TRUE(second->from_plan_cache);
-  EXPECT_EQ(second->strategy, first->strategy);
-  EXPECT_EQ(second->groups, first->groups);
+  EXPECT_TRUE(second->plan().from_plan_cache);
+  EXPECT_EQ(second->plan().strategy, first->plan().strategy);
+  EXPECT_EQ(second->plan().groups, first->plan().groups);
   EXPECT_EQ(engine.plan_cache_hits(), 1u);
 
   // The cached plan executes identically.
-  auto out1 = RunQuery(engine, Query::Closure({Down(), Up()}).From(q));
-  auto out2 = RunQuery(engine, Query::Closure({Down(), Up()}).From(q));
+  auto out1 = engine.Execute(first->Bind().BindSeed(q));
+  auto out2 = engine.Execute(second->Bind().BindSeed(q));
   ASSERT_TRUE(out1.ok());
   ASSERT_TRUE(out2.ok());
   EXPECT_EQ(out1->relation(), out2->relation());
 
-  // Introducing a σ changes the structural digest: planned from scratch.
-  auto with_sigma = engine.Plan(
-      Query::Closure({Down(), Up()}).Select(Selection{0, 3}).From(q));
+  // Declaring a σ changes the structural digest: planned from scratch...
+  auto with_sigma =
+      engine.Prepare(Query::Closure({Down(), Up()}).SelectPosition(0));
   ASSERT_TRUE(with_sigma.ok()) << with_sigma.status();
-  EXPECT_FALSE(with_sigma->from_plan_cache);
+  EXPECT_FALSE(with_sigma->plan().from_plan_cache);
+  EXPECT_EQ(engine.plan_cache_misses(), 2u);
+  // ...and the same σ position again is a hit, whatever value binds.
+  auto same_position =
+      engine.Prepare(Query::Closure({Down(), Up()}).SelectPosition(0));
+  ASSERT_TRUE(same_position.ok()) << same_position.status();
+  EXPECT_TRUE(same_position->plan().from_plan_cache);
   EXPECT_EQ(engine.plan_cache_misses(), 2u);
 
-  // ...but the σ *value* is not part of the digest (plans are
-  // σ-parameterized): a different constant at the same position is a hit,
-  // with the new value re-bound into the served plan.
-  auto other_value = engine.Plan(
-      Query::Closure({Down(), Up()}).Select(Selection{0, 7}).From(q));
-  ASSERT_TRUE(other_value.ok()) << other_value.status();
-  EXPECT_TRUE(other_value->from_plan_cache);
-  ASSERT_TRUE(other_value->selection.has_value());
-  EXPECT_EQ(other_value->selection->value, 7);
-  EXPECT_FALSE(other_value->sigma_parameterized);
-  EXPECT_EQ(engine.plan_cache_misses(), 2u);
-
-  // A different σ *position* is structural: planned from scratch.
-  auto other_position = engine.Plan(
-      Query::Closure({Down(), Up()}).Select(Selection{1, 3}).From(q));
+  // A different σ position is structural: planned from scratch.
+  auto other_position =
+      engine.Prepare(Query::Closure({Down(), Up()}).SelectPosition(1));
   ASSERT_TRUE(other_position.ok()) << other_position.status();
-  EXPECT_FALSE(other_position->from_plan_cache);
+  EXPECT_FALSE(other_position->plan().from_plan_cache);
   EXPECT_EQ(engine.plan_cache_misses(), 3u);
 }
 
 TEST(EnginePlanCacheTest, CachedPlanServesFreshSeeds) {
-  // The digest excludes the seed, so one cached plan answers every From().
+  // The digest covers structure only, so one cached plan answers every
+  // seed.
   Engine engine(SameGenDb());
   Relation q1 = IdentitySeed(engine.db());
-  ASSERT_TRUE(RunQuery(engine, Query::Closure({Down(), Up()}).From(q1)).ok());
+  ASSERT_TRUE(RunQuery(engine, Query::Closure({Down(), Up()}), q1).ok());
   Relation q2(2);
   q2.Insert({3, 3});
-  auto plan = engine.Plan(Query::Closure({Down(), Up()}).From(q2));
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_TRUE(plan->from_plan_cache);
-  ASSERT_NE(plan->seed, nullptr);
-  EXPECT_EQ(plan->seed->size(), 1u);  // the new seed, not the cached query's
-  auto out = RunQuery(engine, Query::Closure({Down(), Up()}).From(q2));
+  auto prepared = engine.Prepare(Query::Closure({Down(), Up()}));
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  EXPECT_TRUE(prepared->plan().from_plan_cache);
+  auto out = engine.Execute(prepared->Bind().BindSeed(q2));
   ASSERT_TRUE(out.ok()) << out.status();
   auto direct = SemiNaiveClosure({Down(), Up()}, engine.db(), q2);
   ASSERT_TRUE(direct.ok());
@@ -487,14 +475,14 @@ TEST(EngineParallelTest, ParallelWorkersMatchSequentialResult) {
   Engine parallel_engine(SameGenDb(), parallel_options);
   Relation q = IdentitySeed(parallel_engine.db());
   auto parallel_out =
-      RunQuery(parallel_engine, Query::Closure({Down(), Up()}).From(q));
+      RunQuery(parallel_engine, Query::Closure({Down(), Up()}), q);
   ASSERT_TRUE(parallel_out.ok()) << parallel_out.status();
 
   EngineOptions sequential_options;
   sequential_options.parallel_workers = 1;
   Engine sequential_engine(SameGenDb(), sequential_options);
   auto sequential_out =
-      RunQuery(sequential_engine, Query::Closure({Down(), Up()}).From(q));
+      RunQuery(sequential_engine, Query::Closure({Down(), Up()}), q);
   ASSERT_TRUE(sequential_out.ok()) << sequential_out.status();
   EXPECT_EQ(parallel_out->relation(), sequential_out->relation());
 }
@@ -505,26 +493,27 @@ TEST(EnginePlanCacheTest, FifoEvictsOldestSingleEntry) {
   EngineOptions options;
   options.plan_cache_capacity = 2;
   Engine engine(Database{}, options);
-  Relation q(2);
-  q.Insert({0, 0});
-  Query a = Query::Closure({LR("p(X,Y) :- p(X,Z), ea(Z,Y).")}).From(q);
-  Query b = Query::Closure({LR("p(X,Y) :- p(X,Z), eb(Z,Y).")}).From(q);
-  Query c = Query::Closure({LR("p(X,Y) :- p(X,Z), ec(Z,Y).")}).From(q);
+  Query a = Query::Closure({LR("p(X,Y) :- p(X,Z), ea(Z,Y).")});
+  Query b = Query::Closure({LR("p(X,Y) :- p(X,Z), eb(Z,Y).")});
+  Query c = Query::Closure({LR("p(X,Y) :- p(X,Z), ec(Z,Y).")});
+  auto from_cache = [&engine](const Query& query) {
+    return engine.Prepare(query)->plan().from_plan_cache;
+  };
 
-  ASSERT_TRUE(engine.Plan(a).ok());  // miss: {a}
-  ASSERT_TRUE(engine.Plan(b).ok());  // miss: {a, b}
+  ASSERT_TRUE(engine.Prepare(a).ok());  // miss: {a}
+  ASSERT_TRUE(engine.Prepare(b).ok());  // miss: {a, b}
   EXPECT_EQ(engine.plan_cache_misses(), 2u);
-  EXPECT_TRUE(engine.Plan(a)->from_plan_cache);  // hit, a stays cached
+  EXPECT_TRUE(from_cache(a));  // hit, a stays cached
   EXPECT_EQ(engine.plan_cache_hits(), 1u);
 
-  ASSERT_TRUE(engine.Plan(c).ok());  // miss; evicts only a (the oldest)
+  ASSERT_TRUE(engine.Prepare(c).ok());  // miss; evicts only a (the oldest)
   EXPECT_EQ(engine.plan_cache_misses(), 3u);
   EXPECT_EQ(engine.plan_cache_size(), 2u);
-  EXPECT_TRUE(engine.Plan(b)->from_plan_cache);  // b survived the insert
-  EXPECT_TRUE(engine.Plan(c)->from_plan_cache);
+  EXPECT_TRUE(from_cache(b));  // b survived the insert
+  EXPECT_TRUE(from_cache(c));
   EXPECT_EQ(engine.plan_cache_hits(), 3u);
 
-  EXPECT_FALSE(engine.Plan(a)->from_plan_cache);  // a was the one evicted
+  EXPECT_FALSE(from_cache(a));  // a was the one evicted
   EXPECT_EQ(engine.plan_cache_misses(), 4u);
   EXPECT_EQ(engine.plan_cache_size(), 2u);
 }
@@ -533,11 +522,9 @@ TEST(EnginePlanCacheTest, ZeroCapacityDisablesCaching) {
   EngineOptions options;
   options.plan_cache_capacity = 0;
   Engine engine(Database{}, options);
-  Relation q(2);
-  q.Insert({0, 0});
-  Query query = Query::Closure({LR("p(X,Y) :- p(X,Z), e(Z,Y).")}).From(q);
-  ASSERT_TRUE(engine.Plan(query).ok());
-  EXPECT_FALSE(engine.Plan(query)->from_plan_cache);
+  Query query = Query::Closure({LR("p(X,Y) :- p(X,Z), e(Z,Y).")});
+  ASSERT_TRUE(engine.Prepare(query).ok());
+  EXPECT_FALSE(engine.Prepare(query)->plan().from_plan_cache);
   EXPECT_EQ(engine.plan_cache_size(), 0u);
 }
 
@@ -566,18 +553,15 @@ TEST(EngineJointTest, JointQueryPlansAndExecutes) {
   auto w = MakeEvenOddChain(8);
   ASSERT_TRUE(w.ok()) << w.status();
   Engine engine(std::move(w->db));
-  Query query = Query::JointClosure(w->members, w->rules).FromSeeds(w->seeds);
-  auto plan = engine.Plan(query);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_EQ(plan->strategy, Strategy::kJointSemiNaive);
-  std::string text = plan->Explain();
+  auto prepared = engine.Prepare(Query::JointClosure(w->members, w->rules));
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  EXPECT_EQ(prepared->plan().strategy, Strategy::kJointSemiNaive);
+  std::string text = prepared->plan().Explain();
   EXPECT_NE(text.find("joint-semi-naive"), std::string::npos) << text;
   EXPECT_NE(text.find("even, odd"), std::string::npos) << text;
   EXPECT_NE(text.find("Δ source"), std::string::npos) << text;
 
   // Joint plans refuse a single-relation seed binding...
-  auto prepared = engine.Prepare(query);
-  ASSERT_TRUE(prepared.ok()) << prepared.status();
   Relation q(2);
   q.Insert({0, 0});
   auto wrong = engine.Execute(prepared->Bind().BindSeed(q));
@@ -605,28 +589,19 @@ TEST(EngineJointTest, JointPlansAreCachedSeedless) {
   auto w = MakeEvenOddChain(6);
   ASSERT_TRUE(w.ok());
   Engine engine(std::move(w->db));
-  Query query = Query::JointClosure(w->members, w->rules).FromSeeds(w->seeds);
-  auto first = engine.Plan(query);
+  Query query = Query::JointClosure(w->members, w->rules);
+  auto first = engine.Prepare(query);
   ASSERT_TRUE(first.ok()) << first.status();
-  EXPECT_FALSE(first->from_plan_cache);
+  EXPECT_FALSE(first->plan().from_plan_cache);
 
-  // Same members + rules with fresh seeds: a hit, seeds re-attached.
-  std::vector<Relation> fresh;
-  fresh.emplace_back(1);
-  fresh.back().Insert({2});
-  fresh.emplace_back(1);
-  auto second = engine.Plan(
-      Query::JointClosure(w->members, w->rules).FromSeeds(std::move(fresh)));
-  ASSERT_TRUE(second.ok()) << second.status();
-  EXPECT_TRUE(second->from_plan_cache);
-  ASSERT_NE(second->joint_seeds, nullptr);
-  EXPECT_EQ((*second->joint_seeds)[0].size(), 1u);
+  // Same members + rules: a hit, which runs on whatever seeds bind.
+  auto prepared = engine.Prepare(query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  EXPECT_TRUE(prepared->plan().from_plan_cache);
   std::vector<Relation> rebind;
   rebind.emplace_back(1);
   rebind.back().Insert({2});
   rebind.emplace_back(1);
-  auto prepared = engine.Prepare(query);
-  ASSERT_TRUE(prepared.ok()) << prepared.status();
   auto out =
       engine.Execute(prepared->Bind().BindSeeds(std::move(rebind)));
   ASSERT_TRUE(out.ok()) << out.status();
@@ -641,72 +616,61 @@ TEST(EngineJointTest, JointValidationErrors) {
   Engine engine;
 
   // Selections and Force are not supported on joint queries.
-  {
-    Query query =
-        Query::JointClosure(w->members, w->rules).FromSeeds(w->seeds);
-    query.Select(Selection{0, 1});
-    EXPECT_FALSE(engine.Plan(query).ok());
-  }
+  EXPECT_FALSE(engine
+                   .Prepare(Query::JointClosure(w->members, w->rules)
+                                .SelectPosition(0))
+                   .ok());
+  EXPECT_FALSE(engine
+                   .Prepare(Query::JointClosure(w->members, w->rules)
+                                .Force(Strategy::kSemiNaive))
+                   .ok());
+  auto prepared = engine.Prepare(Query::JointClosure(w->members, w->rules));
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
   // Seed count must match member count.
   {
     std::vector<Relation> one_seed;
     one_seed.emplace_back(1);
-    Query query = Query::JointClosure(w->members, w->rules)
-                      .FromSeeds(std::move(one_seed));
-    EXPECT_FALSE(engine.Plan(query).ok());
+    EXPECT_FALSE(
+        engine.Execute(prepared->Bind().BindSeeds(std::move(one_seed))).ok());
   }
   // No seeds at all.
-  EXPECT_FALSE(
-      engine.Plan(Query::JointClosure(w->members, w->rules)).ok());
+  EXPECT_FALSE(engine.Execute(prepared->Bind()).ok());
   // A rule reading two member atoms is non-linear joint recursion.
   {
     auto bad_rule = ParseRule("even(X) :- odd(X), even(X), succ(X,X).");
     ASSERT_TRUE(bad_rule.ok());
     std::vector<JointRule> rules = w->rules;
     rules.push_back(JointRule{*bad_rule, 0, 0, 1});
-    Query query =
-        Query::JointClosure(w->members, std::move(rules)).FromSeeds(w->seeds);
-    auto plan = engine.Plan(query);
-    ASSERT_FALSE(plan.ok());
-    EXPECT_NE(plan.status().message().find("exactly one member atom"),
+    auto bad =
+        engine.Prepare(Query::JointClosure(w->members, std::move(rules)));
+    ASSERT_FALSE(bad.ok());
+    EXPECT_NE(bad.status().message().find("exactly one member atom"),
               std::string::npos)
-        << plan.status().message();
+        << bad.status().message();
   }
   // Duplicate member names.
-  {
-    Query query = Query::JointClosure({"even", "even"}, w->rules)
-                      .FromSeeds(w->seeds);
-    EXPECT_FALSE(engine.Plan(query).ok());
-  }
-  // FromSeeds on a single-predicate closure is rejected, not ignored.
-  {
-    Relation q(2);
-    q.Insert({0, 0});
-    Query query =
-        Query::Closure({LR("p(X,Y) :- p(X,Z), succ(Z,Y).")}).From(q);
-    query.FromSeeds(w->seeds);
-    EXPECT_FALSE(engine.Plan(query).ok());
-  }
+  EXPECT_FALSE(
+      engine.Prepare(Query::JointClosure({"even", "even"}, w->rules)).ok());
 }
 
 TEST(EngineQueryTest, ValidationErrors) {
   Engine engine;
   LinearRule tc = LR("p(X,Y) :- p(X,Z), e(Z,Y).");
+  auto prepared = engine.Prepare(Query::Closure({tc}));
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
   // No seed.
-  EXPECT_FALSE(engine.Plan(Query::Closure({tc})).ok());
+  EXPECT_FALSE(engine.Execute(prepared->Bind()).ok());
   // Arity mismatch.
   Relation bad(3);
   bad.Insert({1, 2, 3});
-  EXPECT_FALSE(engine.Plan(Query::Closure({tc}).From(bad)).ok());
+  EXPECT_FALSE(engine.Execute(prepared->Bind().BindSeed(bad)).ok());
   // Mixed head predicates.
   LinearRule other = LR("r(X,Y) :- r(X,Z), e(Z,Y).");
-  Relation q(2);
-  EXPECT_FALSE(engine.Plan(Query::Closure({tc, other}).From(q)).ok());
+  EXPECT_FALSE(engine.Prepare(Query::Closure({tc, other})).ok());
   // Selection position out of range.
-  EXPECT_FALSE(
-      engine.Plan(Query::Closure({tc}).Select(Selection{5, 0}).From(q)).ok());
+  EXPECT_FALSE(engine.Prepare(Query::Closure({tc}).SelectPosition(5)).ok());
   // No rules.
-  EXPECT_FALSE(engine.Plan(Query::Closure({}).From(q)).ok());
+  EXPECT_FALSE(engine.Prepare(Query::Closure({})).ok());
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 //     appended range, Retract's `removed` and `removed_count`).
 // Every few operations it checks Koskinen & Bansal's commutation
 // property (PAPERS.md): an INSERT and a DELETE of distinct facts commute.
+// In the same spirit, every permutation of an insert batch, and the batch
+// as one Apply call, yield the same view.
 // A second drive runs the same kind of sequence through ProgramInstance
 // — the linrecd cascade over non-recursive units, closure units reading
 // derived units, and a joint component — against a fresh instance
@@ -46,6 +48,7 @@ constexpr std::uint32_t kFirstSeed = 1000;
 constexpr int kEngineCases = 36;
 constexpr int kProgramCases = 30;
 constexpr int kOpsPerCase = 24;
+constexpr int kBatchPermutations = 3;
 
 /// The case seeds to run: every case, or only LINREC_IVM_SEED's.
 std::vector<std::uint32_t> CaseSeeds(int cases) {
@@ -362,6 +365,72 @@ TEST(IvmDifferential, EngineViewsMatchRecomputeAfterEveryOp) {
         }
       }
     }
+    if (::testing::Test::HasFailure()) break;
+  }
+  WorkerPool::OverrideThreadCapForTesting(0);
+}
+
+TEST(IvmDifferential, InsertBatchPermutationsAgree) {
+  // From one materialized state, a batch of 3-6 absent facts is applied
+  // in the drawn order, in seeded permutations (one Apply per fact), and
+  // as one Apply carrying the whole batch. Every way must end at the
+  // from-scratch recompute over the grown inputs; Relation's == compares
+  // tuple sets, so row order may differ between the ways.
+  WorkerPool::OverrideThreadCapForTesting(16);
+  for (std::uint32_t seed : CaseSeeds(kEngineCases)) {
+    SCOPED_TRACE("case seed " + std::to_string(seed) +
+                 " (replay: LINREC_IVM_SEED=" + std::to_string(seed) + ")");
+    const EngineCase start = DrawEngineCase(seed);
+    std::mt19937 rng(seed ^ 0x85ebca6bu);
+    EngineCase grown = start;
+    std::vector<Op> batch;
+    const std::size_t size = 3 + rng() % 4;
+    while (batch.size() < size) {
+      Op op = DrawOp(rng, grown, /*insert=*/true);
+      (op.pred == "e" ? grown.e : grown.f).UnionWith(op.fact);
+      batch.push_back(std::move(op));
+    }
+    const std::vector<Relation> oracle = Recompute(grown);
+
+    auto expect_oracle = [&](const Maintained& m, const std::string& way) {
+      const std::vector<Relation> view = m.Members();
+      ASSERT_EQ(view.size(), oracle.size()) << way;
+      for (std::size_t k = 0; k < oracle.size(); ++k) {
+        EXPECT_EQ(view[k], oracle[k]) << way << ": member " << k;
+      }
+    };
+
+    std::vector<std::vector<Op>> orders = {batch};
+    for (int p = 0; p < kBatchPermutations; ++p) {
+      orders.push_back(batch);
+      std::shuffle(orders.back().begin(), orders.back().end(), rng);
+    }
+    for (std::size_t o = 0; o < orders.size(); ++o) {
+      const std::string way =
+          o == 0 ? "drawn order" : "permutation " + std::to_string(o);
+      EngineCase c = start;
+      Maintained m = MaterializeCase(c);
+      for (const Op& op : orders[o]) RunOp(c, m, op, way);
+      expect_oracle(m, way);
+    }
+
+    // The whole batch in one Apply: every fact as a parameter insert, and
+    // the e facts as seed inserts too when the seed is e.
+    EngineCase c = start;
+    Maintained m = MaterializeCase(c);
+    DeltaInsert d;
+    Relation e_facts(2);
+    for (const Op& op : batch) {
+      d.param_inserts.try_emplace(op.pred, 2).first->second.UnionWith(op.fact);
+      if (op.pred == "e") e_facts.UnionWith(op.fact);
+    }
+    if (c.seed_is_e) {
+      d.seed_inserts.push_back(std::move(e_facts));
+      if (c.joint) d.seed_inserts.emplace_back(2);
+    }
+    auto applied = m.engine->Apply(m.view, d);
+    ASSERT_TRUE(applied.ok()) << "one Apply: " << applied.status();
+    expect_oracle(m, "one Apply");
     if (::testing::Test::HasFailure()) break;
   }
   WorkerPool::OverrideThreadCapForTesting(0);

@@ -635,11 +635,11 @@ TEST(IvmMaterialize, RejectsSelectedQueries) {
   db.GetOrCreate("e", 2) = ChainGraph(6);
   Engine engine(std::move(db));
   auto prepared = engine.Prepare(
-      Query::Closure({LR("p(X,Y) :- p(X,Z), e(Z,Y).")}).Select(Selection{0, 3}));
+      Query::Closure({LR("p(X,Y) :- p(X,Z), e(Z,Y).")}).SelectPosition(0));
   ASSERT_TRUE(prepared.ok()) << prepared.status();
   Relation q(2);
   q.Insert({3, 3});
-  auto view = engine.Materialize(prepared->Bind().BindSeed(q), {"tc"});
+  auto view = engine.Materialize(prepared->Bind(3).BindSeed(q), {"tc"});
   ASSERT_FALSE(view.ok());
   EXPECT_EQ(view.status().code(), StatusCode::kInvalidArgument);
 }

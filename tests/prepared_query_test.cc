@@ -62,8 +62,6 @@ TEST(PreparedQueryTest, PrepareBindExecuteMatchesLegacy) {
   ASSERT_TRUE(prepared.ok()) << prepared.status();
   EXPECT_FALSE(prepared->is_joint());
   EXPECT_FALSE(prepared->has_sigma_param());
-  // The prepared plan is seedless: it pins no caller relation.
-  EXPECT_EQ(prepared->plan().seed, nullptr);
 
   auto result = engine.Execute(prepared->Bind().BindSeed(q));
   ASSERT_TRUE(result.ok()) << result.status();
@@ -85,14 +83,14 @@ TEST(PreparedQueryTest, SigmaSweepPlansExactlyOnce) {
   // — was 100% cache misses. Prepared queries plan once and bind N times.
   Engine engine(SameGenDb());
   Relation q = IdentitySeed(engine.db());
-  auto shared_seed = std::make_shared<const Relation>(q);
+  auto seed = std::make_shared<const Relation>(q);
 
   auto prepared =
       engine.Prepare(Query::Closure({Down(), Up()}).SelectPosition(0));
   ASSERT_TRUE(prepared.ok()) << prepared.status();
   EXPECT_TRUE(prepared->has_sigma_param());
   EXPECT_EQ(prepared->plan().strategy, Strategy::kSeparable);
-  EXPECT_TRUE(prepared->plan().sigma_parameterized);
+  EXPECT_EQ(prepared->plan().sigma_position, 0);
   EXPECT_EQ(engine.plan_cache_misses(), 1u);
 
   // Reference: full closure, filtered per value.
@@ -100,7 +98,7 @@ TEST(PreparedQueryTest, SigmaSweepPlansExactlyOnce) {
   ASSERT_TRUE(full.ok());
 
   for (Value v = 0; v < 100; ++v) {
-    auto result = engine.Execute(prepared->Bind(v).BindSeed(shared_seed));
+    auto result = engine.Execute(prepared->Bind(v).BindSeed(seed));
     ASSERT_TRUE(result.ok()) << "σ value " << v << ": " << result.status();
     EXPECT_EQ(result->relation(), ApplySelection(*full, Selection{0, v}))
         << "σ value " << v;
@@ -108,37 +106,20 @@ TEST(PreparedQueryTest, SigmaSweepPlansExactlyOnce) {
   // One Prepare + 100 binds = exactly one planning pass.
   EXPECT_EQ(engine.plan_cache_misses(), 1u);
 
-  // The planning/explain path (Engine::Plan) shares the same structural
-  // digest: 100 distinct σ values are 100 hits, zero further planning
-  // passes.
+  // Preparing the structure again per σ value (the one-shot sweep) is a
+  // plan-cache hit every time: 100 hits, zero further planning passes.
   const std::size_t hits_before = engine.plan_cache_hits();
   for (Value v = 0; v < 100; ++v) {
-    auto plan = engine.Plan(
-        Query::Closure({Down(), Up()}).Select(Selection{0, v}).From(q));
-    ASSERT_TRUE(plan.ok()) << plan.status();
-    EXPECT_TRUE(plan->from_plan_cache);
+    auto again =
+        engine.Prepare(Query::Closure({Down(), Up()}).SelectPosition(0));
+    ASSERT_TRUE(again.ok()) << again.status();
+    EXPECT_TRUE(again->plan().from_plan_cache);
+    auto result = engine.Execute(again->Bind(v).BindSeed(seed));
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->relation(), ApplySelection(*full, Selection{0, v}));
   }
   EXPECT_EQ(engine.plan_cache_hits(), hits_before + 100);
   EXPECT_EQ(engine.plan_cache_misses(), 1u);
-}
-
-TEST(PreparedQueryTest, BoundSigmaBecomesBindDefault) {
-  // Preparing a query whose σ already carries a value keeps the one-line
-  // migration path: Bind() with no argument re-uses that value.
-  Engine engine(SameGenDb());
-  Relation q = IdentitySeed(engine.db());
-  Value node = q.Sorted().front()[0];
-
-  auto prepared = engine.Prepare(
-      Query::Closure({Down(), Up()}).Select(Selection{0, node}));
-  ASSERT_TRUE(prepared.ok()) << prepared.status();
-  ASSERT_TRUE(prepared->has_sigma_param());
-
-  auto by_default = engine.Execute(prepared->Bind().BindSeed(q));
-  auto by_value = engine.Execute(prepared->Bind(node).BindSeed(q));
-  ASSERT_TRUE(by_default.ok()) << by_default.status();
-  ASSERT_TRUE(by_value.ok()) << by_value.status();
-  EXPECT_EQ(by_default->relation(), by_value->relation());
 }
 
 TEST(PreparedQueryTest, PreparedJointMatchesDirectJointClosure) {
@@ -205,18 +186,13 @@ TEST(PreparedQueryTest, BindMisuseSurfacesAtExecute) {
 
   auto with_param = engine.Prepare(Query::Closure({tc}).SelectPosition(0));
   ASSERT_TRUE(with_param.ok());
-  // Bind() with neither a value nor a default.
+  // Bind() without the σ value: the value binds only per execution.
   {
     auto out = engine.Execute(with_param->Bind().BindSeed(q));
     ASSERT_FALSE(out.ok());
     EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
-  }
-
-  // A σ-parameterized plan still marks itself unbound for Plan callers.
-  {
-    auto plan = engine.Plan(Query::Closure({tc}).SelectPosition(0).From(q));
-    ASSERT_TRUE(plan.ok()) << plan.status();
-    EXPECT_TRUE(plan->sigma_parameterized);
+    EXPECT_NE(out.status().message().find("Bind(value)"), std::string::npos)
+        << out.status().message();
   }
 
   // BindSeed on a joint prepared query.
@@ -239,16 +215,14 @@ TEST(PreparedQueryTest, ResetCountersResetsCoherently) {
   // ResetCounters zeroes the whole observability surface while keeping
   // cache *contents* (a repeated query is still a hit afterwards).
   Engine engine(SameGenDb());
-  Relation q = IdentitySeed(engine.db());
-  Query query = Query::Closure({Down(), Up()}).From(q);
+  auto q = std::make_shared<const Relation>(IdentitySeed(engine.db()));
+  Query query = Query::Closure({Down(), Up()});
   auto prepared = engine.Prepare(query);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
-  ASSERT_TRUE(
-      engine.Execute(prepared->Bind().BindSeed(query.shared_seed())).ok());
+  ASSERT_TRUE(engine.Execute(prepared->Bind().BindSeed(q)).ok());
   prepared = engine.Prepare(query);
   ASSERT_TRUE(prepared.ok());
-  ASSERT_TRUE(
-      engine.Execute(prepared->Bind().BindSeed(query.shared_seed())).ok());
+  ASSERT_TRUE(engine.Execute(prepared->Bind().BindSeed(q)).ok());
   EXPECT_GT(engine.stats().derivations, 0u);
   EXPECT_EQ(engine.plan_cache_misses(), 1u);
   EXPECT_GT(engine.plan_cache_hits(), 0u);
@@ -266,9 +240,9 @@ TEST(PreparedQueryTest, ResetCountersResetsCoherently) {
   EXPECT_EQ(engine.plan_cache_misses(), 0u);
 
   // The cached plan survived the counter reset.
-  auto plan = engine.Plan(query);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_TRUE(plan->from_plan_cache);
+  prepared = engine.Prepare(query);
+  ASSERT_TRUE(prepared.ok());
+  EXPECT_TRUE(prepared->plan().from_plan_cache);
   EXPECT_EQ(engine.plan_cache_hits(), 1u);
   EXPECT_EQ(engine.plan_cache_misses(), 0u);
 }

@@ -533,6 +533,30 @@ TEST(ServerTest, LoadOverEarlierFactsAtAnotherArityIsRejected) {
   ExpectNoProgram(server, *session);
 }
 
+TEST(ServerTest, LoadOverEarlierFactsForADerivedPredicateIsRejected) {
+  // The tc fact lands before any program. Rules that derive tc must not
+  // load over it: the fact would seed their closure, and FACT tc(...)
+  // after the same LOAD is rejected.
+  Server server;
+  auto session = server.NewSession();
+  EXPECT_EQ(Drive(server, *session, {"FACT tc(9, 9)."}),
+            std::vector<std::string>{"OK fact"});
+  std::vector<std::string> out =
+      Drive(server, *session, TcLoadBlock({"e(1, 2).", "e(9, 3)."}));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out.front(),
+            "ERR InvalidArgument predicate 'tc' is derived by the loaded "
+            "program; the session holds facts for it");
+  ExpectNoProgram(server, *session);
+
+  // A tc relation DELETE has emptied holds no facts: the rules load, and
+  // no e fact of the rejected LOAD landed.
+  out = Drive(server, *session, {"DELETE tc(9, 9)."});
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out.front().rfind("OK delete removed=1", 0), 0u) << out.front();
+  ExpectNoEdges(server, *session);
+}
+
 TEST(ServerTest, MetricsExportPrometheusTextFormat) {
   Server server;
   auto session = server.NewSession();

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "algebra/closure.h"
 #include "datalog/parser.h"
 #include "engine/engine.h"
@@ -140,13 +142,14 @@ std::vector<Tuple> RowsInOrder(const Relation& r) {
   return rows;
 }
 
-/// Executes `query` (seeded, σ attached if any) on a fresh engine over
-/// `db` at every worker count — once alone, then as each slot of a batch of
-/// three copies — expecting the planned `strategy` and, for every result
-/// relation, the 1-worker rows in the 1-worker order with the 1-worker
-/// derivation count.
+/// Executes `query` from `seed` (with σ value `sigma` when the query
+/// declares a σ position) on a fresh engine over `db` at every worker
+/// count — once alone, then as each slot of a batch of three copies —
+/// expecting the planned `strategy` and, for every result relation, the
+/// 1-worker rows in the 1-worker order with the 1-worker derivation count.
 void ExpectWorkerCountParity(const Database& db, const Query& query,
-                             Strategy strategy) {
+                             const Relation& seed, Strategy strategy,
+                             std::optional<Value> sigma = std::nullopt) {
   RealThreads threads;
   std::vector<std::vector<Tuple>> reference;
   std::size_t reference_derivations = 0;
@@ -173,7 +176,9 @@ void ExpectWorkerCountParity(const Database& db, const Query& query,
     ASSERT_TRUE(prepared.ok()) << prepared.status();
     EXPECT_EQ(prepared->plan().strategy, strategy)
         << prepared->plan().Explain();
-    const BoundQuery bound = prepared->Bind().BindSeed(query.shared_seed());
+    BoundQuery bound =
+        sigma.has_value() ? prepared->Bind(*sigma) : prepared->Bind();
+    bound.BindSeed(seed);
     auto out = engine.Execute(bound);
     ASSERT_TRUE(out.ok()) << out.status();
     expect_reference(*out, "alone", workers);
@@ -194,20 +199,18 @@ Relation SelfLoops(int n, int step) {
 TEST(WorkerCountParity, SemiNaive) {
   Database db;
   db.GetOrCreate("e", 2) = RandomGraph(200, 600, /*seed=*/7);
-  ExpectWorkerCountParity(
-      db, Query::Closure({LR("p(X,Y) :- p(X,Z), e(Z,Y).")})
-              .From(SelfLoops(200, 4)),
-      Strategy::kSemiNaive);
+  ExpectWorkerCountParity(db,
+                          Query::Closure({LR("p(X,Y) :- p(X,Z), e(Z,Y).")}),
+                          SelfLoops(200, 4), Strategy::kSemiNaive);
 }
 
 TEST(WorkerCountParity, Naive) {
   Database db;
   db.GetOrCreate("e", 2) = RandomGraph(120, 360, /*seed=*/3);
-  ExpectWorkerCountParity(
-      db, Query::Closure({LR("p(X,Y) :- p(X,Z), e(Z,Y).")})
-              .From(SelfLoops(120, 6))
-              .Force(Strategy::kNaive),
-      Strategy::kNaive);
+  ExpectWorkerCountParity(db,
+                          Query::Closure({LR("p(X,Y) :- p(X,Z), e(Z,Y).")})
+                              .Force(Strategy::kNaive),
+                          SelfLoops(120, 6), Strategy::kNaive);
 }
 
 TEST(WorkerCountParity, PowerSum) {
@@ -216,17 +219,15 @@ TEST(WorkerCountParity, PowerSum) {
   Database db;
   Relation& g = db.GetOrCreate("g", 1);
   for (Value v = 0; v < 20; ++v) g.Insert({v});
-  ExpectWorkerCountParity(
-      db,
-      Query::Closure({LR("p(X,Y) :- p(X,Z), g(Y).")}).From(SelfLoops(300, 1)),
-      Strategy::kPowerSum);
+  ExpectWorkerCountParity(db, Query::Closure({LR("p(X,Y) :- p(X,Z), g(Y).")}),
+                          SelfLoops(300, 1), Strategy::kPowerSum);
 }
 
 TEST(WorkerCountParity, Decomposed) {
   SameGenerationWorkload w =
       MakeSameGeneration(/*layers=*/5, /*width=*/24, /*fanout=*/2,
                          /*seed=*/99);
-  ExpectWorkerCountParity(w.db, Query::Closure(SameGenerationRules()).From(w.q),
+  ExpectWorkerCountParity(w.db, Query::Closure(SameGenerationRules()), w.q,
                           Strategy::kDecomposed);
 }
 
@@ -243,11 +244,9 @@ TEST(WorkerCountParity, Separable) {
     for (Value y = 0; y < width; ++y) q.Insert({u, y});
   }
   const Value child = w.db.Find("down")->WhereEquals(0, 0).Row(0)[1];
-  ExpectWorkerCountParity(w.db,
-                          Query::Closure(SameGenerationRules())
-                              .Select(Selection{0, child})
-                              .From(q),
-                          Strategy::kSeparable);
+  ExpectWorkerCountParity(
+      w.db, Query::Closure(SameGenerationRules()).SelectPosition(0), q,
+      Strategy::kSeparable, child);
 }
 
 // The joint case is JointFixpointTest.EngineRowsIndependentOfWorkerCount.
