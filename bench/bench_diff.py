@@ -149,7 +149,8 @@ def main():
         or (curr_doc.get("meta") or {}).get("single_core_host")
     )
 
-    header = f"{'workload':<24} {'strategy':<12} {'n':>6} {'prev d/s':>14} {'curr d/s':>14} {'ratio':>7}"
+    header = (f"{'workload':<24} {'strategy':<12} {'n':>6} {'workers':>7} "
+              f"{'prev d/s':>14} {'curr d/s':>14} {'ratio':>7}")
     print(header)
     print("-" * len(header))
 
@@ -174,7 +175,9 @@ def main():
             float(prev[key].get("noise_margin", 0.0) or 0.0),
             float(curr[key].get("noise_margin", 0.0) or 0.0),
         )
-        name = f"{key[0]:<24} {key[1]:<12} {key[2]:>6}"
+        # '-' when one record predates `workers` and the key lacks it.
+        workers = key[3] if with_workers else "-"
+        name = f"{key[0]:<24} {key[1]:<12} {key[2]:>6} {workers!s:>7}"
         flag = ""
         if ratio < 1.0 - max_drop:
             flag = "  << REGRESSION"

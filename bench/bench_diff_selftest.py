@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Self-test for bench_diff.py: exercises the gate's decision logic on
 synthetic records — the default threshold, the per-row noise_margin
-widening, single-core-host parallel-row skipping, the hit-rate gate, and
-the exact-counter gate — by invoking bench_diff.py as a subprocess exactly
-the way CI does.
+widening, single-core-host parallel-row skipping, the hit-rate gate, the
+exact-counter gate, and the table's workers column — by invoking
+bench_diff.py as a subprocess exactly the way CI does.
 
 Run: bench_diff_selftest.py (no arguments; registered as a ctest target).
 Exit status: 0 = all cases behave, 1 = some case failed.
@@ -132,6 +132,30 @@ def main():
                meta={"single_core_host": True}),
         record([row("tc_chain", 1000.0, workers=4, result_size=12)]))
     case("counters gated on skipped parallel rows", rc, 1, out)
+
+    # The throughput table names each row's workers, so the workers 1/4
+    # variants of one workload are told apart — and '-' when one record
+    # predates the field.
+    def table_has(output, fields):
+        return any(line.split()[:len(fields)] == fields
+                   for line in output.splitlines())
+
+    rc, out = run_diff(
+        record([row("tc_chain", 1000.0, workers=1),
+                row("tc_chain", 1000.0, workers=4)]),
+        record([row("tc_chain", 990.0, workers=1),
+                row("tc_chain", 980.0, workers=4)]))
+    case("worker variants pass", rc, 0, out)
+    if not table_has(out, ["tc_chain", "semi_naive", "100", "4"]):
+        failures.append(f"workers=4 row's line does not name its workers\n"
+                        f"{out}")
+    old = row("tc_chain", 1000.0)
+    del old["workers"]
+    rc, out = run_diff(record([old]), record([row("tc_chain", 990.0)]))
+    case("record predating workers passes", rc, 0, out)
+    if not table_has(out, ["tc_chain", "semi_naive", "100", "-"]):
+        failures.append(f"row keyed without workers does not print '-'\n"
+                        f"{out}")
 
     if failures:
         print("bench_diff self-test FAILED:", file=sys.stderr)

@@ -531,16 +531,12 @@ std::vector<Result<QueryResult>> Engine::ExecuteBatchEach(
 
   // The batch's shared read side: the engine's parameter relations are
   // quiescent for the whole batch, so their indexes live in the engine's
-  // SharedIndexCache — internally locked, built by whichever query needs
-  // one first, reused by every other. Everything else a query indexes is a
-  // private temporary. A relation written since its last read draws a
-  // fresh version stamp on the next read; drawing it here, before any slot
-  // starts, keeps every shared relation's stamp fixed for the whole batch.
+  // SharedIndexCache — internally locked, built (or caught up) by whichever
+  // query needs one first, reused by every other. Everything else a query
+  // indexes is a private temporary.
   std::unordered_set<const Relation*> shared_relations;
   for (const std::string& name : db_.Names()) {
-    const Relation* relation = db_.Find(name);
-    relation->version();
-    shared_relations.insert(relation);
+    shared_relations.insert(db_.Find(name));
   }
 
   auto run_one = [&](std::size_t i) {

@@ -6,10 +6,7 @@ const HashIndex& IndexCache::Get(const Relation& rel,
                                  const std::vector<int>& positions) {
   probe_.Assign(&rel, positions);
   auto it = entries_.find(probe_);
-  if (it != entries_.end() &&
-      it->second->built_at_version() == rel.version()) {
-    return *it->second;
-  }
+  if (it != entries_.end() && it->second->CatchUp()) return *it->second;
   auto index = std::make_unique<HashIndex>(rel, positions);
   ++rebuilds_;
   if (it != entries_.end()) {

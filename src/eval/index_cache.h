@@ -1,4 +1,4 @@
-// Version-keyed cache of hash indexes over relations.
+// Lineage-keyed cache of hash indexes over relations.
 
 #pragma once
 
@@ -14,8 +14,11 @@
 namespace linrec {
 
 /// Caches HashIndex instances keyed by (relation identity, key positions).
-/// An index is rebuilt when the relation's version has moved since the index
-/// was built. Closure loops share one cache so that indexes over the stable
+/// A Get catches the cached index up with its relation (HashIndex::CatchUp:
+/// appended rows, and one EraseRows) and builds a new one only when the
+/// relation's lineage moved in a way no index can follow — so a
+/// materialized view's index survives the INSERTs and DELETEs that maintain
+/// it. Closure loops share one cache so that indexes over the stable
 /// parameter relations are built once across all iterations.
 ///
 /// The table is an unordered_map whose key carries its own precomputed hash,
@@ -44,9 +47,10 @@ class IndexCache {
   IndexCache(IndexCache&&) = default;
   IndexCache& operator=(IndexCache&&) = default;
 
-  /// Returns an index of `rel` on `positions`, building it if necessary.
-  /// The reference stays valid until the next Get call that rebuilds the
-  /// same entry (i.e., after `rel` was modified).
+  /// Returns an index of `rel` on `positions`, up to date with `rel`:
+  /// the cached one caught up, else a new build. The reference stays valid
+  /// until the next Get that rebuilds the same entry; spans it returned
+  /// stay valid until the next Get of the same entry after `rel` changed.
   virtual const HashIndex& Get(const Relation& rel,
                                const std::vector<int>& positions);
 
@@ -56,6 +60,7 @@ class IndexCache {
   virtual void RetainOnly(const std::unordered_set<const Relation*>& keep);
 
   virtual std::size_t entry_count() const { return entries_.size(); }
+  /// Indexes built (first builds included); a catch-up is not a build.
   virtual std::size_t rebuilds() const { return rebuilds_; }
 
  private:
@@ -107,10 +112,11 @@ class IndexCache {
 ///
 /// Returning references out of Get after the lock drops is safe for the
 /// same reason it always was: entries are heap-owned (the map never moves
-/// them), and a shared relation is quiescent while a batch runs, so no Get
-/// can rebuild an entry another lane still reads. The serial path pays one
-/// uncontended lock per Get — per (round, join step), never per tuple;
-/// see the bench gate.
+/// them), and a shared relation is quiescent while a batch runs, so only
+/// the first Get of an entry in a batch catches it up or rebuilds it —
+/// under the lock, before any lane of the batch reads it — and every later
+/// Get leaves it as it is. The serial path pays one uncontended lock per
+/// Get — per (round, join step), never per tuple; see the bench gate.
 class SharedIndexCache final : public IndexCache {
  public:
   SharedIndexCache() = default;

@@ -2,16 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <new>
 
 #include "common/memory.h"
 
 namespace linrec {
 namespace {
 
-/// Own cache line: bumped from every thread that first reads a mutated
-/// relation's version; sharing a line with unrelated statics would make
-/// those reads contend with it.
-alignas(64) std::atomic<std::uint64_t> g_version_counter{0};  // lint: hot-atomic
+/// Lineages are handed out in per-thread blocks, so the threads of a batch
+/// constructing temporaries draw off this counter once per block, not once
+/// per relation.
+constexpr std::uint64_t kLineageBlock = 1024;
+std::atomic<std::uint64_t> g_lineage_blocks{0};
 
 /// Smallest power of two ≥ n (and ≥ 8).
 std::size_t NextPow2(std::size_t n) {
@@ -20,23 +22,42 @@ std::size_t NextPow2(std::size_t n) {
   return p;
 }
 
+/// Empties the slot holding `entry` (whose hash is `hash`) in an
+/// open-addressing table of index + 1 values by backward-shift deletion:
+/// later entries of its probe run move up, so every remaining entry stays
+/// reachable without tombstones. `hash_of(e)` is entry e's hash.
+template <typename HashOf>
+void UnlinkEntry(std::vector<std::uint32_t>& slots, std::uint32_t entry,
+                 std::size_t hash, HashOf hash_of) {
+  const std::size_t mask = slots.size() - 1;
+  std::size_t hole = hash & mask;
+  while (slots[hole] != entry) hole = (hole + 1) & mask;
+  // An entry later in the run may fill the hole unless its home slot lies
+  // cyclically in (hole, j] — moving it then would put it before its home.
+  for (std::size_t j = (hole + 1) & mask; slots[j] != 0; j = (j + 1) & mask) {
+    const std::size_t home = hash_of(slots[j]) & mask;
+    const bool stays =
+        hole <= j ? (hole < home && home <= j) : (hole < home || home <= j);
+    if (stays) continue;
+    slots[hole] = slots[j];
+    hole = j;
+  }
+  slots[hole] = 0;
+}
+
 }  // namespace
 
-std::uint64_t Relation::version() const {
-  // Lazy stamp: mutation only marks the version stale; the first reader
-  // draws one fresh value off the shared counter. Concurrent readers of a
-  // stale relation may both draw — the last store wins and both values are
-  // new, so (address, version) never aliases older contents. The
-  // release/acquire pair orders the version_ store before the stale_ clear:
-  // a reader that observes stale_ == false is guaranteed to see the fresh
-  // stamp, never the pre-mutation one.
-  if (version_stale_.load(std::memory_order_acquire)) {
-    version_.store(g_version_counter.fetch_add(1, std::memory_order_relaxed) +
-                       1,
-                   std::memory_order_relaxed);
-    version_stale_.store(false, std::memory_order_release);
+std::uint64_t Relation::NextLineage() noexcept {
+  thread_local std::uint64_t next = 0;
+  thread_local std::uint64_t end = 0;
+  if (next == end) {
+    // +1: lineage 0 is never handed out.
+    next = g_lineage_blocks.fetch_add(kLineageBlock,
+                                      std::memory_order_relaxed) +
+           1;
+    end = next + kLineageBlock;
   }
-  return version_.load(std::memory_order_relaxed);
+  return next++;
 }
 
 // Grow the dedup table when occupancy crosses 7/8. Small tables double;
@@ -65,7 +86,6 @@ bool Relation::InsertHashed(const Value* row, std::size_t hash) {
   pool_.insert(pool_.end(), row, row + arity_);
   hashes_.push_back(hash);
   slots_[i] = id + 1;
-  version_stale_.store(true, std::memory_order_release);
   if (row_count_ * 8 >= slots_.size() * 7) {
     Rehash(slots_.size() * (slots_.size() >= 32768 ? 4 : 2));
   }
@@ -143,8 +163,7 @@ void Relation::Reserve(std::size_t rows) {
 
 void Relation::Clear() {
   row_count_ = 0;
-  version_.store(0, std::memory_order_relaxed);
-  version_stale_.store(false, std::memory_order_relaxed);
+  lineage_ = NextLineage();
   pool_.clear();
   hashes_.clear();
   std::fill(slots_.begin(), slots_.end(), 0);
@@ -154,37 +173,17 @@ void Relation::TruncateRows(std::size_t rows) {
   assert(rows <= row_count_ && "can only truncate, never extend");
   if (rows == row_count_) return;
   row_count_ = rows;
+  lineage_ = NextLineage();
   pool_.resize(rows * arity_);
   hashes_.resize(rows);
-  if (rows == 0) {
-    // An empty relation must report version 0 (the "two empties share a
-    // stamp" rule in version()).
-    version_.store(0, std::memory_order_relaxed);
-    version_stale_.store(false, std::memory_order_relaxed);
-    std::fill(slots_.begin(), slots_.end(), 0);
-    return;
-  }
   // Same slot count: Rehash only charges when capacity grows, so the
   // rollback path cannot itself be denied.
   Rehash(slots_.size());
-  version_stale_.store(true, std::memory_order_release);
 }
 
 void Relation::UnlinkSlot(RowId id) {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t hole = hashes_[id] & mask;
-  while (slots_[hole] != id + 1) hole = (hole + 1) & mask;
-  // An entry later in the run may fill the hole unless its home slot lies
-  // cyclically in (hole, j] — moving it then would put it before its home.
-  for (std::size_t j = (hole + 1) & mask; slots_[j] != 0; j = (j + 1) & mask) {
-    const std::size_t home = hashes_[slots_[j] - 1] & mask;
-    const bool stays =
-        hole <= j ? (hole < home && home <= j) : (hole < home || home <= j);
-    if (stays) continue;
-    slots_[hole] = slots_[j];
-    hole = j;
-  }
-  slots_[hole] = 0;
+  UnlinkEntry(slots_, id + 1, hashes_[id],
+              [this](RowId slot) { return hashes_[slot - 1]; });
 }
 
 std::size_t Relation::EraseRows(const Relation& drop) {
@@ -207,6 +206,8 @@ std::size_t Relation::EraseRows(const Relation& drop) {
   if (count == 0) return 0;
 
   const std::size_t before = row_count_;
+  const std::uint64_t lineage_before = lineage_;
+  lineage_ = NextLineage();
   std::size_t kept = 0;
   if (overflow) {
     // Many rows: compact by probing `drop` per row, then rehash at the
@@ -249,15 +250,18 @@ std::size_t Relation::EraseRows(const Relation& drop) {
                           std::upper_bound(erased, erased + count, id) -
                           erased);
     }
+    // The record for indexes to follow. `after` is written last, so an id
+    // list that cannot grow leaves the record naming an older lineage.
+    try {
+      last_erase_.ids.assign(erased, erased + count);
+      last_erase_.before = lineage_before;
+      last_erase_.after = lineage_;
+    } catch (const std::bad_alloc&) {
+      // No record: indexes over this relation rebuild instead.
+    }
   }
   pool_.resize(row_count_ * arity_);
   hashes_.resize(row_count_);
-  if (row_count_ == 0) {
-    version_.store(0, std::memory_order_relaxed);
-    version_stale_.store(false, std::memory_order_relaxed);
-  } else {
-    version_stale_.store(true, std::memory_order_release);
-  }
   return before - row_count_;
 }
 
@@ -313,65 +317,55 @@ bool Relation::operator==(const Relation& other) const {
 HashIndex::HashIndex(const Relation& rel, std::vector<int> key_positions)
     : rel_(&rel),
       key_positions_(std::move(key_positions)),
-      built_at_version_(rel.version()) {
-  std::size_t slot_count = NextPow2(rel.size() * 8 / 7 + 1);
+      lineage_(rel.lineage()),
+      rows_(rel.size()) {
+  const std::size_t slot_count = NextPow2(rows_ * 8 / 7 + 1);
   slots_.assign(slot_count, 0);
-  std::size_t mask = slot_count - 1;
-  const RowId rows = static_cast<RowId>(rel.size());
+  const std::size_t mask = slot_count - 1;
+  const RowId rows = static_cast<RowId>(rows_);
 
   // Pass 1: discover groups and count their sizes. `group_of[row]` records
-  // each row's group so pass 2 is a straight scatter; `repr` holds one
-  // representative row per group for key comparison.
+  // each row's group so pass 2 is a straight scatter; until then a group's
+  // `start` holds its first row, the representative keys compare against.
   std::vector<std::uint32_t> group_of(rows);
-  std::vector<RowId> repr;
-  std::vector<std::uint32_t> counts;
-  auto projections_match = [&](RowId a, RowId b) {
-    const Value* ra = rel_->RowData(a);
-    const Value* rb = rel_->RowData(b);
-    for (int p : key_positions_) {
-      std::size_t i = static_cast<std::size_t>(p);
-      if (ra[i] != rb[i]) return false;
-    }
-    return true;
-  };
   for (RowId row = 0; row < rows; ++row) {
-    std::size_t hash = RowKeyHash(row);
+    const std::size_t hash = RowKeyHash(row);
     std::size_t i = hash & mask;
     while (true) {
-      std::uint32_t slot = slots_[i];
+      const std::uint32_t slot = slots_[i];
       if (slot == 0) {
         // New key: open a group. Groups never exceed row count, which the
         // table was sized for, so no grow step is needed here.
-        slots_[i] = static_cast<std::uint32_t>(repr.size()) + 1;
-        group_of[row] = static_cast<std::uint32_t>(repr.size());
-        repr.push_back(row);
-        counts.push_back(1);
-        group_hashes_.push_back(hash);
+        slots_[i] = static_cast<std::uint32_t>(groups_.size()) + 1;
+        group_of[row] = static_cast<std::uint32_t>(groups_.size());
+        groups_.push_back(Group{hash, row, 1});
         break;
       }
-      std::size_t g = slot - 1;
-      if (group_hashes_[g] == hash && projections_match(repr[g], row)) {
-        group_of[row] = static_cast<std::uint32_t>(g);
-        ++counts[g];
+      Group& group = groups_[slot - 1];
+      if (group.hash == hash && SameKey(group.start, row)) {
+        group_of[row] = slot - 1;
+        ++group.count;
         break;
       }
       i = (i + 1) & mask;
     }
   }
+  live_groups_ = groups_.size();
 
-  // Prefix-sum the counts into CSR offsets, then scatter the rows; within
-  // a group insertion order is preserved.
-  starts_.resize(repr.size() + 1);
-  std::uint32_t total = 0;
-  for (std::size_t g = 0; g < repr.size(); ++g) {
-    starts_[g] = total;
-    total += counts[g];
+  // Lay the runs out back to back with no slack, then scatter the rows in
+  // row order, so every run ascends.
+  caps_.resize(groups_.size());
+  RowId total = 0;
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    caps_[g] = groups_[g].count;
+    groups_[g].start = total;
+    total += groups_[g].count;
+    groups_[g].count = 0;
   }
-  starts_[repr.size()] = total;
   row_ids_.resize(rows);
-  std::vector<std::uint32_t> cursor(starts_.begin(), starts_.end() - 1);
   for (RowId row = 0; row < rows; ++row) {
-    row_ids_[cursor[group_of[row]]++] = row;
+    Group& group = groups_[group_of[row]];
+    row_ids_[group.start + group.count++] = row;
   }
 }
 
@@ -388,16 +382,26 @@ std::size_t HashIndex::RowKeyHash(RowId row) const {
   return HashFinalize(seed);
 }
 
+bool HashIndex::SameKey(RowId a, RowId b) const {
+  const Value* ra = rel_->RowData(a);
+  const Value* rb = rel_->RowData(b);
+  for (int p : key_positions_) {
+    const std::size_t i = static_cast<std::size_t>(p);
+    if (ra[i] != rb[i]) return false;
+  }
+  return true;
+}
+
 RowSpan HashIndex::Lookup(const Value* key) const {
-  std::size_t hash = KeyHash(key);
-  std::size_t mask = slots_.size() - 1;
+  const std::size_t hash = KeyHash(key);
+  const std::size_t mask = slots_.size() - 1;
   std::size_t i = hash & mask;
   while (true) {
-    std::uint32_t slot = slots_[i];
+    const std::uint32_t slot = slots_[i];
     if (slot == 0) return RowSpan{};
-    std::size_t g = slot - 1;
-    if (group_hashes_[g] == hash) {
-      const Value* repr = rel_->RowData(row_ids_[starts_[g]]);
+    const Group& group = groups_[slot - 1];
+    if (group.hash == hash) {
+      const Value* repr = rel_->RowData(row_ids_[group.start]);
       bool match = true;
       for (std::size_t k = 0; k < key_positions_.size(); ++k) {
         if (repr[static_cast<std::size_t>(key_positions_[k])] != key[k]) {
@@ -405,13 +409,167 @@ RowSpan HashIndex::Lookup(const Value* key) const {
           break;
         }
       }
-      if (match) {
-        return RowSpan{row_ids_.data() + starts_[g],
-                       starts_[g + 1] - starts_[g]};
-      }
+      if (match) return RowSpan{row_ids_.data() + group.start, group.count};
     }
     i = (i + 1) & mask;
   }
+}
+
+bool HashIndex::CatchUp() {
+  const Relation& rel = *rel_;
+  if (rel.lineage() == lineage_ && rel.size() == rows_) return true;
+  const bool erased = rel.lineage() != lineage_;
+  if (erased && (rel.last_erase().before != lineage_ ||
+                 rel.last_erase().after != rel.lineage())) {
+    return false;
+  }
+  // Lineage 0 matches no relation: should an allocation below throw, the
+  // half-updated index refuses the next CatchUp and is rebuilt.
+  lineage_ = 0;
+  if (erased) DropErased(rel.last_erase().ids);
+  IndexAppended();
+  CompactIfSparse();
+  lineage_ = rel.lineage();
+  return true;
+}
+
+void HashIndex::LinkGroup(std::uint32_t g) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = groups_[g].hash & mask;
+  while (slots_[i] != 0) i = (i + 1) & mask;
+  slots_[i] = g + 1;
+}
+
+void HashIndex::UnlinkGroup(std::uint32_t g) {
+  UnlinkEntry(slots_, g + 1, groups_[g].hash,
+              [this](std::uint32_t slot) { return groups_[slot - 1].hash; });
+  --live_groups_;
+}
+
+void HashIndex::GrowSlots() {
+  slots_.assign(slots_.size() * 2, 0);
+  for (std::uint32_t g = 0; g < groups_.size(); ++g) {
+    if (groups_[g].count != 0) LinkGroup(g);
+  }
+}
+
+void HashIndex::DropErased(const std::vector<RowId>& erased) {
+  assert(!erased.empty());
+  // Erased ids at or past rows_ were appended after the index last looked.
+  const std::size_t seen = static_cast<std::size_t>(
+      std::lower_bound(erased.begin(), erased.end(), rows_) - erased.begin());
+  if (seen == 0) return;
+  // A survivor's new id is its old id minus the erased ids below it — the
+  // renumbering EraseRows gives the dedup slots. Ids below the first erased
+  // one keep theirs; for the rest one sequential fill tabulates the shift
+  // (kGone: erased), so each id costs one table read, not a search of
+  // `erased` that mispredicts when the erased ids are spread out.
+  constexpr RowId kGone = ~RowId{0};
+  const RowId first = erased.front();
+  std::vector<RowId> shift(rows_ - first);
+  for (std::size_t k = 0; k < seen; ++k) {
+    const std::size_t next = k + 1 < seen ? erased[k + 1] : rows_;
+    shift[erased[k] - first] = kGone;
+    std::fill(shift.begin() + (erased[k] - first) + 1,
+              shift.begin() + (next - first), static_cast<RowId>(k + 1));
+  }
+  for (std::uint32_t g = 0; g < groups_.size(); ++g) {
+    Group& group = groups_[g];
+    if (group.count == 0) continue;
+    RowId* ids = row_ids_.data() + group.start;
+    if (ids[group.count - 1] < first) continue;  // no id moves
+    RowId kept = 0;
+    for (RowId k = 0; k < group.count; ++k) {
+      const RowId id = ids[k];
+      const RowId by = id < first ? 0 : shift[id - first];
+      if (by != kGone) ids[kept++] = id - by;
+    }
+    group.count = kept;
+    if (kept == 0) UnlinkGroup(g);
+  }
+  rows_ -= seen;
+}
+
+void HashIndex::IndexAppended() {
+  const RowId end = static_cast<RowId>(rel_->size());
+  for (RowId row = static_cast<RowId>(rows_); row < end; ++row) {
+    const std::size_t hash = RowKeyHash(row);
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = hash & mask;
+    while (slots_[i] != 0) {
+      const Group& group = groups_[slots_[i] - 1];
+      if (group.hash == hash && SameKey(row_ids_[group.start], row)) break;
+      i = (i + 1) & mask;
+    }
+    if (slots_[i] != 0) {
+      Append(slots_[i] - 1, row);
+      continue;
+    }
+    // New key: a one-id run at the end of the array.
+    const auto g = static_cast<std::uint32_t>(groups_.size());
+    groups_.push_back(Group{hash, static_cast<RowId>(row_ids_.size()), 1});
+    caps_.push_back(1);
+    row_ids_.push_back(row);
+    if (++live_groups_ * 8 > slots_.size() * 7) {
+      GrowSlots();
+    } else {
+      slots_[i] = g + 1;
+    }
+  }
+  rows_ = end;
+}
+
+void HashIndex::Append(std::uint32_t g, RowId row) {
+  Group& group = groups_[g];
+  RowId& cap = caps_[g];
+  if (group.count == cap) {
+    // Full. The run at the end of the array grows in place; any other run
+    // moves to the end with room to grow, leaving its old place dead.
+    const RowId grown = std::max<RowId>(2 * cap, 4);
+    const std::size_t end = row_ids_.size();
+    if (group.start + cap == end) {
+      row_ids_.resize(group.start + grown);
+    } else {
+      row_ids_.resize(end + grown);
+      std::copy_n(row_ids_.begin() + group.start, group.count,
+                  row_ids_.begin() + end);
+      group.start = static_cast<RowId>(end);
+    }
+    cap = grown;
+  }
+  row_ids_[group.start + group.count++] = row;
+}
+
+void HashIndex::CompactIfSparse() {
+  // The slack is unused capacity plus the runs that moves and emptied
+  // groups left dead. Repacking costs O(ids + groups) and waits until the
+  // slack outgrows the live ids, so it is paid for by the appends and
+  // erases that made the slack. Each group keeps half its count as
+  // headroom, so a group that grows again does not force the next repack
+  // at once.
+  constexpr std::size_t kMinSlack = 64;
+  if (row_ids_.size() <= 2 * rows_ + kMinSlack) return;
+  std::vector<Group> groups;
+  std::vector<RowId> caps;
+  std::vector<RowId> ids;
+  groups.reserve(live_groups_);
+  caps.reserve(live_groups_);
+  ids.reserve(rows_ + rows_ / 2);
+  for (const Group& group : groups_) {
+    if (group.count == 0) continue;
+    const RowId start = static_cast<RowId>(ids.size());
+    const RowId cap = group.count + group.count / 2;
+    ids.insert(ids.end(), row_ids_.begin() + group.start,
+               row_ids_.begin() + group.start + group.count);
+    ids.resize(start + cap);
+    groups.push_back(Group{group.hash, start, group.count});
+    caps.push_back(cap);
+  }
+  groups_ = std::move(groups);
+  caps_ = std::move(caps);
+  row_ids_ = std::move(ids);
+  std::fill(slots_.begin(), slots_.end(), 0);
+  for (std::uint32_t g = 0; g < groups_.size(); ++g) LinkGroup(g);
 }
 
 }  // namespace linrec

@@ -3,7 +3,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <iterator>
@@ -40,35 +39,42 @@ struct PartitionView {
 /// span allocates nothing beyond amortized pool growth.
 ///
 /// Mutation is insert-only (the algebra of the paper is monotone) apart
-/// from the IVM primitives TruncateRows and EraseRows; each successful
-/// mutation bumps a version counter that index caches key on.
+/// from Clear and the IVM primitives TruncateRows and EraseRows.
 /// Iteration yields TupleViews in insertion order (deterministic).
+///
+/// Every relation carries a process-unique *lineage* naming its current
+/// append-only history: appends (and Reserve) keep it, and every other
+/// change draws a new one — construction, copy, move (both sides),
+/// assignment, Clear, TruncateRows and an EraseRows that removes rows. Two
+/// snapshots with one lineage are therefore a prefix of each other, which
+/// is what lets a HashIndex built at (lineage, size) index only the rows
+/// appended since. Lineages are never reused, so a relation that takes
+/// over a destroyed one's address never aliases its history.
 class Relation {
  public:
-  Relation() : arity_(0) {}
-  explicit Relation(std::size_t arity) : arity_(arity) {}
+  Relation() : Relation(0) {}
+  explicit Relation(std::size_t arity)
+      : arity_(arity), lineage_(NextLineage()) {}
 
-  // Copy/move are member-wise; spelled out because the version stamp is
-  // atomic (for concurrent version() reads) and atomics are not copyable.
+  // Member-wise, except that the lineage is never shared or handed over:
+  // a copy or a move target starts a history of its own, and a moved-from
+  // relation (left empty) starts another.
   Relation(const Relation& o)
       : arity_(o.arity_),
-        version_(o.version_.load(std::memory_order_relaxed)),
-        version_stale_(o.version_stale_.load(std::memory_order_relaxed)),
+        lineage_(NextLineage()),
         row_count_(o.row_count_),
         pool_(o.pool_),
         hashes_(o.hashes_),
         slots_(o.slots_) {}
   Relation(Relation&& o) noexcept
       : arity_(o.arity_),
-        version_(o.version_.load(std::memory_order_relaxed)),
-        version_stale_(o.version_stale_.load(std::memory_order_relaxed)),
+        lineage_(NextLineage()),
         row_count_(o.row_count_),
         pool_(std::move(o.pool_)),
         hashes_(std::move(o.hashes_)),
         slots_(std::move(o.slots_)) {
     o.row_count_ = 0;
-    o.version_.store(0, std::memory_order_relaxed);
-    o.version_stale_.store(false, std::memory_order_relaxed);
+    o.lineage_ = NextLineage();
   }
   Relation& operator=(const Relation& o) {
     if (this != &o) *this = Relation(o);
@@ -77,18 +83,13 @@ class Relation {
   Relation& operator=(Relation&& o) noexcept {
     if (this != &o) {
       arity_ = o.arity_;
-      version_.store(o.version_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-      version_stale_.store(
-          o.version_stale_.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
+      lineage_ = NextLineage();
       row_count_ = o.row_count_;
       pool_ = std::move(o.pool_);
       hashes_ = std::move(o.hashes_);
       slots_ = std::move(o.slots_);
       o.row_count_ = 0;
-      o.version_.store(0, std::memory_order_relaxed);
-      o.version_stale_.store(false, std::memory_order_relaxed);
+      o.lineage_ = NextLineage();
     }
     return *this;
   }
@@ -96,15 +97,20 @@ class Relation {
   std::size_t arity() const { return arity_; }
   std::size_t size() const { return row_count_; }
   bool empty() const { return row_count_ == 0; }
-  /// Content stamp for index caching: 0 for an empty relation, otherwise a
-  /// process-globally unique value taken at the first version() read after
-  /// a successful insert (lazily — a closure round doing 10^5 inserts
-  /// draws one stamp, not 10^5, off the shared counter). Global uniqueness
-  /// matters: distinct Relation objects can reuse one address (e.g. the Δ
-  /// of successive semi-naive rounds), and (address, version) must never
-  /// alias two different contents. Two relations may share version 0 only
-  /// when both are empty — identical contents.
-  std::uint64_t version() const;
+  /// The current lineage (see the class comment); never 0.
+  std::uint64_t lineage() const { return lineage_; }
+
+  /// What the last row-removing EraseRows did, so an index built before it
+  /// can follow it instead of rebuilding. It describes the current
+  /// contents only while `after == lineage()`: any later change but an
+  /// append draws a new lineage, and an erase that took the compacting
+  /// fallback records nothing, so indexes over it rebuild.
+  struct EraseRecord {
+    std::uint64_t before = 0;  // the lineage the erase replaced
+    std::uint64_t after = 0;   // the lineage the erase drew
+    std::vector<RowId> ids;    // erased ids, ascending, pre-erase numbering
+  };
+  const EraseRecord& last_erase() const { return last_erase_; }
 
   /// Inserts `t`; returns true iff the tuple was new.
   /// The tuple's arity must match the relation's (asserted).
@@ -167,9 +173,12 @@ class Relation {
   /// their relative order, pool bytes and cached hashes. The dedup table
   /// keeps its size and is repaired, not rebuilt: each erased entry is
   /// unlinked by backward-shift deletion, then one sequential pass
-  /// renumbers the surviving entries. Nothing is allocated and no capacity
-  /// grows, so — like TruncateRows — the call charges no budget and cannot
-  /// fail: the IVM delete commit.
+  /// renumbers the surviving entries. No capacity grows, so — like
+  /// TruncateRows — the call charges no budget and cannot fail: the IVM
+  /// delete commit. Removing rows draws a new lineage and, on the inline
+  /// path (at most 512 rows found), stores the erased ids in last_erase();
+  /// that list keeps its capacity across erases, and if it cannot grow the
+  /// erase simply leaves no record.
   std::size_t EraseRows(const Relation& drop);
 
   /// Rows [begin, end) as a borrowed view (no copy).
@@ -294,16 +303,16 @@ class Relation {
   void GrowPool(std::size_t needed_values);
   void GrowHashes(std::size_t needed_rows);
 
+  /// A lineage no relation has had yet (never 0).
+  static std::uint64_t NextLineage() noexcept;
+
   std::size_t arity_;
-  /// Lazily drawn content stamp; see version(). Atomics make concurrent
-  /// version() reads of a quiescent relation race-free (mutation itself is
-  /// single-writer, like every other mutating member).
-  mutable std::atomic<std::uint64_t> version_{0};
-  mutable std::atomic<bool> version_stale_{false};
+  std::uint64_t lineage_;
   std::size_t row_count_ = 0;     // == pool_.size() / arity_ unless arity 0
   std::vector<Value> pool_;       // arity-strided row storage
   std::vector<std::size_t> hashes_;  // per-row hash (dedup probes, rehash)
   std::vector<RowId> slots_;      // open addressing: row id + 1; 0 = empty
+  EraseRecord last_erase_;
 };
 
 /// A borrowed, contiguous list of row ids — what HashIndex::Lookup yields.
@@ -320,19 +329,26 @@ struct RowSpan {
 /// A hash index over one relation keyed by a subset of positions.
 ///
 /// Maps the projection of each row onto `key_positions` to the span of
-/// matching row ids — no tuple is copied. Groups live in one flat CSR
-/// layout (offsets + row ids) rather than per-group vectors, so building
-/// does two allocation-free passes over the rows and probing follows no
-/// per-group heap pointer. Lookup takes a raw key span (values in
-/// key_positions order) and allocates nothing, so join loops probe without
-/// constructing a Tuple.
+/// matching row ids — no tuple is copied. Every group keeps its ids in one
+/// run of a shared id array: a start, a count and a capacity. A fresh build
+/// lays the runs out back to back with no slack (two allocation-free passes
+/// over the rows), and probing follows no per-group heap pointer. Lookup
+/// takes a raw key span (values in key_positions order) and allocates
+/// nothing, so join loops probe without constructing a Tuple.
+///
+/// The index remembers the relation's lineage and size it covers, so
+/// CatchUp can follow the relation instead of rebuilding: building and then
+/// appending rows gives the same index as appending first and building
+/// after, and the same holds for one EraseRows followed by its renumbering.
+/// Either way each group lists its ids in ascending order, exactly as a
+/// fresh build over the current rows does.
 class HashIndex {
  public:
   HashIndex(const Relation& rel, std::vector<int> key_positions);
 
   /// Row ids whose `key_positions` projection equals `key[0..k)`, in
-  /// insertion order; an empty span when the key is absent.
-  /// Allocation-free.
+  /// ascending (insertion) order; an empty span when the key is absent.
+  /// Allocation-free. The span is invalidated by the next CatchUp.
   RowSpan Lookup(const Value* key) const;
   /// Convenience probe from an owning key tuple (arity must equal the
   /// number of key positions).
@@ -341,26 +357,63 @@ class HashIndex {
     return Lookup(key.data());
   }
 
+  /// Brings the index up to date with its relation, which must be the live
+  /// object at the address it was built over. Rows appended since the last
+  /// build or catch-up are indexed; when the relation is exactly one
+  /// EraseRows further on (its last_erase() leads from the index's lineage
+  /// to the current one), the erased ids are dropped and the rest
+  /// renumbered first, in one pass over the ids. Returns false, leaving the
+  /// index unchanged, when the relation changed in any other way (a second
+  /// erase, a fallback erase, TruncateRows, Clear, assignment): the caller
+  /// builds a new index. An index whose catch-up threw (bad_alloc) returns
+  /// false from then on.
+  bool CatchUp();
+
   const Relation& relation() const { return *rel_; }
   const std::vector<int>& key_positions() const { return key_positions_; }
-  std::uint64_t built_at_version() const { return built_at_version_; }
-  std::size_t distinct_keys() const { return starts_.size() - 1; }
+  std::size_t distinct_keys() const { return live_groups_; }
 
  private:
+  /// One key's run of ids: row_ids_[start, start + count), ascending. Its
+  /// key is the projection of its first row. Lookup reads the hash, start
+  /// and count together.
+  struct Group {
+    std::size_t hash;
+    RowId start;
+    RowId count;
+  };
+
   std::size_t KeyHash(const Value* key) const {
     return HashRange(key, key + key_positions_.size());
   }
   std::size_t RowKeyHash(RowId row) const;
+  bool SameKey(RowId a, RowId b) const;
+  /// Inserts the live group `g` into the slot table.
+  void LinkGroup(std::uint32_t g);
+  /// Removes an emptied group's slot by backward-shift deletion, so Lookup
+  /// never meets a group without rows.
+  void UnlinkGroup(std::uint32_t g);
+  /// Doubles the slot table and relinks every live group.
+  void GrowSlots();
+  /// Drops `erased` (ascending, in the pre-erase numbering) from every
+  /// group and renumbers the survivors.
+  void DropErased(const std::vector<RowId>& erased);
+  /// Indexes rows [rows_, relation size), appending to their groups.
+  void IndexAppended();
+  void Append(std::uint32_t g, RowId row);
+  /// Repacks the live runs once the id array holds more than about twice
+  /// the live ids, leaving each group half its count of headroom.
+  void CompactIfSparse();
 
   const Relation* rel_;
   std::vector<int> key_positions_;
-  std::uint64_t built_at_version_;
-  std::vector<std::uint32_t> slots_;   // group index + 1; 0 = empty
-  /// CSR: group g's rows are row_ids_[starts_[g], starts_[g+1]); its key is
-  /// the projection of its first row.
-  std::vector<std::uint32_t> starts_;
-  std::vector<RowId> row_ids_;
-  std::vector<std::size_t> group_hashes_;
+  std::uint64_t lineage_;  // the relation lineage the index covers
+  std::size_t rows_;       // it covers that lineage's rows [0, rows_)
+  std::size_t live_groups_ = 0;
+  std::vector<std::uint32_t> slots_;  // group index + 1; 0 = empty
+  std::vector<Group> groups_;         // emptied groups stay until compaction
+  std::vector<RowId> caps_;           // per group: its run's capacity
+  std::vector<RowId> row_ids_;        // the runs, plus slack and dead runs
 };
 
 }  // namespace linrec

@@ -406,12 +406,15 @@ TEST(ExecuteBatchTest, SharedParameterIndexBuildsDoNotScaleWithBatchSize) {
 }
 
 TEST(ExecuteBatchTest, BatchAfterParameterInsertsMatchesSequential) {
-  // Facts inserted after the shared tier was warmed leave the parameter
-  // relations with a stale version stamp, as the serving layer leaves them
-  // when it materializes a goal's dependencies right before batching its σ
-  // goals. Every slot must still read one consistent index per relation:
-  // the σ sweep and the decomposed closures of the batch match sequential
-  // execution on an engine that never saw the old facts.
+  // Facts inserted, and one fact erased, after the shared tier was warmed
+  // leave the parameter relations' cached indexes behind, as the serving
+  // layer leaves them when it maintains a goal's dependencies right before
+  // batching its σ goals. The batch's first lane to reach each index
+  // catches it up (appends, then one EraseRows) under the shared tier's
+  // lock while the other lanes wait on it; every slot must then read one
+  // consistent index per relation: the σ sweep and the decomposed closures
+  // of the batch match sequential execution on an engine that never saw
+  // the old facts.
   RealThreads threads;
   auto add_edges = [](Database& db) {
     Relation& down = db.GetOrCreate("down", 2);
@@ -420,6 +423,12 @@ TEST(ExecuteBatchTest, BatchAfterParameterInsertsMatchesSequential) {
       down.Insert({child - 70, child});
       up.Insert({child, child - 70});
     }
+    // The tree edge 1→4, in both directions.
+    Relation down_gone(2), up_gone(2);
+    down_gone.Insert({1, 4});
+    up_gone.Insert({4, 1});
+    EXPECT_EQ(down.EraseRows(down_gone), 1u);
+    EXPECT_EQ(up.EraseRows(up_gone), 1u);
   };
   auto prepare = [](Engine& engine) {
     auto sweep =
@@ -444,8 +453,11 @@ TEST(ExecuteBatchTest, BatchAfterParameterInsertsMatchesSequential) {
   const std::vector<BoundQuery> batch = {
       sweep.Bind(1).BindSeed(seed), plain.Bind().BindSeed(seed),
       sweep.Bind(2).BindSeed(seed), plain.Bind().BindSeed(seed)};
+  const std::size_t rebuilds = engine.index_cache().rebuilds();
   auto results = engine.ExecuteBatch(batch);
   ASSERT_TRUE(results.ok()) << results.status();
+  // The shared indexes were caught up, not rebuilt.
+  EXPECT_EQ(engine.index_cache().rebuilds(), rebuilds);
 
   Database db = SameGenDb();
   add_edges(db);

@@ -86,14 +86,24 @@ TEST(RelationTest, InsertDeduplicates) {
   EXPECT_EQ(r.size(), 2u);
 }
 
-TEST(RelationTest, VersionBumpsOnNewTuplesOnly) {
+TEST(RelationTest, LineageSurvivesAppendsOnly) {
   Relation r(1);
-  auto v0 = r.version();
+  const std::uint64_t l0 = r.lineage();
+  EXPECT_NE(l0, 0u);
   r.Insert({7});
-  auto v1 = r.version();
-  EXPECT_GT(v1, v0);
   r.Insert({7});
-  EXPECT_EQ(r.version(), v1);
+  Relation more(1);
+  more.Insert({8});
+  r.UnionWith(more);
+  EXPECT_EQ(r.lineage(), l0);
+  r.TruncateRows(2);  // no rows leave: nothing changed
+  EXPECT_EQ(r.lineage(), l0);
+  r.TruncateRows(1);
+  const std::uint64_t l1 = r.lineage();
+  EXPECT_NE(l1, l0);
+  r.Clear();
+  EXPECT_NE(r.lineage(), l1);
+  EXPECT_NE(r.lineage(), l0);
 }
 
 TEST(RelationTest, UnionWith) {
@@ -175,25 +185,43 @@ TEST(RelationTest, DedupSurvivesTableGrowth) {
 TEST(RelationTest, ReserveDoesNotChangeContents) {
   Relation r(2);
   r.Insert({1, 2});
-  auto v = r.version();
+  const std::uint64_t lineage = r.lineage();
   r.Reserve(1000);
   EXPECT_EQ(r.size(), 1u);
-  EXPECT_EQ(r.version(), v);
+  EXPECT_EQ(r.lineage(), lineage);
   EXPECT_TRUE(r.Contains({1, 2}));
   EXPECT_FALSE(r.Insert({1, 2}));
 }
 
-TEST(RelationTest, VersionIsGloballyUniqueAcrossObjects) {
-  // Two distinct relations never share a nonzero version even when their
-  // contents coincide: versions come from a process-global counter.
+TEST(RelationTest, LineageIsNeverShared) {
+  // Two relations never share a lineage, even with equal contents, and a
+  // copy or a move starts new ones — on both sides of a move, so neither
+  // object can be mistaken for the other's history.
   Relation a(1), b(1);
   a.Insert({1});
   b.Insert({1});
-  EXPECT_NE(a.version(), 0u);
-  EXPECT_NE(a.version(), b.version());
-  // A copy shares content, so sharing the stamp is sound.
+  EXPECT_NE(a.lineage(), b.lineage());
+  std::vector<std::uint64_t> seen = {a.lineage(), b.lineage()};
+  auto fresh = [&seen](std::uint64_t lineage) {
+    for (std::uint64_t s : seen) {
+      if (s == lineage) return false;
+    }
+    seen.push_back(lineage);
+    return true;
+  };
   Relation c = a;
-  EXPECT_EQ(c.version(), a.version());
+  EXPECT_TRUE(fresh(c.lineage()));
+  EXPECT_EQ(a.lineage(), seen[0]);  // a copy's source keeps its history
+  Relation d = std::move(c);
+  EXPECT_TRUE(fresh(d.lineage()));
+  EXPECT_TRUE(fresh(c.lineage()));  // the moved-from side too
+  EXPECT_TRUE(c.empty());
+  b = a;
+  EXPECT_TRUE(fresh(b.lineage()));
+  b = std::move(d);
+  EXPECT_TRUE(fresh(b.lineage()));
+  EXPECT_TRUE(fresh(d.lineage()));
+  EXPECT_EQ(b, a);
 }
 
 TEST(RelationTest, ZeroArityRelation) {
@@ -259,15 +287,17 @@ TEST(RelationTest, ClearKeepsCapacityAndResetsContents) {
   Relation r(2);
   for (Value i = 0; i < 100; ++i) r.Insert({i, i + 1});
   EXPECT_EQ(r.size(), 100u);
+  const std::uint64_t lineage = r.lineage();
   r.Clear();
   EXPECT_TRUE(r.empty());
-  EXPECT_EQ(r.version(), 0u);
+  EXPECT_NE(r.lineage(), lineage);
   EXPECT_FALSE(r.Contains({1, 2}));
-  // Reusable after clearing: fresh contents, fresh (nonzero) version.
+  // Reusable after clearing: fresh contents on the new lineage.
+  const std::uint64_t cleared = r.lineage();
   r.Insert({7, 8});
   EXPECT_EQ(r.size(), 1u);
   EXPECT_TRUE(r.Contains({7, 8}));
-  EXPECT_NE(r.version(), 0u);
+  EXPECT_EQ(r.lineage(), cleared);
 }
 
 TEST(RelationTest, WhereEqualsFiltersOneColumn) {
@@ -412,11 +442,28 @@ void CheckErase(std::size_t rows, std::size_t erase, std::uint32_t seed) {
   drop.Insert({-1, -1});  // absent rows are ignored
 
   std::vector<Tuple> expected;
-  for (const Tuple& t : before) {
-    if (!drop.Contains(t)) expected.push_back(t);
+  std::vector<RowId> erased_ids;
+  for (RowId id = 0; id < before.size(); ++id) {
+    if (drop.Contains(before[id])) {
+      erased_ids.push_back(id);
+    } else {
+      expected.push_back(before[id]);
+    }
   }
+  const std::uint64_t lineage = rel.lineage();
   EXPECT_EQ(rel.EraseRows(drop), before.size() - expected.size());
   ASSERT_EQ(RowsOf(rel), expected) << "rows=" << rows << " erase=" << erase;
+  // The inline path records what it erased; the compacting fallback
+  // (more than 512 rows) leaves no record for the new lineage.
+  EXPECT_NE(rel.lineage(), lineage);
+  const Relation::EraseRecord& record = rel.last_erase();
+  if (erased_ids.size() <= 512) {
+    EXPECT_EQ(record.before, lineage);
+    EXPECT_EQ(record.after, rel.lineage());
+    EXPECT_EQ(record.ids, erased_ids) << "rows=" << rows;
+  } else {
+    EXPECT_NE(record.after, rel.lineage());
+  }
   for (const Tuple& t : expected) {
     EXPECT_TRUE(rel.Contains(t));
     EXPECT_FALSE(rel.Insert(t));  // still deduplicated
@@ -444,30 +491,35 @@ TEST(RelationEraseTest, KeepsSurvivorOrderAndRepairsTheTable) {
   CheckErase(3000, 3000, 6);  // everything
 }
 
-TEST(RelationEraseTest, EmptyingResetsTheVersion) {
+TEST(RelationEraseTest, EmptyingDrawsANewLineage) {
   Relation rel(2);
   rel.Insert({1, 2});
   rel.Insert({3, 4});
   Relation drop = rel;
-  EXPECT_NE(rel.version(), 0u);
+  const std::uint64_t lineage = rel.lineage();
   EXPECT_EQ(rel.EraseRows(drop), 2u);
   EXPECT_TRUE(rel.empty());
-  EXPECT_EQ(rel.version(), 0u);
+  EXPECT_NE(rel.lineage(), lineage);
+  EXPECT_EQ(rel.last_erase().ids, (std::vector<RowId>{0, 1}));
   EXPECT_TRUE(rel.Insert({3, 4}));
 }
 
-TEST(RelationEraseTest, ChangesTheVersionOnlyWhenRowsLeave) {
+TEST(RelationEraseTest, ChangesTheLineageOnlyWhenRowsLeave) {
   Relation rel(2);
   for (int i = 0; i < 10; ++i) rel.Insert({i, i});
-  const std::uint64_t v0 = rel.version();
+  const std::uint64_t l0 = rel.lineage();
   Relation absent(2);
   absent.Insert({5, 6});
   EXPECT_EQ(rel.EraseRows(absent), 0u);
-  EXPECT_EQ(rel.version(), v0);
+  EXPECT_EQ(rel.lineage(), l0);
   Relation present(2);
   present.Insert({5, 5});
-  EXPECT_EQ(rel.EraseRows(present), 1u);
-  EXPECT_NE(rel.version(), v0);
+  present.Insert({2, 2});
+  EXPECT_EQ(rel.EraseRows(present), 2u);
+  EXPECT_NE(rel.lineage(), l0);
+  EXPECT_EQ(rel.last_erase().before, l0);
+  EXPECT_EQ(rel.last_erase().after, rel.lineage());
+  EXPECT_EQ(rel.last_erase().ids, (std::vector<RowId>{2, 5}));
 }
 
 TEST(RelationEraseTest, NeverChargesOrHitsAFaultSite) {
