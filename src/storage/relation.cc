@@ -9,11 +9,7 @@
 namespace linrec {
 namespace {
 
-/// Lineages are handed out in per-thread blocks, so the threads of a batch
-/// constructing temporaries draw off this counter once per block, not once
-/// per relation.
-constexpr std::uint64_t kLineageBlock = 1024;
-std::atomic<std::uint64_t> g_lineage_blocks{0};
+std::atomic<std::uint64_t> g_lineage{0};
 
 /// Smallest power of two ≥ n (and ≥ 8).
 std::size_t NextPow2(std::size_t n) {
@@ -45,19 +41,19 @@ void UnlinkEntry(std::vector<std::uint32_t>& slots, std::uint32_t entry,
   slots[hole] = 0;
 }
 
+/// How many of the ascending ids `erased[0..count)` are at or below `id`.
+/// Erasing them renumbers a surviving row to its old id minus this count,
+/// and `id` is itself erased iff it is the last of them.
+std::size_t ErasedUpTo(RowId id, const RowId* erased, std::size_t count) {
+  return static_cast<std::size_t>(
+      std::upper_bound(erased, erased + count, id) - erased);
+}
+
 }  // namespace
 
 std::uint64_t Relation::NextLineage() noexcept {
-  thread_local std::uint64_t next = 0;
-  thread_local std::uint64_t end = 0;
-  if (next == end) {
-    // +1: lineage 0 is never handed out.
-    next = g_lineage_blocks.fetch_add(kLineageBlock,
-                                      std::memory_order_relaxed) +
-           1;
-    end = next + kLineageBlock;
-  }
-  return next++;
+  // +1: lineage 0 is never handed out.
+  return g_lineage.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 // Grow the dedup table when occupancy crosses 7/8. Small tables double;
@@ -245,10 +241,7 @@ std::size_t Relation::EraseRows(const Relation& drop) {
     // theirs).
     for (RowId& slot : slots_) {
       if (slot <= erased[0]) continue;  // empty, or id < erased[0]
-      const RowId id = slot - 1;
-      slot = id + 1 - static_cast<RowId>(
-                          std::upper_bound(erased, erased + count, id) -
-                          erased);
+      slot -= static_cast<RowId>(ErasedUpTo(slot - 1, erased, count));
     }
     // The record for indexes to follow. `after` is written last, so an id
     // list that cannot grow leaves the record naming an older lineage.
@@ -459,20 +452,9 @@ void HashIndex::DropErased(const std::vector<RowId>& erased) {
   const std::size_t seen = static_cast<std::size_t>(
       std::lower_bound(erased.begin(), erased.end(), rows_) - erased.begin());
   if (seen == 0) return;
-  // A survivor's new id is its old id minus the erased ids below it — the
-  // renumbering EraseRows gives the dedup slots. Ids below the first erased
-  // one keep theirs; for the rest one sequential fill tabulates the shift
-  // (kGone: erased), so each id costs one table read, not a search of
-  // `erased` that mispredicts when the erased ids are spread out.
-  constexpr RowId kGone = ~RowId{0};
+  // The renumbering EraseRows gives the dedup slots; ids below the first
+  // erased one keep theirs.
   const RowId first = erased.front();
-  std::vector<RowId> shift(rows_ - first);
-  for (std::size_t k = 0; k < seen; ++k) {
-    const std::size_t next = k + 1 < seen ? erased[k + 1] : rows_;
-    shift[erased[k] - first] = kGone;
-    std::fill(shift.begin() + (erased[k] - first) + 1,
-              shift.begin() + (next - first), static_cast<RowId>(k + 1));
-  }
   for (std::uint32_t g = 0; g < groups_.size(); ++g) {
     Group& group = groups_[g];
     if (group.count == 0) continue;
@@ -481,8 +463,10 @@ void HashIndex::DropErased(const std::vector<RowId>& erased) {
     RowId kept = 0;
     for (RowId k = 0; k < group.count; ++k) {
       const RowId id = ids[k];
-      const RowId by = id < first ? 0 : shift[id - first];
-      if (by != kGone) ids[kept++] = id - by;
+      const std::size_t below = ErasedUpTo(id, erased.data(), seen);
+      if (below == 0 || erased[below - 1] != id) {
+        ids[kept++] = id - static_cast<RowId>(below);
+      }
     }
     group.count = kept;
     if (kept == 0) UnlinkGroup(g);
