@@ -379,6 +379,39 @@ if maps300 > maps10 + 2:
 PY
 shutdown_daemon "$FPORT" "$FAULT_PID" || { cat "$REAP_LOG" >&2; exit 1; }
 
+# --- literal pass: an integer past int64 is a typed error ----------------
+# The literal must reply ERR ParseError on its connection, which then
+# answers PING; a second client is served by the same daemon.
+echo "--- literal pass: out-of-range integer ---"
+LITERAL_LOG="$WORKDIR/literal.log"
+start_daemon "$LITERAL_LOG"
+python3 - "$FPORT" <<'PY'
+import socket, sys
+port = int(sys.argv[1])
+
+def converse(script):
+    s = socket.create_connection(("127.0.0.1", port), timeout=10)
+    s.sendall(script)
+    data = b""
+    while b"OK bye\n" not in data:
+        chunk = s.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    s.close()
+    return data.decode().splitlines()
+
+lines = converse(b"FACT e(99999999999999999999, 1).\nPING\nQUIT\n")
+if (len(lines) != 3 or not lines[0].startswith("ERR ParseError")
+        or lines[1:] != ["OK pong", "OK bye"]):
+    sys.exit(f"FAIL: out-of-range literal got {lines!r}")
+lines = converse(b"PING\nQUIT\n")
+if lines != ["OK pong", "OK bye"]:
+    sys.exit(f"FAIL: second client got {lines!r}")
+print("literal pass: ERR ParseError, the session and the daemon kept serving")
+PY
+shutdown_daemon "$FPORT" "$FAULT_PID" || { cat "$LITERAL_LOG" >&2; exit 1; }
+
 # --- flag pass: malformed values are rejected before binding -------------
 # Every numeric flag is parsed as a whole string against its field's range
 # (--timeout-ms, --max-rows and --query-memory-budget through the SET

@@ -1,7 +1,8 @@
 #include "datalog/parser.h"
 
 #include <cctype>
-#include <unordered_map>
+#include <charconv>
+#include <string_view>
 
 #include "common/strings.h"
 #include "datalog/equality.h"
@@ -13,98 +14,99 @@ enum class TokKind { kIdent, kVariable, kInteger, kLParen, kRParen, kComma,
                      kImplies, kQuery, kPeriod, kEquals, kEnd };
 
 struct Token {
-  TokKind kind;
-  std::string text;
+  TokKind kind = TokKind::kEnd;
+  /// Identifiers and variables: the name, a view into the source text.
+  std::string_view text;
   Value number = 0;
   int line = 1;
   int col = 1;
 };
 
+bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
+
+/// Reads one token per Next call, so the parser holds one token of
+/// lookahead and never a token array.
 class Lexer {
  public:
-  explicit Lexer(const std::string& text) : text_(text) {}
+  explicit Lexer(std::string_view text) : text_(text) {}
 
-  Result<std::vector<Token>> Tokenize() {
-    std::vector<Token> out;
-    while (true) {
-      SkipWhitespaceAndComments();
-      Token tok;
-      tok.line = line_;
-      tok.col = col_;
-      if (pos_ >= text_.size()) {
-        tok.kind = TokKind::kEnd;
-        out.push_back(tok);
-        return out;
-      }
-      char c = text_[pos_];
-      if (c == '(') {
-        tok.kind = TokKind::kLParen;
-        Advance();
-      } else if (c == ')') {
-        tok.kind = TokKind::kRParen;
-        Advance();
-      } else if (c == ',') {
-        tok.kind = TokKind::kComma;
-        Advance();
-      } else if (c == '.') {
-        tok.kind = TokKind::kPeriod;
-        Advance();
-      } else if (c == '=') {
-        tok.kind = TokKind::kEquals;
-        Advance();
-      } else if (c == ':') {
-        Advance();
-        if (pos_ >= text_.size() || text_[pos_] != '-') {
-          return Error("expected '-' after ':'");
-        }
-        Advance();
-        tok.kind = TokKind::kImplies;
-      } else if (c == '?') {
-        Advance();
-        if (pos_ >= text_.size() || text_[pos_] != '-') {
-          return Error("expected '-' after '?'");
-        }
-        Advance();
-        tok.kind = TokKind::kQuery;
-      } else if (std::isdigit(static_cast<unsigned char>(c)) || c == '-') {
-        tok.kind = TokKind::kInteger;
-        std::string num;
-        if (c == '-') {
-          num += c;
-          Advance();
-          if (pos_ >= text_.size() ||
-              !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-            return Error("expected digit after '-'");
-          }
-        }
-        while (pos_ < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-          num += text_[pos_];
-          Advance();
-        }
-        tok.number = std::stoll(num);
-        tok.text = num;
-      } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        std::string name;
-        // '#' appears in generated narrow-rule predicates ("p#0_2"); '\''
-        // appears in renamed variables. Both round-trip through the printer.
-        while (pos_ < text_.size() &&
-               (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '_' || text_[pos_] == '\'' ||
-                text_[pos_] == '#')) {
-          name += text_[pos_];
-          Advance();
-        }
-        tok.text = name;
-        tok.kind = (std::isupper(static_cast<unsigned char>(name[0])) ||
-                    name[0] == '_')
-                       ? TokKind::kVariable
-                       : TokKind::kIdent;
-      } else {
-        return Error(StrCat("unexpected character '", std::string(1, c), "'"));
-      }
-      out.push_back(tok);
+  /// Reads the token after the previous one into `tok` (kEnd at the end of
+  /// the text).
+  Status Next(Token* tok) {
+    SkipWhitespaceAndComments();
+    tok->line = line_;
+    tok->col = col_;
+    tok->text = {};
+    if (pos_ >= text_.size()) {
+      tok->kind = TokKind::kEnd;
+      return Status::OK();
     }
+    char c = text_[pos_];
+    if (c == '(') {
+      tok->kind = TokKind::kLParen;
+      Advance();
+    } else if (c == ')') {
+      tok->kind = TokKind::kRParen;
+      Advance();
+    } else if (c == ',') {
+      tok->kind = TokKind::kComma;
+      Advance();
+    } else if (c == '.') {
+      tok->kind = TokKind::kPeriod;
+      Advance();
+    } else if (c == '=') {
+      tok->kind = TokKind::kEquals;
+      Advance();
+    } else if (c == ':') {
+      Advance();
+      if (pos_ >= text_.size() || text_[pos_] != '-') {
+        return Error("expected '-' after ':'");
+      }
+      Advance();
+      tok->kind = TokKind::kImplies;
+    } else if (c == '?') {
+      Advance();
+      if (pos_ >= text_.size() || text_[pos_] != '-') {
+        return Error("expected '-' after '?'");
+      }
+      Advance();
+      tok->kind = TokKind::kQuery;
+    } else if (IsDigit(c) || c == '-') {
+      const std::size_t start = pos_;
+      if (c == '-') {
+        Advance();
+        if (pos_ >= text_.size() || !IsDigit(text_[pos_])) {
+          return Error("expected digit after '-'");
+        }
+      }
+      while (pos_ < text_.size() && IsDigit(text_[pos_])) Advance();
+      // The span is an optional '-' and at least one digit, so out of
+      // range is the one way from_chars can fail.
+      if (std::from_chars(text_.data() + start, text_.data() + pos_,
+                          tok->number)
+              .ec != std::errc()) {
+        return Status::ParseError(
+            StrCat(tok->line, ":", tok->col, ": integer out of range"));
+      }
+      tok->kind = TokKind::kInteger;
+    } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+      const std::size_t start = pos_;
+      // '#' appears in generated narrow-rule predicates ("p#0_2"); '\''
+      // appears in renamed variables. Both round-trip through the printer.
+      while (pos_ < text_.size() &&
+             (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
+              text_[pos_] == '_' || text_[pos_] == '\'' ||
+              text_[pos_] == '#')) {
+        Advance();
+      }
+      tok->text = text_.substr(start, pos_ - start);
+      tok->kind = (std::isupper(static_cast<unsigned char>(c)) || c == '_')
+                      ? TokKind::kVariable
+                      : TokKind::kIdent;
+    } else {
+      return Error(StrCat("unexpected character '", std::string(1, c), "'"));
+    }
+    return Status::OK();
   }
 
  private:
@@ -137,65 +139,76 @@ class Lexer {
     return Status::ParseError(StrCat(line_, ":", col_, ": ", msg));
   }
 
-  const std::string& text_;
+  std::string_view text_;
   std::size_t pos_ = 0;
   int line_ = 1;
   int col_ = 1;
 };
 
+/// Recursive descent over the lexer's tokens with one token of lookahead
+/// (`tok_`). Errors are reported in text order: the first malformed token,
+/// lexical or syntactic, ends the parse.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(std::string_view text) : lexer_(text) {}
 
   Result<Program> ParseAll() {
     Program program;
-    while (Peek().kind != TokKind::kEnd) {
+    LINREC_RETURN_IF_ERROR(Advance());
+    while (tok_.kind != TokKind::kEnd) {
       LINREC_RETURN_IF_ERROR(ParseClause(&program));
     }
     return program;
   }
 
  private:
-  const Token& Peek() const { return tokens_[pos_]; }
-  const Token& Next() { return tokens_[pos_++]; }
+  /// Replaces the lookahead with the next token.
+  Status Advance() { return lexer_.Next(&tok_); }
 
   Status Error(const Token& tok, const std::string& msg) const {
     return Status::ParseError(StrCat(tok.line, ":", tok.col, ": ", msg));
   }
 
   Status Expect(TokKind kind, const char* what) {
-    if (Peek().kind != kind) {
-      return Error(Peek(), StrCat("expected ", what));
+    if (tok_.kind != kind) {
+      return Error(tok_, StrCat("expected ", what));
     }
-    ++pos_;
-    return Status::OK();
+    return Advance();
+  }
+
+  bool AtTerm() const {
+    return tok_.kind == TokKind::kVariable || tok_.kind == TokKind::kInteger;
+  }
+
+  /// The variable or integer the lookahead holds (AtTerm()).
+  Term CurrentTerm(RuleBuilder* builder) const {
+    return tok_.kind == TokKind::kVariable
+               ? Term::MakeVar(builder->Var(std::string(tok_.text)))
+               : Term::MakeConst(tok_.number);
   }
 
   // Parses one atom into `builder`-interned terms.
   Status ParseAtom(RuleBuilder* builder, std::string* predicate,
                    std::vector<Term>* terms) {
-    if (Peek().kind != TokKind::kIdent) {
-      return Error(Peek(), "expected predicate name (lowercase identifier)");
+    if (tok_.kind != TokKind::kIdent) {
+      return Error(tok_, "expected predicate name (lowercase identifier)");
     }
-    *predicate = Next().text;
+    predicate->assign(tok_.text);
+    LINREC_RETURN_IF_ERROR(Advance());
     LINREC_RETURN_IF_ERROR(Expect(TokKind::kLParen, "'('"));
+    // Terms collect in a reused buffer, so an atom allocates its term
+    // vector once, at its final size.
+    scratch_.clear();
     while (true) {
-      const Token& tok = Peek();
-      if (tok.kind == TokKind::kVariable) {
-        terms->push_back(Term::MakeVar(builder->Var(tok.text)));
-        ++pos_;
-      } else if (tok.kind == TokKind::kInteger) {
-        terms->push_back(Term::MakeConst(tok.number));
-        ++pos_;
-      } else {
-        return Error(tok, "expected variable or integer constant");
+      if (!AtTerm()) {
+        return Error(tok_, "expected variable or integer constant");
       }
-      if (Peek().kind == TokKind::kComma) {
-        ++pos_;
-        continue;
-      }
-      break;
+      scratch_.push_back(CurrentTerm(builder));
+      LINREC_RETURN_IF_ERROR(Advance());
+      if (tok_.kind != TokKind::kComma) break;
+      LINREC_RETURN_IF_ERROR(Advance());
     }
+    terms->assign(scratch_.begin(), scratch_.end());
     return Expect(TokKind::kRParen, "')'");
   }
 
@@ -203,19 +216,19 @@ class Parser {
     RuleBuilder builder;
     std::string head_pred;
     std::vector<Term> head_terms;
-    const Token& start = Peek();
+    const Token start = tok_;
     if (start.kind == TokKind::kQuery) {
       // Query goal: "?- atom." — variables and constants both allowed.
-      ++pos_;
+      LINREC_RETURN_IF_ERROR(Advance());
       LINREC_RETURN_IF_ERROR(ParseAtom(&builder, &head_pred, &head_terms));
       LINREC_RETURN_IF_ERROR(Expect(TokKind::kPeriod, "'.'"));
-      program->queries.push_back(Atom{head_pred, std::move(head_terms)});
+      program->queries.push_back(
+          Atom{std::move(head_pred), std::move(head_terms)});
       return Status::OK();
     }
     LINREC_RETURN_IF_ERROR(ParseAtom(&builder, &head_pred, &head_terms));
 
-    if (Peek().kind == TokKind::kPeriod) {
-      ++pos_;
+    if (tok_.kind == TokKind::kPeriod) {
       // Fact: must be ground.
       for (const Term& t : head_terms) {
         if (t.is_var()) {
@@ -224,8 +237,9 @@ class Parser {
                                      "ground"));
         }
       }
-      program->facts.push_back(Atom{head_pred, head_terms});
-      return Status::OK();
+      program->facts.push_back(
+          Atom{std::move(head_pred), std::move(head_terms)});
+      return Advance();
     }
 
     LINREC_RETURN_IF_ERROR(Expect(TokKind::kImplies, "':-' or '.'"));
@@ -233,20 +247,15 @@ class Parser {
     while (true) {
       // Body element: either an atom or an infix equality `term = term`
       // (sugar for eq(term, term)).
-      if (Peek().kind == TokKind::kVariable ||
-          Peek().kind == TokKind::kInteger) {
-        Term lhs = Peek().kind == TokKind::kVariable
-                       ? Term::MakeVar(builder.Var(Next().text))
-                       : Term::MakeConst(Next().number);
+      if (AtTerm()) {
+        const Term lhs = CurrentTerm(&builder);
+        LINREC_RETURN_IF_ERROR(Advance());
         LINREC_RETURN_IF_ERROR(Expect(TokKind::kEquals, "'='"));
-        const Token& rhs_tok = Peek();
-        if (rhs_tok.kind != TokKind::kVariable &&
-            rhs_tok.kind != TokKind::kInteger) {
-          return Error(rhs_tok, "expected variable or constant after '='");
+        if (!AtTerm()) {
+          return Error(tok_, "expected variable or constant after '='");
         }
-        Term rhs = rhs_tok.kind == TokKind::kVariable
-                       ? Term::MakeVar(builder.Var(Next().text))
-                       : Term::MakeConst(Next().number);
+        const Term rhs = CurrentTerm(&builder);
+        LINREC_RETURN_IF_ERROR(Advance());
         builder.AddBodyAtom(kEqualityPredicate, {lhs, rhs});
       } else {
         std::string pred;
@@ -254,11 +263,8 @@ class Parser {
         LINREC_RETURN_IF_ERROR(ParseAtom(&builder, &pred, &terms));
         builder.AddBodyAtom(std::move(pred), std::move(terms));
       }
-      if (Peek().kind == TokKind::kComma) {
-        ++pos_;
-        continue;
-      }
-      break;
+      if (tok_.kind != TokKind::kComma) break;
+      LINREC_RETURN_IF_ERROR(Advance());
     }
     LINREC_RETURN_IF_ERROR(Expect(TokKind::kPeriod, "'.'"));
     Result<Rule> rule = builder.Build();
@@ -267,8 +273,10 @@ class Parser {
     return Status::OK();
   }
 
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
+  Lexer lexer_;
+  /// The lookahead: the next token the parser has not consumed.
+  Token tok_;
+  std::vector<Term> scratch_;
 };
 
 }  // namespace
@@ -300,11 +308,7 @@ std::vector<Rule> Program::RulesFor(const std::string& pred) const {
 }
 
 Result<Program> ParseProgram(const std::string& text) {
-  Lexer lexer(text);
-  Result<std::vector<Token>> tokens = lexer.Tokenize();
-  if (!tokens.ok()) return tokens.status();
-  Parser parser(std::move(tokens).value());
-  return parser.ParseAll();
+  return Parser(text).ParseAll();
 }
 
 Result<Rule> ParseRule(const std::string& text) {

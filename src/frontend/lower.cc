@@ -345,17 +345,28 @@ Status ProgramInstance::ValidateLoad(const CompiledProgram* program,
   return Status::OK();
 }
 
-Status ProgramInstance::AddFact(const Atom& fact) {
-  LINREC_RETURN_IF_ERROR(ValidateFact(fact, program_.get()));
-  Relation& rel = facts_.GetOrCreate(fact.predicate, fact.arity());
+Status ProgramInstance::Load(std::shared_ptr<const CompiledProgram> program,
+                             const std::vector<Atom>& facts) {
+  LINREC_RETURN_IF_ERROR(ValidateLoad(
+      program != nullptr ? program.get() : program_.get(), facts));
+  if (program == nullptr && facts.empty()) return Status::OK();
+  if (program != nullptr) program_ = std::move(program);
+  // Insertions into a set commute, so every fact lands first and the
+  // engine is rebuilt once, after the last, instead of after each.
   std::vector<Value> row;
-  row.reserve(fact.arity());
-  for (const Term& term : fact.terms) row.push_back(term.constant());
-  rel.InsertRow(row.data());
+  for (const Atom& fact : facts) {
+    row.clear();
+    for (const Term& term : fact.terms) row.push_back(term.constant());
+    facts_.GetOrCreate(fact.predicate, fact.arity()).InsertRow(row.data());
+  }
   // The fixpoints may grow: drop every materialized derived predicate (and
   // the session engine's index cache entries over them) by rebuilding.
   RebuildEngine();
   return Status::OK();
+}
+
+Status ProgramInstance::AddFact(const Atom& fact) {
+  return Load(nullptr, {fact});
 }
 
 Result<std::vector<Relation>> ProgramInstance::SeedDeltas(

@@ -160,19 +160,20 @@ class ProgramInstance {
     return program_;
   }
 
-  /// Adds one ground fact to the session's base relations. Invalidates
-  /// every materialized derived predicate (the fixpoints may grow).
-  /// Rejects facts for predicates the program derives, and facts whose
-  /// arity differs from the loaded program's or the existing facts'.
-  Status AddFact(const Atom& fact);
+  /// Installs one LOAD as a whole: `program` is the LOAD's compiled rules
+  /// (null when it brings none and the installed program stays), `facts`
+  /// its ground facts. The whole LOAD is checked first (ValidateLoad), so a
+  /// rejected one changes nothing. Then the program is installed, every
+  /// fact lands in the session's base relations, and the engine is rebuilt
+  /// once, dropping every materialized derived predicate (the fixpoints may
+  /// grow). A LOAD with neither rules nor facts keeps the engine as it is.
+  Status Load(std::shared_ptr<const CompiledProgram> program,
+              const std::vector<Atom>& facts);
 
-  /// Checks a LOAD before it changes anything: `program` is the program
-  /// the LOAD leaves installed. Each of `facts` is checked as AddFact
-  /// would against `program`, and against the other `facts`; the
-  /// session's existing facts are checked against `program`'s arities,
-  /// and none may name a predicate `program` derives.
-  Status ValidateLoad(const CompiledProgram* program,
-                      const std::vector<Atom>& facts) const;
+  /// Load of one fact under the installed program. Rejects facts for
+  /// predicates the program derives, and facts whose arity differs from
+  /// the loaded program's or the existing facts'.
+  Status AddFact(const Atom& fact);
 
   /// Adds one ground fact and maintains every materialized view
   /// incrementally (Engine::Apply): the new tuple's one-step consequences
@@ -247,6 +248,13 @@ class ProgramInstance {
   /// rejection, arity against `program` — null when none is loaded — and
   /// the existing facts) — runs before any mutation.
   Status ValidateFact(const Atom& fact, const CompiledProgram* program) const;
+  /// Checks a LOAD before it changes anything: `program` is the program
+  /// the LOAD leaves installed. Each of `facts` is checked as ValidateFact
+  /// does against `program`, and against the other `facts`; the session's
+  /// existing facts are checked against `program`'s arities, and none may
+  /// name a predicate `program` derives.
+  Status ValidateLoad(const CompiledProgram* program,
+                      const std::vector<Atom>& facts) const;
   /// Per-member one-step heads of the unit's BASE rules restricted to the
   /// updated predicates in `delta` (each run pins one body atom to its
   /// delta relation; the rest read the full session database, or the

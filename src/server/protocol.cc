@@ -105,6 +105,23 @@ Result<Request> ParseRequestLine(const std::string& line) {
   return request;
 }
 
+bool IsEndLine(std::string_view line) {
+  std::size_t i = 0;
+  while (i < line.size() &&
+         std::isspace(static_cast<unsigned char>(line[i]))) {
+    ++i;
+  }
+  for (const char letter : {'E', 'N', 'D'}) {
+    if (i == line.size() ||
+        std::toupper(static_cast<unsigned char>(line[i])) != letter) {
+      return false;
+    }
+    ++i;
+  }
+  return i == line.size() ||
+         std::isspace(static_cast<unsigned char>(line[i]));
+}
+
 Result<SetArgs> ParseSetArgs(const std::string& args) {
   std::size_t space = args.find(' ');
   if (space == std::string::npos) {

@@ -38,6 +38,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "storage/relation.h"
@@ -75,6 +76,11 @@ struct Request {
 /// caller formats it as an ERR reply). Never returns kEnd/kLoad confusion:
 /// block state lives in the session, not here.
 Result<Request> ParseRequestLine(const std::string& line);
+
+/// True exactly when ParseRequestLine classifies `line` as kEnd: after
+/// leading whitespace, the first whitespace-delimited word is "END" in any
+/// case. Allocates nothing, so a LOAD block pays one scan per body line.
+bool IsEndLine(std::string_view line);
 
 /// A fully validated SET request.
 struct SetArgs {

@@ -33,8 +33,7 @@ Server::Action Server::HandleLine(Session& session, const std::string& line,
   if (session.in_load()) {
     // Inside a LOAD block only END is a command; everything else is
     // program text (including blank lines and comments).
-    Result<Request> request = ParseRequestLine(line);
-    if (request.ok() && request->kind == RequestKind::kEnd) {
+    if (IsEndLine(line)) {
       HandleLoadEnd(session, out);
     } else {
       session.AppendLoadLine(line);
@@ -112,10 +111,9 @@ void Server::HandleLoadEnd(Session& session, std::vector<std::string>* out) {
     out->push_back(FormatError(parsed.status()));
     return;
   }
-  // The program the LOAD leaves installed: the compiled rules, or the
-  // session's current program when the LOAD brings facts only.
-  std::shared_ptr<const CompiledProgram> program =
-      session.instance().program();
+  // The LOAD's compiled rules; null when it brings none, and the session
+  // keeps its program.
+  std::shared_ptr<const CompiledProgram> program;
   if (!parsed->rules.empty()) {
     const std::string digest = ProgramDigest(parsed->rules);
     Result<std::shared_ptr<const CompiledProgram>> compiled =
@@ -128,20 +126,12 @@ void Server::HandleLoadEnd(Session& session, std::vector<std::string>* out) {
     }
     program = std::move(compiled).value();
   }
-  // Check the whole LOAD first, so a rejected one leaves the session as it
-  // was: no new program, no fact of it added.
-  Status valid = session.instance().ValidateLoad(program.get(), parsed->facts);
-  if (!valid.ok()) {
-    out->push_back(FormatError(valid));
+  // Load checks the whole LOAD first, so a rejected one leaves the session
+  // as it was: no new program, no fact of it added.
+  Status loaded = session.instance().Load(std::move(program), parsed->facts);
+  if (!loaded.ok()) {
+    out->push_back(FormatError(loaded));
     return;
-  }
-  if (!parsed->rules.empty()) session.instance().SetProgram(std::move(program));
-  for (const Atom& fact : parsed->facts) {
-    Status added = session.instance().AddFact(fact);
-    if (!added.ok()) {
-      out->push_back(FormatError(added));
-      return;
-    }
   }
   out->push_back(StrCat("OK loaded rules=", parsed->rules.size(),
                         " facts=", parsed->facts.size(),

@@ -12,16 +12,22 @@
 // anything, the larger input would allocate strictly more. The closure
 // tests apply the same doubling argument per round: a strategy whose
 // steady-state round allocated even once would grow its count by the
-// extra rounds, so the size-doubled delta is pinned far below that.
+// extra rounds, so the size-doubled delta is pinned far below that. The
+// hook also totals the bytes it hands out, and the LOAD test applies the
+// doubling argument to them: a LOAD of twice the facts allocates about
+// twice the bytes, not four times.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "algebra/closure.h"
+#include "common/strings.h"
 #include "datalog/parser.h"
 #include "eval/apply.h"
 #include "eval/fixpoint.h"
@@ -29,15 +35,18 @@
 #include "eval/joint.h"
 #include "eval/selection.h"
 #include "separability/algorithm.h"
+#include "server/server.h"
 #include "workload/databases.h"
 #include "workload/graphs.h"
 #include "workload/rulegen.h"
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_allocated_bytes{0};
 
 void* CountedAlloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -45,6 +54,7 @@ void* CountedAlloc(std::size_t size) {
 
 void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   // aligned_alloc requires the size to be a multiple of the alignment.
   const std::size_t a = static_cast<std::size_t>(align);
   void* p = std::aligned_alloc(a, (size + a - 1) / a * a);
@@ -329,6 +339,40 @@ TEST(ClosureAllocTest, JointSteadyStateRoundsAllocateNothing) {
   std::size_t large = JointAllocations(256);
   EXPECT_LE(static_cast<std::ptrdiff_t>(large - small), kGrowthSlack)
       << "joint rounds allocate: " << small << " -> " << large;
+}
+
+/// Bytes allocated by a LOAD of the tc rules and an n-edge chain, sent line
+/// by line through Server::HandleLine into a fresh session of `server`.
+std::size_t LoadBytes(Server& server, int n) {
+  std::vector<std::string> lines = {"LOAD", "tc(X, Y) :- e(X, Y).",
+                                    "tc(X, Y) :- tc(X, Z), e(Z, Y)."};
+  for (int i = 0; i < n; ++i) {
+    lines.push_back(StrCat("e(", i, ", ", i + 1, ")."));
+  }
+  lines.push_back("END");
+  std::unique_ptr<Session> session = server.NewSession();
+  std::vector<std::string> out;
+  out.reserve(1);
+  std::size_t before = g_allocated_bytes.load(std::memory_order_relaxed);
+  for (const std::string& line : lines) {
+    server.HandleLine(*session, line, &out);
+  }
+  std::size_t after = g_allocated_bytes.load(std::memory_order_relaxed);
+  EXPECT_EQ(out, std::vector<std::string>{StrCat(
+                     "OK loaded rules=2 facts=", n, " queries=0")});
+  return after - before;
+}
+
+TEST(LoadAllocTest, LoadBytesGrowLinearlyInItsFacts) {
+  Server server;
+  // The first LOAD compiles the rules; the measured two hit the registry.
+  LoadBytes(server, 1);
+  std::size_t half = LoadBytes(server, 600);
+  std::size_t full = LoadBytes(server, 1200);
+  // Linear is 2x; rebuilding the engine per fact copies O(n^2) rows.
+  EXPECT_LE(2 * full, 5 * half)
+      << "a LOAD of 1200 facts allocated " << full << " bytes, of 600 "
+      << half << " bytes";
 }
 
 TEST(JoinAllocTest, CountingHookIsLive) {

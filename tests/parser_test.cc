@@ -1,5 +1,7 @@
 #include "datalog/parser.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "datalog/printer.h"
@@ -72,6 +74,41 @@ TEST(ParserTest, ErrorsCarryPosition) {
   // Missing final period on line 2.
   EXPECT_NE(program.status().message().find("2:"), std::string::npos)
       << program.status();
+}
+
+TEST(ParserTest, IntegerLiteralsSpanInt64) {
+  auto program = ParseProgram(
+      "e(-9223372036854775808, 9223372036854775807).");
+  ASSERT_TRUE(program.ok()) << program.status();
+  ASSERT_EQ(program->facts.size(), 1u);
+  EXPECT_EQ(program->facts[0].terms[0].constant(),
+            std::numeric_limits<Value>::min());
+  EXPECT_EQ(program->facts[0].terms[1].constant(),
+            std::numeric_limits<Value>::max());
+
+  // One past either bound is a typed error at the literal, not a throw.
+  for (const char* text : {"e(-9223372036854775809, 1).",
+                           "e(1, 9223372036854775808)."}) {
+    auto out_of_range = ParseProgram(text);
+    ASSERT_FALSE(out_of_range.ok()) << text;
+    EXPECT_EQ(out_of_range.status().code(), StatusCode::kParseError) << text;
+    EXPECT_NE(out_of_range.status().message().find("integer out of range"),
+              std::string::npos)
+        << out_of_range.status();
+  }
+  EXPECT_EQ(ParseProgram("e(1, 9223372036854775808).").status().message(),
+            "1:6: integer out of range");
+}
+
+TEST(ParserTest, ErrorsAreReportedInTextOrder) {
+  // The clause's syntax error comes before the stray character, so it is
+  // the one reported.
+  auto program = ParseProgram("p(X) :- q(X) r(X).\n$");
+  ASSERT_FALSE(program.ok());
+  EXPECT_EQ(program.status().message(), "1:14: expected '.'");
+  program = ParseProgram("e(1, 2).\n$ p(X) :- q(X) r(X).");
+  ASSERT_FALSE(program.ok());
+  EXPECT_EQ(program.status().message(), "2:1: unexpected character '$'");
 }
 
 TEST(ParserTest, RejectsGarbage) {

@@ -120,6 +120,77 @@ TEST(ServerTest, UnknownCommandAndBadClausesReplyError) {
   EXPECT_TRUE(IsErr(out[3], "InvalidArgument"));  // END outside LOAD
 }
 
+TEST(ServerTest, OutOfRangeIntegerRepliesParseErrorAndSessionSurvives) {
+  // A literal past int64 is a typed parse error on every verb that parses
+  // clauses; the session answers its next line.
+  Server server;
+  auto session = server.NewSession();
+  Load(server, *session, kTcProgram);
+  const std::vector<std::vector<std::string>> requests = {
+      {"FACT edge(99999999999999999999, 1)."},
+      {"INSERT edge(1, 9223372036854775808)."},
+      {"DELETE edge(-9223372036854775809, 1)."},
+      {"LOAD", "edge(1, 2).", "edge(18446744073709551616, 3).", "END"},
+      {"?- tc(99999999999999999999, Y)."}};
+  for (const std::vector<std::string>& request : requests) {
+    std::vector<std::string> out = Drive(server, *session, request);
+    ASSERT_EQ(out.size(), 1u) << request.front();
+    EXPECT_TRUE(IsErr(out.front(), "ParseError")) << out.front();
+    EXPECT_NE(out.front().find("integer out of range"), std::string::npos)
+        << out.front();
+    EXPECT_EQ(Drive(server, *session, {"PING"}),
+              std::vector<std::string>{"OK pong"});
+  }
+  // Nothing of the rejected requests landed.
+  std::vector<std::string> out = Drive(server, *session, {"?- tc(X, Y)."});
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out.front(), "RESULT tc/2 rows=6 truncated=0");
+}
+
+TEST(ServerTest, EndDetectionMatchesTheRequestParser) {
+  // Inside a LOAD block a line closes the block exactly when the request
+  // parser reads it as END; every other line is program text, which the
+  // block's next END parses.
+  struct Case {
+    const char* line;
+    bool closes;
+    /// The reply to the line when it closes the block, else to the END
+    /// after it.
+    const char* reply;
+  };
+  const char* kOneFact = "OK loaded rules=0 facts=1 queries=0";
+  const char* kNotAnAtom =
+      "ERR ParseError 2:1: expected predicate name (lowercase identifier)";
+  const Case cases[] = {
+      {"END", true, kOneFact},
+      {"end", true, kOneFact},
+      {"  End  ", true, kOneFact},
+      {"\tEND", true, kOneFact},
+      {"END trailing", true, kOneFact},
+      {"ENDX", false, kNotAnAtom},
+      {"END.", false, kNotAnAtom},
+      {"% END", false, kOneFact},
+      {"e(1, 2).", false, "OK loaded rules=0 facts=2 queries=0"},
+  };
+  for (const Case& c : cases) {
+    Result<Request> request = ParseRequestLine(c.line);
+    EXPECT_EQ(request.ok() && request->kind == RequestKind::kEnd, c.closes)
+        << c.line;
+    EXPECT_EQ(IsEndLine(c.line), c.closes) << c.line;
+
+    Server server;
+    auto session = server.NewSession();
+    std::vector<std::string> out =
+        Drive(server, *session, {"LOAD", "e(1, 2).", c.line});
+    EXPECT_EQ(session->in_load(), !c.closes) << c.line;
+    if (!c.closes) {
+      EXPECT_TRUE(out.empty()) << c.line;
+      out = Drive(server, *session, {"END"});
+    }
+    EXPECT_EQ(out, std::vector<std::string>{c.reply}) << c.line;
+  }
+}
+
 TEST(ServerTest, DeadlineExpiryRepliesWithoutKillingOtherQueries) {
   Server server;
   auto session = server.NewSession();
