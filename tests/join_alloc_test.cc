@@ -44,10 +44,14 @@ namespace {
 std::atomic<std::size_t> g_allocations{0};
 std::atomic<std::size_t> g_allocated_bytes{0};
 
-void* CountedAlloc(std::size_t size) {
+void* CountedMalloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
-  void* p = std::malloc(size);
+  return std::malloc(size);
+}
+
+void* CountedAlloc(std::size_t size) {
+  void* p = CountedMalloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
@@ -65,6 +69,15 @@ void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
 
 void* operator new(std::size_t size) { return CountedAlloc(size); }
 void* operator new[](std::size_t size) { return CountedAlloc(size); }
+// std::stable_sort's temporary buffer comes from the nothrow form. It is
+// replaced too, so that a sanitizer's own nothrow operator new never hands
+// out memory that the replaced operator delete frees.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size);
+}
 void* operator new(std::size_t size, std::align_val_t align) {
   return CountedAlignedAlloc(size, align);
 }
@@ -74,6 +87,10 @@ void* operator new[](std::size_t size, std::align_val_t align) {
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
