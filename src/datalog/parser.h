@@ -9,11 +9,12 @@
 //   term     := VARIABLE | INTEGER
 //
 // Predicates are identifiers starting with a lowercase letter. Variables
-// start with an uppercase letter or '_'. Constants are (signed) integers —
-// the value domain is typeless (Section 2), so workloads intern any symbolic
-// data to integers. A clause without a body and without variables is a fact.
-// A "?-" clause is a query goal: its atom may mix variables and constants
-// (the front end lowers a single constant into a σ bind, engine/query.h).
+// start with an uppercase letter or '_'. Constants are signed 64-bit
+// integers — the value domain is typeless (Section 2), so workloads intern
+// any symbolic data to integers; a literal outside int64 is a ParseError.
+// A clause without a body and without variables is a fact. A "?-" clause
+// is a query goal: its atom may mix variables and constants (the front end
+// lowers a single constant into a σ bind, engine/query.h).
 
 #pragma once
 
@@ -41,7 +42,9 @@ struct Program {
   std::vector<Rule> RulesFor(const std::string& pred) const;
 };
 
-/// Parses a whole program. Errors carry 1-based line:column positions.
+/// Parses a whole program in one pass over `text`. Errors carry 1-based
+/// line:column positions; the first error in text order, lexical or
+/// syntactic, is the one reported.
 Result<Program> ParseProgram(const std::string& text);
 
 /// Parses exactly one rule (clause with a body).
