@@ -412,6 +412,65 @@ print("literal pass: ERR ParseError, the session and the daemon kept serving")
 PY
 shutdown_daemon "$FPORT" "$FAULT_PID" || { cat "$LITERAL_LOG" >&2; exit 1; }
 
+# --- deadline pass: a blown deadline stops a round from inside -----------
+# The first round of tc over a complete 300-node graph meets about 27M
+# candidate rows, so a 50 ms deadline expires inside it. The goal must
+# reply ERR DeadlineExceeded in under a third of the time the same goal
+# takes without a deadline (run last on the same connection); the
+# connection must keep answering, and STATS must count the goal once.
+echo "--- deadline pass: a deadline inside one round ---"
+DEADLINE_LOG="$WORKDIR/deadline.log"
+start_daemon "$DEADLINE_LOG"
+python3 - "$FPORT" <<'PY'
+import socket, sys, time
+port = int(sys.argv[1])
+s = socket.create_connection(("127.0.0.1", port), timeout=60)
+replies = s.makefile("rb")
+
+def read_line():
+    line = replies.readline()
+    if not line:
+        sys.exit("FAIL: the daemon closed the connection")
+    return line.decode().rstrip("\n")
+
+def ask(text):
+    """Sends `text` and reads one reply; returns its lines and seconds."""
+    start = time.monotonic()
+    s.sendall(text.encode())
+    lines = [read_line()]
+    if lines[0].startswith("RESULT ") or lines[0] == "OK stats":
+        while lines[-1] != ".":
+            lines.append(read_line())
+    return lines, time.monotonic() - start
+
+n = 300
+edges = "".join(f"edge({x}, {y}).\n"
+                for x in range(n) for y in range(n) if x != y)
+lines, _ = ask("LOAD\n" + edges + "tc(X, Y) :- edge(X, Y).\n"
+               "tc(X, Y) :- tc(X, Z), edge(Z, Y).\nEND\n")
+if lines != [f"OK loaded rules=2 facts={n * (n - 1)} queries=0"]:
+    sys.exit(f"FAIL: LOAD got {lines!r}")
+ask("SET timeout_ms 50\n")
+lines, bounded = ask("?- tc(X, Y).\n")
+if not lines[0].startswith("ERR DeadlineExceeded"):
+    sys.exit(f"FAIL: the 50 ms goal got {lines[0]!r}")
+lines, _ = ask("SET timeout_ms -1\n")
+lines += ask("PING\n")[0]
+if lines != ["OK set timeout_ms=-1", "OK pong"]:
+    sys.exit(f"FAIL: after the deadline the connection got {lines!r}")
+lines, _ = ask("STATS\n")
+if "queries_timed_out=1" not in lines:
+    sys.exit(f"FAIL: STATS does not count the timed-out goal:\n{lines!r}")
+lines, unbounded = ask("?- tc(X, Y).\n")
+if lines[0] != f"RESULT tc/2 rows={n * n} truncated=0":
+    sys.exit(f"FAIL: the unbounded goal got {lines[0]!r}")
+print(f"deadline pass: ERR DeadlineExceeded after {bounded:.3f} s, "
+      f"the unbounded goal took {unbounded:.3f} s")
+if bounded * 3 > unbounded:
+    sys.exit("FAIL: the deadline did not stop the round from inside")
+PY
+shutdown_daemon "$FPORT" "$FAULT_PID" || { cat "$DEADLINE_LOG" >&2; exit 1; }
+
 # --- flag pass: malformed values are rejected before binding -------------
 # Every numeric flag is parsed as a whole string against its field's range
 # (--timeout-ms, --max-rows and --query-memory-budget through the SET
@@ -423,7 +482,7 @@ for bad in "--timeout-ms abc" "--timeout-ms 99999999999" "--max-rows -1" \
            "--max-rows 1e6" "--max-pending x" "--max-pending 0" \
            "--workers abc" "--workers -2" "--port 99999999999999999999" \
            "--memory-budget 12x" "--query-memory-budget -5" \
-           "--retry-after 1.5" "--watchdog-interval 0" \
+           "--retry-after 1.5" \
            "--fault pool_growth:abc" "--fault-seed x:10" "--fault bogus:1"; do
   STATUS=0
   # shellcheck disable=SC2086  # split "<flag> <value>" into two words

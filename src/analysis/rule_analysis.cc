@@ -67,8 +67,4 @@ int RuleAnalysis::CommutativityBridgeOf(VarId v) const {
   return FindBridgeByNode(commutativity_bridges_, v);
 }
 
-int RuleAnalysis::RedundancyBridgeOf(VarId v) const {
-  return FindBridgeByNode(redundancy_bridges_, v);
-}
-
 }  // namespace linrec

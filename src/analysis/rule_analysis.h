@@ -39,7 +39,6 @@ class RuleAnalysis {
   const std::vector<Bridge>& redundancy_bridges() const {
     return redundancy_bridges_;
   }
-  int RedundancyBridgeOf(VarId v) const;
 
  private:
   LinearRule rule_;

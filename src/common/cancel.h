@@ -1,25 +1,21 @@
 // CancellationToken: cooperative cancellation + deadline for long closures.
 //
-// A token is owned by the caller (typically one per in-flight query) and
-// passed by const pointer down through the closure entry points. It is
-// checked at two granularities:
-//   - Check() at round boundaries: one relaxed flag load plus, when a
-//     deadline is armed, one steady_clock read.
-//   - stop_requested() inside the join cursor every few thousand candidate
-//     rows: a single relaxed flag load, no clock. The flag is set either by
-//     Cancel() or by a watchdog that notices the deadline passed and calls
-//     ForceDeadline() — so a query stuck inside one enormous round still
-//     stops within the watchdog interval instead of at the next boundary.
+// A token is owned by the caller (typically one per in-flight request) and
+// passed by const pointer down through the closure entry points. Check() is
+// the one probe: one relaxed flag load plus, when a deadline is armed, one
+// steady_clock read. It runs at round boundaries and inside the join cursor
+// every few thousand candidate rows, so a query stuck inside one enormous
+// round still stops within one cursor stride of its deadline instead of at
+// the next boundary.
 //
-// Thread safety: Cancel()/ForceDeadline() may be called from any thread
-// while workers are inside Check(); the flags live in a single atomic. A
-// token must outlive every execution it was handed to.
+// Thread safety: Cancel() may be called from any thread while workers are
+// inside Check(); the flag is a single atomic. A token must outlive every
+// execution it was handed to.
 
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <cstdint>
 #include <optional>
 
 #include "common/status.h"
@@ -41,57 +37,23 @@ class CancellationToken {
   }
 
   CancellationToken(const CancellationToken& other)
-      : flags_(other.flags_.load(std::memory_order_relaxed)),
-        deadline_(other.deadline_) {}
+      : cancelled_(other.cancelled()), deadline_(other.deadline_) {}
   CancellationToken& operator=(const CancellationToken& other) {
-    flags_.store(other.flags_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
+    cancelled_.store(other.cancelled(), std::memory_order_relaxed);
     deadline_ = other.deadline_;
     return *this;
   }
 
   /// Requests cancellation; every subsequent Check() fails with kCancelled.
-  void Cancel() { flags_.fetch_or(kCancelledBit, std::memory_order_relaxed); }
+  void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
 
-  /// Marks the deadline as blown without a clock read on the reader side:
-  /// subsequent Check()s fail with kDeadlineExceeded and stop_requested()
-  /// turns true. Called by the server watchdog when it observes expiry, so
-  /// in-cursor checks stay clock-free.
-  void ForceDeadline() {
-    flags_.fetch_or(kDeadlineBit, std::memory_order_relaxed);
-  }
-
-  /// Arms (or re-arms) an absolute deadline.
-  void SetDeadline(Clock::time_point deadline) { deadline_ = deadline; }
-
-  /// True once Cancel() or ForceDeadline() ran: the cheapest possible stop
-  /// probe (one relaxed load, no clock), safe to call every few thousand
-  /// join candidates.
-  bool stop_requested() const {
-    return flags_.load(std::memory_order_relaxed) != 0;
-  }
-
-  bool cancelled() const {
-    return (flags_.load(std::memory_order_relaxed) & kCancelledBit) != 0;
-  }
-  bool expired() const {
-    if ((flags_.load(std::memory_order_relaxed) & kDeadlineBit) != 0) {
-      return true;
-    }
-    return deadline_.has_value() && Clock::now() >= *deadline_;
-  }
-  bool has_deadline() const { return deadline_.has_value(); }
+  bool cancelled() const { return cancelled_.load(std::memory_order_relaxed); }
 
   /// OK while the execution may continue; kCancelled / kDeadlineExceeded
-  /// once it must stop. Called at round boundaries.
+  /// once it must stop. Reads the clock only when a deadline is armed and
+  /// allocates only when it fails.
   Status Check() const {
-    const std::uint8_t flags = flags_.load(std::memory_order_relaxed);
-    if ((flags & kDeadlineBit) != 0) {
-      return Status::DeadlineExceeded("deadline exceeded");
-    }
-    if ((flags & kCancelledBit) != 0) {
-      return Status::Cancelled("execution cancelled");
-    }
+    if (cancelled()) return Status::Cancelled("execution cancelled");
     if (deadline_.has_value() && Clock::now() >= *deadline_) {
       return Status::DeadlineExceeded("deadline exceeded");
     }
@@ -99,10 +61,7 @@ class CancellationToken {
   }
 
  private:
-  static constexpr std::uint8_t kCancelledBit = 1u << 0;
-  static constexpr std::uint8_t kDeadlineBit = 1u << 1;
-
-  std::atomic<std::uint8_t> flags_{0};
+  std::atomic<bool> cancelled_{false};
   std::optional<Clock::time_point> deadline_;
 };
 

@@ -2,9 +2,9 @@
 // synchronization primitives.
 //
 // The repo's concurrency invariants — which mutex guards the plan cache,
-// the shared index tier, the worker-pool batch state, the watchdog table —
-// used to live in comments and in whatever schedules the TSan job happened
-// to execute. These macros move them into the type system: a field tagged
+// the shared index tier, the worker-pool batch state — used to live in
+// comments and in whatever schedules the TSan job happened to execute.
+// These macros move them into the type system: a field tagged
 // LINREC_GUARDED_BY(mu_) cannot be touched without holding mu_, a method
 // tagged LINREC_REQUIRES(mu_) cannot be called without it, and the CI
 // `-Werror=thread-safety` Clang job turns every violation into a compile
@@ -41,7 +41,6 @@
 
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -143,18 +142,6 @@ class CondVar {
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     cv_.wait(lock);
     lock.release();  // the caller's scope still owns the Mutex
-  }
-
-  /// Wait with a timeout; returns false if the wait timed out (like
-  /// std::cv_status::timeout), true if notified/spuriously woken. Callers
-  /// re-check their guarded predicate either way.
-  template <typename Rep, typename Period>
-  bool WaitFor(Mutex& mu, const std::chrono::duration<Rep, Period>& timeout)
-      LINREC_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    const std::cv_status status = cv_.wait_for(lock, timeout);
-    lock.release();
-    return status != std::cv_status::timeout;
   }
 
   void NotifyOne() { cv_.notify_one(); }

@@ -299,14 +299,6 @@ Result<Database> Program::FactsToDatabase() const {
   return db;
 }
 
-std::vector<Rule> Program::RulesFor(const std::string& pred) const {
-  std::vector<Rule> out;
-  for (const Rule& r : rules) {
-    if (r.head().predicate == pred) out.push_back(r);
-  }
-  return out;
-}
-
 Result<Program> ParseProgram(const std::string& text) {
   return Parser(text).ParseAll();
 }

@@ -37,9 +37,6 @@ struct Program {
   /// Loads all facts into a Database (arities inferred; conflicting arities
   /// for one predicate yield InvalidArgument).
   Result<Database> FactsToDatabase() const;
-
-  /// All rules whose head predicate is `pred`.
-  std::vector<Rule> RulesFor(const std::string& pred) const;
 };
 
 /// Parses a whole program in one pass over `text`. Errors carry 1-based

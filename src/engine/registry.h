@@ -60,15 +60,6 @@ class DigestRegistry {
     return entry;
   }
 
-  /// Returns the artifact under `digest`, or null if absent (no counter
-  /// movement — a pure probe).
-  std::shared_ptr<const T> Find(const std::string& digest) const
-      LINREC_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    auto it = entries_.find(digest);
-    return it == entries_.end() ? nullptr : it->second;
-  }
-
   std::size_t size() const LINREC_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     return entries_.size();

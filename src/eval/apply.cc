@@ -285,6 +285,14 @@ Status CompiledRule::Impl::Execute(const PartitionView* delta, Relation* out,
   std::size_t produced = 0;
   std::size_t rows_scanned = 0;   // candidate rows examined across depths
   std::size_t probes_issued = 0;  // index lookups resolved in enter()
+  // Charged on both exits: the end of the join and an in-cursor stop.
+  auto charge_stats = [&]() {
+    if (stats == nullptr) return;
+    stats->rule_applications += 1;
+    stats->derivations += produced;
+    stats->rows_scanned += rows_scanned;
+    stats->probes_issued += probes_issued;
+  };
   emit_rows.clear();
   emit_hashes.clear();
   auto flush_emits = [&]() {
@@ -376,10 +384,9 @@ Status CompiledRule::Impl::Execute(const PartitionView* delta, Relation* out,
     const bool filter_first =
         delta != nullptr && !steps[0].key_positions.empty();
 
-    // In-cursor stop probe: one counter increment per candidate row, one
-    // relaxed atomic load every kCancelStride of them, zero clock reads.
-    // This is what lets the watchdog (which flips the token's flag) stop a
-    // query stuck inside a single enormous round within milliseconds.
+    // In-cursor stop probe: one counter increment per candidate row and one
+    // Check() every kCancelStride of them, so a query stuck inside a single
+    // enormous round stops within one stride of its deadline.
     constexpr std::size_t kCancelStride = 2048;
     std::size_t candidates_since_check = 0;
 
@@ -393,9 +400,11 @@ Status CompiledRule::Impl::Execute(const PartitionView* delta, Relation* out,
       while (f.next < f.limit) {
         if (cancel != nullptr && ++candidates_since_check >= kCancelStride) {
           candidates_since_check = 0;
-          if (cancel->stop_requested()) {
+          Status stop = cancel->Check();
+          if (!stop.ok()) {
             flush_emits();
-            return cancel->Check();
+            charge_stats();
+            return stop;
           }
         }
         RowId row = f.rows != nullptr ? f.rows[f.next]
@@ -454,13 +463,7 @@ Status CompiledRule::Impl::Execute(const PartitionView* delta, Relation* out,
     }
     flush_emits();
   }
-
-  if (stats != nullptr) {
-    stats->rule_applications += 1;
-    stats->derivations += produced;
-    stats->rows_scanned += rows_scanned;
-    stats->probes_issued += probes_issued;
-  }
+  charge_stats();
   return Status::OK();
 }
 

@@ -58,9 +58,8 @@ class CompiledRule {
 
   /// Evaluates the join over the first step's full relation, inserting each
   /// derived head row into `out`. Equivalent to the original ApplyRule.
-  /// A non-null `cancel` is probed (stop_requested, no clock) every few
-  /// thousand candidate rows, so even one enormous join stops in
-  /// milliseconds once the token flips.
+  /// A non-null `cancel` is checked every few thousand candidate rows, so
+  /// even one enormous join stops soon after its deadline or Cancel().
   Status Run(Relation* out, ClosureStats* stats = nullptr,
              IndexCache* cache = nullptr,
              const CancellationToken* cancel = nullptr);

@@ -366,6 +366,8 @@ Status ProgramInstance::Load(std::shared_ptr<const CompiledProgram> program,
 }
 
 Status ProgramInstance::AddFact(const Atom& fact) {
+  // Nothing materialized: a rebuild would drop nothing, so append.
+  if (materialized_ == 0) return InsertFact(fact).status();
   return Load(nullptr, {fact});
 }
 
@@ -792,10 +794,9 @@ Result<QueryResult> ProgramInstance::EvalQuery(const Atom& goal,
                                                const CancellationToken* cancel,
                                                QueryBudget* budget,
                                                std::size_t row_limit) {
-  const std::vector<const CancellationToken*> cancels = {cancel};
   const std::vector<QueryBudget*> budgets = {budget};
   std::vector<Result<QueryResult>> results =
-      EvalQueries({goal}, planner, &cancels, &budgets, row_limit);
+      EvalQueries({goal}, planner, cancel, &budgets, row_limit);
   return std::move(results.front());
 }
 
@@ -816,13 +817,10 @@ Relation FirstRows(const Relation& rows, std::size_t row_limit) {
 
 std::vector<Result<QueryResult>> ProgramInstance::EvalQueries(
     const std::vector<Atom>& goals, Planner& planner,
-    const std::vector<const CancellationToken*>* cancels,
+    const CancellationToken* cancel,
     const std::vector<QueryBudget*>* budgets, std::size_t row_limit) {
   std::vector<Result<QueryResult>> results(
       goals.size(), Result<QueryResult>(Status::Internal("goal not run")));
-  auto cancel_of = [&](std::size_t i) -> const CancellationToken* {
-    return cancels != nullptr && i < cancels->size() ? (*cancels)[i] : nullptr;
-  };
   auto budget_of = [&](std::size_t i) -> QueryBudget* {
     return budgets != nullptr && i < budgets->size() ? (*budgets)[i] : nullptr;
   };
@@ -841,7 +839,6 @@ std::vector<Result<QueryResult>> ProgramInstance::EvalQueries(
 
   for (std::size_t gi = 0; gi < goals.size(); ++gi) {
     const Atom& goal = goals[gi];
-    const CancellationToken* cancel = cancel_of(gi);
     // The goal's budget governs every caller-thread allocation made on its
     // behalf — cone materialization, seeds, reply filtering — and nested
     // Engine executions inherit it through the thread-local scope. A shared

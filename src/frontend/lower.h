@@ -172,7 +172,10 @@ class ProgramInstance {
 
   /// Load of one fact under the installed program. Rejects facts for
   /// predicates the program derives, and facts whose arity differs from
-  /// the loaded program's or the existing facts'.
+  /// the loaded program's or the existing facts'. While nothing is
+  /// materialized the fact is appended in place (the engine database
+  /// equals the base facts); otherwise the engine is rebuilt once, dropping
+  /// the materialized derived predicates as a LOAD does.
   Status AddFact(const Atom& fact);
 
   /// Adds one ground fact and maintains every materialized view
@@ -221,12 +224,13 @@ class ProgramInstance {
                                 std::size_t row_limit = SIZE_MAX);
 
   /// Batch EvalQuery: σ-fast-path goals over one unit run concurrently
-  /// through Engine::ExecuteBatchEach (per-slot cancellation tokens and
-  /// budgets — aligned with `cancels` / `budgets` when non-null), the rest
-  /// sequentially. Replies align with `goals`; a failing goal fails alone.
+  /// through Engine::ExecuteBatchEach (per-slot budgets, aligned with
+  /// `budgets` when non-null), the rest sequentially. `cancel` is the
+  /// request's one token, shared by every goal. Replies align with `goals`;
+  /// a failing goal fails alone.
   std::vector<Result<QueryResult>> EvalQueries(
       const std::vector<Atom>& goals, Planner& planner,
-      const std::vector<const CancellationToken*>* cancels = nullptr,
+      const CancellationToken* cancel = nullptr,
       const std::vector<QueryBudget*>* budgets = nullptr,
       std::size_t row_limit = SIZE_MAX);
 

@@ -16,8 +16,8 @@ struct ServerLimits {
 
   /// Per-query deadline default, in milliseconds; sessions override with
   /// SET timeout_ms. Negative = no deadline. Zero = an already-expired
-  /// token — every closure replies ERR DeadlineExceeded at its first round
-  /// boundary, which is how the tests exercise expiry deterministically.
+  /// token — every closure replies ERR DeadlineExceeded at its first check,
+  /// which is how the tests exercise expiry deterministically.
   int default_timeout_ms = -1;
 
   /// Result-size cap default: replies stream at most this many rows and
@@ -37,11 +37,6 @@ struct ServerLimits {
   /// Retry hint stamped into every shed reply:
   /// "ERR Unavailable retry_after_ms=<N> ...".
   int retry_after_ms = 100;
-
-  /// Watchdog scan interval: how often deadline-armed in-flight tokens are
-  /// checked for expiry (and force-cancelled mid-round). The watchdog
-  /// thread starts lazily with the first deadline-armed query.
-  int watchdog_interval_ms = 10;
 };
 
 }  // namespace linrec

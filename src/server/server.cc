@@ -1,6 +1,8 @@
 #include "server/server.h"
 
+#include <chrono>
 #include <cstdint>
+#include <optional>
 #include <utility>
 
 #include "common/strings.h"
@@ -19,6 +21,14 @@ Result<Atom> ParseFactLine(const std::string& text, const char* verb) {
         StrCat(verb, " expects exactly one ground atom clause"));
   }
   return std::move(parsed->facts.front());
+}
+
+/// The deadline of one request, armed from the session's timeout_ms; none
+/// when the session sets no deadline.
+std::optional<CancellationToken> RequestDeadline(const Session& session) {
+  if (session.timeout_ms() < 0) return std::nullopt;
+  return CancellationToken::WithTimeout(
+      std::chrono::milliseconds(session.timeout_ms()));
 }
 
 }  // namespace
@@ -177,24 +187,9 @@ std::vector<Result<QueryResult>> Server::EvaluateGoals(
                                             Result<QueryResult>(admitted));
   }
 
-  // Arm per-goal deadlines. Tokens live here (stable addresses) for the
-  // whole evaluation; deadline-armed tokens also register with the
-  // watchdog, which force-expires them mid-round if they blow.
-  std::vector<CancellationToken> tokens;
-  tokens.reserve(goals.size());
-  std::vector<const CancellationToken*> cancels(goals.size(), nullptr);
-  std::vector<std::size_t> watch_handles;
-  if (session.timeout_ms() >= 0) {
-    for (std::size_t i = 0; i < goals.size(); ++i) {
-      tokens.push_back(CancellationToken::WithTimeout(
-          std::chrono::milliseconds(session.timeout_ms())));
-    }
-    watch_handles.reserve(goals.size());
-    for (std::size_t i = 0; i < goals.size(); ++i) {
-      cancels[i] = &tokens[i];
-      watch_handles.push_back(watchdog_.Watch(&tokens[i]));
-    }
-  }
+  // Every goal of the request is admitted at this instant, so one deadline
+  // token serves them all.
+  const std::optional<CancellationToken> deadline = RequestDeadline(session);
 
   // Per-goal memory budgets, attached whenever the session cap or the
   // global ledger is armed (unique_ptr: QueryBudget is address-pinned —
@@ -218,18 +213,22 @@ std::vector<Result<QueryResult>> Server::EvaluateGoals(
   const std::size_t row_limit = cap == SIZE_MAX ? SIZE_MAX : cap + 1;
 
   std::vector<Result<QueryResult>> outcomes = session.instance().EvalQueries(
-      goals, planner_, &cancels, &budgets, row_limit);
-  for (std::size_t handle : watch_handles) watchdog_.Unwatch(handle);
+      goals, planner_, deadline ? &*deadline : nullptr, &budgets, row_limit);
   for (const Result<QueryResult>& outcome : outcomes) {
-    if (!outcome.ok() &&
-        outcome.status().code() == StatusCode::kResourceExhausted) {
-      queries_exhausted_.fetch_add(1);
-    }
+    if (!outcome.ok()) CountFailure(outcome.status());
   }
   pending_.fetch_sub(static_cast<long>(goals.size()));
   session.CountQueries(goals.size());
   queries_served_.fetch_add(static_cast<long>(goals.size()));
   return outcomes;
+}
+
+void Server::CountFailure(const Status& status) {
+  if (status.code() == StatusCode::kResourceExhausted) {
+    queries_exhausted_.fetch_add(1);
+  } else if (status.code() == StatusCode::kDeadlineExceeded) {
+    queries_timed_out_.fetch_add(1);
+  }
 }
 
 void Server::SubmitQueries(Session& session, const std::vector<Atom>& goals,
@@ -311,7 +310,7 @@ void Server::HandleFactUpdate(Session& session, const std::string& text,
   }
 
   // Maintenance is resource-governed exactly like a query: shed under
-  // memory pressure, admitted against the pending bound, deadline-watched,
+  // memory pressure, admitted against the pending bound, deadline-checked,
   // charged to the session and global budgets.
   const Status admitted = Admit(1);
   if (!admitted.ok()) {
@@ -319,17 +318,8 @@ void Server::HandleFactUpdate(Session& session, const std::string& text,
     return;
   }
 
-  CancellationToken token;
-  const CancellationToken* cancel = nullptr;
-  std::size_t watch_handle = 0;
-  bool watched = false;
-  if (session.timeout_ms() >= 0) {
-    token = CancellationToken::WithTimeout(
-        std::chrono::milliseconds(session.timeout_ms()));
-    cancel = &token;
-    watch_handle = watchdog_.Watch(&token);
-    watched = true;
-  }
+  const std::optional<CancellationToken> deadline = RequestDeadline(session);
+  const CancellationToken* cancel = deadline ? &*deadline : nullptr;
   std::unique_ptr<QueryBudget> budget;
   if (session.memory_budget() > 0 || memory_budget_.limit() != 0) {
     budget = std::make_unique<QueryBudget>(session.memory_budget(),
@@ -339,12 +329,9 @@ void Server::HandleFactUpdate(Session& session, const std::string& text,
   Result<FactUpdateOutcome> outcome =
       insert ? session.instance().InsertFact(*fact, cancel, budget.get())
              : session.instance().DeleteFact(*fact, cancel, budget.get());
-  if (watched) watchdog_.Unwatch(watch_handle);
   pending_.fetch_sub(1);
   if (!outcome.ok()) {
-    if (outcome.status().code() == StatusCode::kResourceExhausted) {
-      queries_exhausted_.fetch_add(1);
-    }
+    CountFailure(outcome.status());
     out->push_back(FormatError(outcome.status()));
     return;
   }
@@ -392,6 +379,7 @@ void Server::HandleStats(Session& session, std::vector<std::string>* out) {
   out->push_back(StrCat("queries_served=", queries_served_.load()));
   out->push_back(StrCat("queries_rejected=", queries_rejected_.load()));
   out->push_back(StrCat("queries_exhausted=", queries_exhausted_.load()));
+  out->push_back(StrCat("queries_timed_out=", queries_timed_out_.load()));
   out->push_back(StrCat("queries_shed=", queries_shed_.load()));
   out->push_back(StrCat("ivm_applied=", ivm_applied_.load()));
   out->push_back(StrCat("ivm_retracted=", ivm_retracted_.load()));
@@ -401,7 +389,6 @@ void Server::HandleStats(Session& session, std::vector<std::string>* out) {
   out->push_back(StrCat("mem_budget_limit=", memory_budget_.limit()));
   out->push_back(
       StrCat("mem_pressure=", memory_budget_.under_pressure() ? 1 : 0));
-  out->push_back(StrCat("watchdog_cancels=", watchdog_.cancels()));
   out->push_back(StrCat("session_queries=", session.queries_served()));
   out->push_back(
       StrCat("session_derivations=", session.instance().derivations()));
@@ -430,6 +417,7 @@ void Server::HandleMetrics(std::vector<std::string>* out) {
   emit("queries_served", "counter", queries_served_.load());
   emit("queries_rejected", "counter", queries_rejected_.load());
   emit("queries_exhausted", "counter", queries_exhausted_.load());
+  emit("queries_timed_out", "counter", queries_timed_out_.load());
   emit("queries_shed", "counter", queries_shed_.load());
   emit("ivm_applied", "counter", ivm_applied_.load());
   emit("ivm_retracted", "counter", ivm_retracted_.load());
@@ -439,8 +427,6 @@ void Server::HandleMetrics(std::vector<std::string>* out) {
   emit("mem_budget_limit", "gauge",
        static_cast<long>(memory_budget_.limit()));
   emit("mem_pressure", "gauge", memory_budget_.under_pressure() ? 1 : 0);
-  emit("watchdog_cancels", "counter",
-       static_cast<long>(watchdog_.cancels()));
   out->push_back(".");
 }
 

@@ -14,9 +14,9 @@
 //
 // Admission control: a bounded count of in-flight queries across all
 // sessions; past the bound, submissions reply ERR Unavailable instead of
-// queueing. Per-query deadlines become CancellationTokens checked at round
-// boundaries, so an expired query replies ERR DeadlineExceeded without
-// killing the server or its batch neighbours.
+// queueing. A request's deadline becomes one CancellationToken checked at
+// round boundaries and inside the join cursor, so an expired query replies
+// ERR DeadlineExceeded without killing the server or its batch neighbours.
 //
 // Resource governance (the graceful-degradation ladder):
 //
@@ -30,9 +30,9 @@
 //      bound is hit), new submissions shed with
 //      "ERR Unavailable retry_after_ms=<N> ..." instead of being admitted
 //      only to die mid-round.
-//   3. A watchdog thread force-expires deadline-blown tokens every few
-//      milliseconds, so even a query stuck inside one enormous round
-//      stops at the next in-cursor probe instead of the next round.
+//   3. The join cursor checks the deadline every few thousand candidate
+//      rows, so even a query stuck inside one enormous round stops
+//      mid-round instead of at the next round boundary.
 
 #pragma once
 
@@ -47,7 +47,6 @@
 #include "server/limits.h"
 #include "server/protocol.h"
 #include "server/session.h"
-#include "server/watchdog.h"
 
 namespace linrec {
 
@@ -59,8 +58,7 @@ class Server {
   explicit Server(ServerLimits limits = {}, EngineOptions engine_options = {})
       : limits_(limits),
         engine_options_(engine_options),
-        planner_(engine_options),
-        watchdog_(limits.watchdog_interval_ms) {
+        planner_(engine_options) {
     memory_budget_.set_limit(limits.global_memory_budget);
   }
 
@@ -68,8 +66,6 @@ class Server {
 
   /// The server-wide memory ledger every governed query charges into.
   MemoryBudget& global_budget() { return memory_budget_; }
-  /// The deadline watchdog (observability: cancels()).
-  const Watchdog& watchdog() const { return watchdog_; }
 
   /// Creates an independent session (the caller owns it; one per
   /// connection/REPL). Thread-safe.
@@ -110,10 +106,14 @@ class Server {
   /// slots and releases them when done; otherwise an Unavailable status
   /// that leads with the retry hint.
   Status Admit(std::size_t units);
-  /// The shared evaluation core: admission control, per-goal deadline
-  /// tokens, EvalQueries. One Result per goal (Unavailable on rejection).
+  /// The shared evaluation core: admission control, the request's
+  /// deadline token, EvalQueries. One Result per goal (Unavailable on
+  /// rejection).
   std::vector<Result<QueryResult>> EvaluateGoals(Session& session,
                                                  const std::vector<Atom>& goals);
+  /// Counts a failed goal or fact update: a budget denial into
+  /// queries_exhausted, a blown deadline into queries_timed_out.
+  void CountFailure(const Status& status);
   void HandleSet(Session& session, const std::string& args,
                  std::vector<std::string>* out);
   void HandleStats(Session& session, std::vector<std::string>* out);
@@ -131,28 +131,22 @@ class Server {
                      const Result<QueryResult>& outcome,
                      std::vector<std::string>* out);
 
-  // Teardown ordering (load-bearing, enforced by declaration order +
-  // tests/watchdog_teardown_test.cc): members destroy in reverse order, so
-  // watchdog_ — declared LAST among the stateful members — dies FIRST. Its
-  // destructor joins the scan thread (after any in-flight sweep's
-  // MutexLock releases), so by the time planner_ / registry_ /
-  // memory_budget_ destruct, no background thread can touch them. Sessions
-  // are owned by callers and must finish their evaluations (which Watch /
-  // Unwatch tokens against watchdog_) before the Server dies — Unwatch
-  // returning is the hand-off that makes the token safe to destroy.
   ServerLimits limits_;
   EngineOptions engine_options_;
   Planner planner_;
   DigestRegistry<CompiledProgram> registry_;
   /// Global ledger across every in-flight query's relation growth.
   MemoryBudget memory_budget_;
-  Watchdog watchdog_;
   std::atomic<long> pending_{0};
   std::atomic<long> next_session_{0};
   std::atomic<long> queries_served_{0};
   std::atomic<long> queries_rejected_{0};
-  /// Queries that died on a budget denial (ERR ResourceExhausted).
+  /// Goals and fact updates that died on a budget denial
+  /// (ERR ResourceExhausted).
   std::atomic<long> queries_exhausted_{0};
+  /// Goals and fact updates that died on their deadline
+  /// (ERR DeadlineExceeded).
+  std::atomic<long> queries_timed_out_{0};
   /// Submissions turned away under memory pressure (ERR Unavailable).
   std::atomic<long> queries_shed_{0};
   // Incremental-maintenance counters across sessions: views extended by

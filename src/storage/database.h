@@ -27,7 +27,6 @@ class Database {
   Result<const Relation*> GetChecked(const std::string& name,
                                      std::size_t arity) const;
 
-  bool Has(const std::string& name) const { return relations_.count(name) > 0; }
   std::size_t relation_count() const { return relations_.size(); }
 
   /// Names in sorted order (deterministic iteration).

@@ -1,16 +1,16 @@
 // Resource-governance tests: memory budgets (per-query + global ledger),
 // typed ResourceExhausted surfacing, cache integrity after an aborted
 // fixpoint (a follow-up query must be byte-identical to an unbudgeted
-// run), watchdog-driven mid-evaluation cancellation, and the server-level
+// run), deadlines that stop a join mid-round, and the server-level
 // ladder — SET memory_budget, overload shedding with a retry hint,
-// protocol-layer SET validation, and pressure counters in STATS.
+// protocol-layer SET validation, and pressure and deadline counters in
+// STATS.
 
 #include "common/memory.h"
 
 #include <algorithm>
 #include <chrono>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,8 +18,8 @@
 #include "common/strings.h"
 #include "datalog/parser.h"
 #include "engine/engine.h"
+#include "eval/apply.h"
 #include "server/server.h"
-#include "server/watchdog.h"
 #include "workload/graphs.h"
 
 namespace linrec {
@@ -175,51 +175,50 @@ TEST(QueryBudgetTest, GlobalLedgerDeniesAcrossQueries) {
   EXPECT_EQ(global.used(), 0u);
 }
 
-TEST(CancellationTest, ForceDeadlineStopsExecutionMidEvaluation) {
+TEST(CancellationTest, CancelStopsExecution) {
   Engine engine = ChainEngine(64);
   LinearRule tc = LR("p(X,Y) :- p(X,Z), e(Z,Y).");
   auto prepared = engine.Prepare(Query::Closure({tc}));
   ASSERT_TRUE(prepared.ok()) << prepared.status();
 
-  CancellationToken token;  // no deadline armed
-  token.ForceDeadline();    // what the watchdog does on expiry
-  auto result = engine.Execute(
-      prepared->Bind().BindSeed(SeedZero()).WithCancellation(&token));
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
-      << result.status();
-
   CancellationToken cancelled;
   cancelled.Cancel();
-  result = engine.Execute(
+  auto result = engine.Execute(
       prepared->Bind().BindSeed(SeedZero()).WithCancellation(&cancelled));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled) << result.status();
 }
 
-TEST(WatchdogTest, ForceExpiresBlownDeadlinesAndCountsThem) {
-  Watchdog watchdog(/*interval_ms=*/1);
-  CancellationToken token =
-      CancellationToken::WithTimeout(std::chrono::milliseconds(0));
-  // The flag is not set yet: only a clock read (or the watchdog) sees the
-  // expiry, which is exactly the mid-chunk gap the watchdog closes.
-  EXPECT_FALSE(token.stop_requested());
-  const std::size_t handle = watchdog.Watch(&token);
-  for (int i = 0; i < 2000 && !token.stop_requested(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+TEST(CancellationTest, BlownDeadlineStopsTheJoinCursorMidRound) {
+  // One Run of a self-join over the complete 100x100 relation: 10,000
+  // outer rows, 100 candidates each, 1M candidates in all. A single Run has
+  // no round boundary, so only the cursor's own check can stop it.
+  Database db;
+  Relation& r = db.GetOrCreate("r", 2);
+  for (Value x = 0; x < 100; ++x) {
+    for (Value y = 0; y < 100; ++y) r.Insert({x, y});
   }
-  EXPECT_TRUE(token.stop_requested());
-  EXPECT_TRUE(token.Check().code() == StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(watchdog.cancels(), 1u);
-  watchdog.Unwatch(handle);
-  EXPECT_EQ(watchdog.watched(), 0u);
+  auto rule = ParseRule("p(X, Y) :- r(X, Z), r(Z, Y).");
+  ASSERT_TRUE(rule.ok()) << rule.status();
+  auto compiled = CompileRule(*rule, db, {});
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
 
-  // A token without a deadline is never force-expired.
-  CancellationToken plain;
-  const std::size_t h2 = watchdog.Watch(&plain);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_FALSE(plain.stop_requested());
-  watchdog.Unwatch(h2);
+  Relation full(2);
+  ClosureStats full_stats;
+  ASSERT_TRUE(compiled->Run(&full, &full_stats).ok());
+  ASSERT_EQ(full.size(), 10000u);
+  ASSERT_GT(full_stats.rows_scanned, 1000000u);
+
+  const CancellationToken expired =
+      CancellationToken::WithTimeout(std::chrono::milliseconds(0));
+  Relation partial(2);
+  ClosureStats partial_stats;
+  const Status stopped =
+      compiled->Run(&partial, &partial_stats, nullptr, &expired);
+  EXPECT_EQ(stopped.code(), StatusCode::kDeadlineExceeded) << stopped;
+  EXPECT_GT(partial_stats.rows_scanned, 0u);
+  EXPECT_LT(partial_stats.rows_scanned, full_stats.rows_scanned);
+  EXPECT_LT(partial.size(), full.size());
 }
 
 TEST(ServerGovernanceTest, BudgetExceededRepliesTypedAndOthersUnaffected) {
@@ -350,32 +349,33 @@ TEST(ServerGovernanceTest, RowLimitStreamsWithoutFullMaterialization) {
   EXPECT_EQ(out[1], "RESULT tc/2 rows=0 truncated=1");
 }
 
-TEST(ServerGovernanceTest, WatchdogCancelsDeadlineBlownQueries) {
-  ServerLimits limits;
-  limits.watchdog_interval_ms = 1;
-  Server server(limits, {});
+TEST(ServerGovernanceTest, DeadlineBlownRequestsReplyTypedAndAreCounted) {
+  Server server;
   auto session = server.NewSession();
   Load(server, *session, ChainProgram(48));
 
-  // timeout_ms=0 arms an already-expired token; whichever of the round
-  // boundary or the watchdog notices first, the reply is typed and the
-  // server survives.
+  // timeout_ms=0 arms an already-expired token: the goal replies typed and
+  // the server survives.
   std::vector<std::string> out =
       Drive(server, *session, {"SET timeout_ms 0", "?- tc(X, Y)."});
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[1].rfind("ERR DeadlineExceeded", 0), 0u) << out[1];
 
-  out = Drive(server, *session, {"SET timeout_ms -1", "?- tc(1, Y)."});
+  out = Drive(server, *session, {"SET timeout_ms -1", "?- tc(X, Y)."});
   EXPECT_EQ(out[1].rfind("RESULT tc/2", 0), 0u) << out[1];
 
-  // STATS exposes the watchdog counter (0 or more — the boundary check may
-  // have won the race — but the line must exist).
+  // Every request that replied ERR DeadlineExceeded counts once.
   out = Drive(server, *session, {"STATS"});
-  bool has_watchdog_line = false;
-  for (const std::string& line : out) {
-    if (line.rfind("watchdog_cancels=", 0) == 0) has_watchdog_line = true;
-  }
-  EXPECT_TRUE(has_watchdog_line);
+  EXPECT_NE(std::find(out.begin(), out.end(), "queries_timed_out=1"),
+            out.end());
+
+  // A fact update maintaining the materialized tc view counts the same way.
+  out = Drive(server, *session, {"SET timeout_ms 0", "INSERT edge(48, 49)."});
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1].rfind("ERR DeadlineExceeded", 0), 0u) << out[1];
+  out = Drive(server, *session, {"METRICS"});
+  EXPECT_NE(std::find(out.begin(), out.end(), "linrec_queries_timed_out 2"),
+            out.end());
 }
 
 }  // namespace

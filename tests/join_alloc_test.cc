@@ -14,8 +14,8 @@
 // steady-state round allocated even once would grow its count by the
 // extra rounds, so the size-doubled delta is pinned far below that. The
 // hook also totals the bytes it hands out, and the LOAD test applies the
-// doubling argument to them: a LOAD of twice the facts allocates about
-// twice the bytes, not four times.
+// doubling argument to them: a LOAD of twice the facts, or twice the FACT
+// lines, allocates about twice the bytes, not four times.
 
 #include <gtest/gtest.h>
 
@@ -358,38 +358,47 @@ TEST(ClosureAllocTest, JointSteadyStateRoundsAllocateNothing) {
       << "joint rounds allocate: " << small << " -> " << large;
 }
 
-/// Bytes allocated by a LOAD of the tc rules and an n-edge chain, sent line
-/// by line through Server::HandleLine into a fresh session of `server`.
-std::size_t LoadBytes(Server& server, int n) {
+/// Bytes allocated by the tc rules and an n-edge chain, sent line by line
+/// through Server::HandleLine into a fresh session of `server`: the edges
+/// inside the LOAD block, or (`fact_lines`) as FACT lines after a
+/// rules-only LOAD.
+std::size_t LoadBytes(Server& server, int n, bool fact_lines) {
   std::vector<std::string> lines = {"LOAD", "tc(X, Y) :- e(X, Y).",
                                     "tc(X, Y) :- tc(X, Z), e(Z, Y)."};
+  if (fact_lines) lines.push_back("END");
   for (int i = 0; i < n; ++i) {
-    lines.push_back(StrCat("e(", i, ", ", i + 1, ")."));
+    lines.push_back(StrCat(fact_lines ? "FACT " : "", "e(", i, ", ", i + 1,
+                           ")."));
   }
-  lines.push_back("END");
+  if (!fact_lines) lines.push_back("END");
+  std::vector<std::string> expected = {
+      StrCat("OK loaded rules=2 facts=", fact_lines ? 0 : n, " queries=0")};
+  if (fact_lines) expected.resize(1 + n, "OK fact");
   std::unique_ptr<Session> session = server.NewSession();
   std::vector<std::string> out;
-  out.reserve(1);
+  out.reserve(expected.size());
   std::size_t before = g_allocated_bytes.load(std::memory_order_relaxed);
   for (const std::string& line : lines) {
     server.HandleLine(*session, line, &out);
   }
   std::size_t after = g_allocated_bytes.load(std::memory_order_relaxed);
-  EXPECT_EQ(out, std::vector<std::string>{StrCat(
-                     "OK loaded rules=2 facts=", n, " queries=0")});
+  EXPECT_EQ(out, expected);
   return after - before;
 }
 
 TEST(LoadAllocTest, LoadBytesGrowLinearlyInItsFacts) {
-  Server server;
-  // The first LOAD compiles the rules; the measured two hit the registry.
-  LoadBytes(server, 1);
-  std::size_t half = LoadBytes(server, 600);
-  std::size_t full = LoadBytes(server, 1200);
-  // Linear is 2x; rebuilding the engine per fact copies O(n^2) rows.
-  EXPECT_LE(2 * full, 5 * half)
-      << "a LOAD of 1200 facts allocated " << full << " bytes, of 600 "
-      << half << " bytes";
+  for (bool fact_lines : {false, true}) {
+    const char* input = fact_lines ? "FACT lines" : "facts in one LOAD";
+    Server server;
+    // The first LOAD compiles the rules; the measured two hit the registry.
+    LoadBytes(server, 1, fact_lines);
+    std::size_t half = LoadBytes(server, 600, fact_lines);
+    std::size_t full = LoadBytes(server, 1200, fact_lines);
+    // Linear is 2x; rebuilding the engine per fact copies O(n^2) rows.
+    EXPECT_LE(2 * full, 5 * half)
+        << "1200 " << input << " allocated " << full << " bytes, 600 "
+        << half << " bytes";
+  }
 }
 
 TEST(JoinAllocTest, CountingHookIsLive) {

@@ -11,8 +11,7 @@
 // Limits: --timeout-ms N, --max-rows N, --max-pending N, --workers N,
 // --memory-budget BYTES (global ledger), --query-memory-budget BYTES
 // (per-query default; sessions override with SET memory_budget),
-// --retry-after MS (backoff hint in Unavailable replies),
-// --watchdog-interval MS (deadline-watchdog scan period). --timeout-ms,
+// --retry-after MS (backoff hint in Unavailable replies). --timeout-ms,
 // --max-rows and --query-memory-budget accept exactly what the matching
 // SET accepts. --workers sizes the worker lanes of pipelined query
 // batches (0 = one per hardware thread); every goal and every round is
@@ -248,7 +247,7 @@ int Usage(const char* argv0) {
                " [--max-pending <n>] [--workers <n>]\n"
                "       [--memory-budget <bytes>]"
                " [--query-memory-budget <bytes>]\n"
-               "       [--retry-after <ms>] [--watchdog-interval <ms>]\n"
+               "       [--retry-after <ms>]\n"
                "       [--fault <site>:<n>] [--fault-seed <seed>:<period>]\n";
   return 2;
 }
@@ -366,8 +365,6 @@ int main(int argc, char** argv) {
                       &limits.global_memory_budget);
     } else if (arg == "--retry-after") {
       ok = ParseWhole(value, 0, kIntMax, &limits.retry_after_ms);
-    } else if (arg == "--watchdog-interval") {
-      ok = ParseWhole(value, 1, kIntMax, &limits.watchdog_interval_ms);
     } else if (arg == "--fault" || arg == "--fault-seed") {
       ok = ArmFault(value, /*seeded=*/arg == "--fault-seed");
     } else {
